@@ -1,6 +1,7 @@
 #include "attack/covert.hh"
 
 #include <algorithm>
+#include <memory>
 
 #include "attack/dram_addr.hh"
 #include "attack/message.hh"
@@ -261,14 +262,14 @@ makeChannelConfig(sys::System &system, ChannelKind kind,
     return cfg;
 }
 
-ChannelResult
-runCovertChannel(sys::System &system, const CovertConfig &cfg,
-                 const std::vector<std::uint8_t> &symbols,
-                 Tick epoch_delay)
+namespace {
+
+/** The channel fields are the ground-truth contract: they must agree
+ *  with where the configured addresses actually decode, or the
+ *  result's stats view reads the wrong channel. */
+void
+checkChannels(const sys::System &system, const CovertConfig &cfg)
 {
-    // The channel fields are the ground-truth contract: they must
-    // agree with where the configured addresses actually decode, or
-    // the result's stats view reads the wrong channel.
     LEAKY_ASSERT(system.mapper().decode(cfg.sender_addr).channel ==
                      cfg.sender_channel,
                  "sender_addr does not decode onto sender_channel %u",
@@ -289,48 +290,88 @@ runCovertChannel(sys::System &system, const CovertConfig &cfg,
                      "sender_sequence entry does not decode onto "
                      "sender_channel %u",
                      cfg.sender_channel);
-    CovertSender sender(system, cfg);
-    CovertReceiver receiver(system, cfg);
+}
 
+/**
+ * Construct every pair's sender and receiver, start them all at one
+ * epoch, and run @p system until each receiver has listened for
+ * @p symbols.size() windows. @p collect then sees every receiver, in
+ * pair order, while the endpoints are still alive.
+ */
+void
+transmitPairs(
+    sys::System &system, const std::vector<CovertConfig> &pairs,
+    const std::vector<std::uint8_t> &symbols, Tick epoch_delay,
+    const std::function<void(std::size_t, const CovertReceiver &)> &collect)
+{
+    std::vector<std::unique_ptr<CovertSender>> senders;
+    std::vector<std::unique_ptr<CovertReceiver>> receivers;
+    Tick window = 0;
+    for (const CovertConfig &cfg : pairs) {
+        senders.push_back(std::make_unique<CovertSender>(system, cfg));
+        receivers.push_back(std::make_unique<CovertReceiver>(system, cfg));
+        window = std::max(window, cfg.window);
+    }
     const Tick epoch = system.now() + epoch_delay;
-    sender.transmit(symbols, epoch);
-    bool done = false;
-    receiver.listen(symbols.size(), epoch, [&done] { done = true; });
-
+    std::size_t done = 0;
+    for (std::size_t p = 0; p < pairs.size(); ++p) {
+        senders[p]->transmit(symbols, epoch);
+        receivers[p]->listen(symbols.size(), epoch, [&done] { done += 1; });
+    }
     const Tick deadline =
-        epoch + (symbols.size() + 2) * cfg.window + 10 * sim::kUs;
-    while (!done && system.now() < deadline)
-        system.run(cfg.window);
-    LEAKY_ASSERT(done, "receiver did not finish before the deadline");
+        epoch + (symbols.size() + 2) * window + 10 * sim::kUs;
+    while (done < pairs.size() && system.now() < deadline)
+        system.run(window);
+    LEAKY_ASSERT(done == pairs.size(),
+                 "receiver did not finish before the deadline");
+    for (std::size_t p = 0; p < pairs.size(); ++p)
+        collect(p, *receivers[p]);
+}
 
-    // Ground truth from the channel the receiver listens on — under
-    // channels > 1 an implicit channel-0 read would silently drop
-    // every preventive action on the other channels.
-    return collectChannelResult(cfg.window, cfg.levels, symbols,
-                                receiver.decoded(),
-                                system.stats(cfg.receiver_channel));
+} // namespace
+
+std::vector<ChannelResult>
+runCovertChannel(sys::System &system, const std::vector<CovertConfig> &pairs,
+                 const std::vector<std::uint8_t> &symbols, Tick epoch_delay)
+{
+    for (const CovertConfig &cfg : pairs)
+        checkChannels(system, cfg);
+    std::vector<ChannelResult> results;
+    transmitPairs(system, pairs, symbols, epoch_delay,
+                  [&](std::size_t p, const CovertReceiver &receiver) {
+        const CovertConfig &cfg = pairs[p];
+        ChannelResult result;
+        result.sent = symbols;
+        result.received = receiver.decoded();
+        result.detections = receiver.detections();
+        result.symbol_error =
+            stats::symbolErrorRate(result.sent, result.received);
+        result.raw_bit_rate =
+            stats::rawBitRate(cfg.window, bitsPerSymbol(cfg.levels));
+        result.capacity = stats::channelCapacity(result.raw_bit_rate,
+                                                 result.symbol_error);
+        // Ground truth from the channel the receiver listens on —
+        // under channels > 1 an implicit channel-0 read would silently
+        // drop every preventive action on the other channels.
+        const ctrl::CtrlStats &view = system.stats(cfg.receiver_channel);
+        result.backoffs = view.backoffs;
+        result.rfms = view.rfms;
+        result.targeted_refreshes = view.targeted_refreshes;
+        result.counter_fetches = view.counter_fetches;
+        results.push_back(std::move(result));
+    });
+    return results;
 }
 
 ChannelResult
-collectChannelResult(Tick window, std::uint32_t levels,
-                     std::vector<std::uint8_t> sent,
-                     std::vector<std::uint8_t> received,
-                     const ctrl::CtrlStats &view)
+runCovertChannel(sys::System &system, const CovertConfig &cfg,
+                 const std::vector<std::uint8_t> &symbols,
+                 Tick epoch_delay)
 {
-    ChannelResult result;
-    result.sent = std::move(sent);
-    result.received = std::move(received);
-    result.symbol_error =
-        stats::symbolErrorRate(result.sent, result.received);
-    result.raw_bit_rate =
-        stats::rawBitRate(window, bitsPerSymbol(levels));
-    result.capacity =
-        stats::channelCapacity(result.raw_bit_rate, result.symbol_error);
-    result.backoffs = view.backoffs;
-    result.rfms = view.rfms;
-    result.targeted_refreshes = view.targeted_refreshes;
-    result.counter_fetches = view.counter_fetches;
-    return result;
+    return std::move(runCovertChannel(system,
+                                      std::vector<CovertConfig>{cfg},
+                                      symbols, epoch_delay)
+                         .front());
 }
 
 std::vector<std::uint32_t>
@@ -339,31 +380,24 @@ calibrateCuts(const sys::SystemConfig &sys_cfg, CovertConfig cfg,
 {
     if (cfg.levels <= 2)
         return {};
+    const std::uint32_t levels = cfg.levels;
+    cfg.levels = 2; // Decode irrelevant; we only need counts.
     std::vector<double> mean_counts;
-    for (std::uint32_t s = 1; s < cfg.levels; ++s) {
+    for (std::uint32_t s = 1; s < levels; ++s) {
         sys::System system(sys_cfg);
-        std::vector<std::uint8_t> ramp(reps_per_symbol,
-                                       static_cast<std::uint8_t>(s));
-        CovertConfig train = cfg;
-        train.levels = 2; // Decode irrelevant; we only need counts.
-        ChannelResult ignored;
-        CovertSender sender(system, train);
-        CovertReceiver receiver(system, train);
-        const Tick epoch = system.now() + 2 * sim::kUs;
-        sender.transmit(ramp, epoch);
-        bool done = false;
-        receiver.listen(ramp.size(), epoch, [&done] { done = true; });
-        while (!done)
-            system.run(train.window);
-        (void)ignored;
+        const std::vector<std::uint8_t> ramp(reps_per_symbol,
+                                             static_cast<std::uint8_t>(s));
         double sum = 0.0;
         std::uint32_t n = 0;
-        for (auto c : receiver.backoffCounts()) {
-            if (c > 0) {
-                sum += c;
-                n += 1;
+        transmitPairs(system, {cfg}, ramp, 2 * sim::kUs,
+                      [&](std::size_t, const CovertReceiver &receiver) {
+            for (auto c : receiver.backoffCounts()) {
+                if (c > 0) {
+                    sum += c;
+                    n += 1;
+                }
             }
-        }
+        });
         mean_counts.push_back(n ? sum / n : 0.0);
     }
     // Cut points at midpoints between adjacent symbols' mean counts.

@@ -192,26 +192,26 @@ struct ChannelResult {
     std::uint64_t rfms = 0;
     std::uint64_t targeted_refreshes = 0; ///< Tracker VRRs (ground truth).
     std::uint64_t counter_fetches = 0;    ///< Hydra CC-miss traffic.
+    /** The receiver's per-window raw detections (the y-axes of Figs. 3
+     *  and 6; see CovertReceiver::detections). */
+    std::vector<std::uint32_t> detections;
 };
 
 /**
- * Assemble a ChannelResult: Eq.-1 metrics from the (sent, received)
- * symbol streams at @p window / @p levels, ground truth from the
- * channel-scoped stats @p view. The single definition of how covert
- * results are collected — runCovertChannel and the multi-channel
- * aggregate runner both go through here.
+ * The one covert transmission loop. Constructs a sender and a receiver
+ * for every entry of @p pairs (in order), then starts each pair's
+ * transmission and listening at a shared epoch @p epoch_delay from now,
+ * and runs @p system until every receiver has decoded @p symbols.
+ * Other agents (noise, background cores) may already be attached.
+ * Returns one ChannelResult per pair: Eq.-1 metrics plus the ground
+ * truth of the channel that pair's receiver listens on.
  */
-ChannelResult collectChannelResult(Tick window, std::uint32_t levels,
-                                   std::vector<std::uint8_t> sent,
-                                   std::vector<std::uint8_t> received,
-                                   const ctrl::CtrlStats &view);
+std::vector<ChannelResult>
+runCovertChannel(sys::System &system, const std::vector<CovertConfig> &pairs,
+                 const std::vector<std::uint8_t> &symbols,
+                 Tick epoch_delay = 2 * sim::kUs);
 
-/**
- * Run a complete transmission on @p system: instantiate sender and
- * receiver, transmit @p symbols, decode, and compute Eq.-1 metrics.
- * Runs the system's event queue; other agents (noise, background cores)
- * may already be attached.
- */
+/** Single-pair form of the loop above. */
 ChannelResult runCovertChannel(sys::System &system, const CovertConfig &cfg,
                                const std::vector<std::uint8_t> &symbols,
                                Tick epoch_delay = 2 * sim::kUs);

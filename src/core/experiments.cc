@@ -1,7 +1,7 @@
 #include "core/experiments.hh"
 
-#include <algorithm>
 #include <memory>
+#include <optional>
 
 #include "attack/counter_leak.hh"
 #include "attack/dram_addr.hh"
@@ -104,23 +104,7 @@ runLatencyTrace(std::uint32_t iterations, std::uint32_t rfms_per_backoff)
     return result;
 }
 
-// -------------------------------------------------- Figs. 3-8 (covert)
-
-sys::SystemConfig
-channelSystemConfig(const ChannelRunSpec &spec)
-{
-    sys::SystemConfig cfg = spec.kind == ChannelKind::kPrac
-                                ? pracAttackSystem()
-                                : prfmAttackSystem();
-    cfg.channels = spec.channels;
-    cfg.mapping = spec.mapping;
-    cfg.defense.rfms_per_backoff = spec.rfms_per_backoff;
-    cfg.defense.backoff_rfm_latency = spec.backoff_rfm_latency;
-    cfg.defense.aboact_override = spec.aboact_override;
-    cfg.defense.seed = spec.seed;
-    cfg.ctrl.deterministic_refresh = spec.filter_refresh;
-    return cfg;
-}
+// ------------------------------------------- covert-channel scenarios
 
 namespace {
 
@@ -149,109 +133,156 @@ attachBackground(sys::System &system,
     return cores;
 }
 
-/** §9.1 idiom for a non-colocated receiver, shared by every cell that
- *  moves the receiver out of the sender's bank: the sender alternates
- *  two of its own rows (every access conflicts) and, under PRAC,
- *  charges the counters alone over a doubled window. */
-void
-selfConflictSender(attack::CovertConfig &cfg,
-                   const dram::AddressMapper &mapper,
-                   std::uint32_t sender_channel, ChannelKind kind)
-{
-    cfg.sender_addr2 =
-        attack::rowAddress(mapper, sender_channel, 0, 0, 0, 1064);
-    if (kind == ChannelKind::kPrac)
-        cfg.window = 50 * sim::kUs;
-}
-
+/** Pair @p p of @p scenario, configured for the live @p system. */
 attack::CovertConfig
-channelConfig(sys::System &system, const ChannelRunSpec &spec)
+pairConfig(sys::System &system, const CovertScenario &scenario,
+           std::size_t p)
 {
+    const BankPlacement &tx = scenario.pairs[p].sender;
+    const BankPlacement &rx = scenario.pairs[p].receiver;
     attack::CovertConfig cfg = attack::makeChannelConfig(
-        system, spec.kind, spec.levels, spec.sender_channel);
-    if (spec.receiver_channel != spec.sender_channel) {
-        // Cross-channel placement: the receiver listens on its own
-        // channel's defense, and the sender self-conflicts (§9.1).
-        cfg.receiver_channel = spec.receiver_channel;
-        cfg.receiver_addr = attack::rowAddress(
-            system.mapper(), spec.receiver_channel, 0, 0, 0, 2000);
-        selfConflictSender(cfg, system.mapper(), spec.sender_channel,
-                           spec.kind);
+        system, scenario.kind, scenario.levels, tx.channel);
+
+    // The attacker massages its pages through the mapping it reverse
+    // engineered (§5.2) — compose through the ASSUMED function, decode
+    // through the system's own (the same composition path the
+    // mapping-recovery attacker feeds its learned function into).
+    const sys::SystemConfig &sys_cfg = system.config();
+    std::optional<dram::MappingFunction> assumed;
+    if (scenario.assumed_mapping)
+        assumed.emplace(sys_cfg.ctrl.dram.org, sys_cfg.channels,
+                        *scenario.assumed_mapping);
+    const dram::MappingFunction &fn =
+        assumed ? *assumed : system.mapper().fn();
+    cfg.sender_addr = attack::rowAddress(fn, tx.channel, tx.rank,
+                                         tx.bankgroup, tx.bank, 1000);
+    cfg.receiver_channel = rx.channel;
+    cfg.receiver_addr = attack::rowAddress(fn, rx.channel, rx.rank,
+                                           rx.bankgroup, rx.bank, 2000);
+    cfg.sender_source = 200 + static_cast<std::int32_t>(2 * p);
+    cfg.receiver_source = 201 + static_cast<std::int32_t>(2 * p);
+    if (!(rx == tx)) {
+        // §9.1: a receiver outside the sender's bank sees none of the
+        // sender's conflicts, so the sender alternates two of its own
+        // rows and, under PRAC, charges the counters alone over a
+        // doubled window.
+        cfg.sender_addr2 = attack::rowAddress(
+            fn, tx.channel, tx.rank, tx.bankgroup, tx.bank, 1064);
+        if (scenario.kind == ChannelKind::kPrac)
+            cfg.window = 50 * sim::kUs;
     }
-    const auto &timing =
-        system.controller(spec.sender_channel).config().dram.timing;
-    if (spec.backoff_rfm_latency || spec.aboact_override) {
-        // Re-derive thresholds for the modified back-off latency. The
-        // controller's timing already carries the overrides.
-        cfg.classifier = attack::LatencyClassifier::forTiming(
-            timing, 90'000, spec.rfms_per_backoff);
-    }
-    if (spec.filter_refresh) {
+
+    if (scenario.window)
+        cfg.window = scenario.window;
+    if (scenario.trecv)
+        cfg.trecv = scenario.trecv;
+    if (scenario.backoff_min)
+        cfg.classifier.backoff_min = scenario.backoff_min;
+    if (scenario.rfm_min)
+        cfg.classifier.rfm_min = scenario.rfm_min;
+    if (sys_cfg.ctrl.deterministic_refresh) {
+        // Refreshes sit on the tREFI grid, so the receiver can blank
+        // them out (paper footnote 6 and §10.1).
+        const auto &timing =
+            system.controller(tx.channel).config().dram.timing;
         cfg.refresh_blackout = true;
         cfg.refi = timing.tREFI;
         cfg.blackout_post = timing.tRFC + 300'000;
     }
-    if (spec.backoff_min_override)
-        cfg.classifier.backoff_min = spec.backoff_min_override;
+    if (scenario.levels > 2)
+        cfg.count_cuts = attack::calibrateCuts(sys_cfg, cfg);
     return cfg;
 }
 
 } // namespace
 
-attack::ChannelResult
-runChannelOn(sys::System &system, const ChannelRunSpec &spec)
+CovertScenario
+channelScenario(ChannelKind kind)
 {
-    // The caller owns the system; it must be the one the spec
-    // describes, or the returned rows are labeled with topology /
-    // defense parameters that were never simulated — a wrong mapping
-    // preset or defense override trips no downstream assert, since
-    // the classifier and calibration derive from the live system.
-    const sys::SystemConfig want = channelSystemConfig(spec);
-    const sys::SystemConfig &have = system.config();
-    LEAKY_ASSERT(have.channels == want.channels &&
-                     have.mapping == want.mapping &&
-                     have.defense == want.defense &&
-                     have.ctrl.deterministic_refresh ==
-                         want.ctrl.deterministic_refresh,
-                 "system config does not match the channel spec");
-    attack::CovertConfig cfg = channelConfig(system, spec);
-    if (spec.levels > 2) {
-        // Calibrate on the LIVE system's config, not the spec-implied
-        // one: a caller-owned system with, say, tweaked DRAM timing
-        // would otherwise train cut points on the wrong machine.
-        cfg.count_cuts = attack::calibrateCuts(system.config(), cfg);
-    }
+    CovertScenario scenario;
+    scenario.kind = kind;
+    if (kind == ChannelKind::kRfm)
+        scenario.system = prfmAttackSystem();
+    return scenario;
+}
 
-    // Noise microbenchmark targeting the covert channel's bank (§6.3).
+CovertScenario
+crossDefenseScenario(DefenseKind kind)
+{
+    CovertScenario scenario;
+    if (kind == DefenseKind::kPrac || kind == DefenseKind::kPracRiac ||
+        kind == DefenseKind::kPracBank) {
+        scenario.system.defense.kind = kind;
+        return scenario;
+    }
+    scenario.kind = ChannelKind::kRfm;
+    if (kind == DefenseKind::kPrfm) {
+        scenario.system = prfmAttackSystem();
+    } else if (kind == DefenseKind::kGraphene ||
+               kind == DefenseKind::kHydra) {
+        scenario.system = trackerAttackSystem(kind);
+        // The slow-event threshold sits at the VRR window (shorter
+        // than a full RFM), keeping Hydra's sub-band counter fetches
+        // out of the detection class.
+        scenario.trecv = 2;
+        scenario.rfm_min = 200'000;
+    } else {
+        scenario.system = sys::SystemConfig::paper(kind, 160);
+    }
+    return scenario;
+}
+
+sys::SystemConfig
+crossDefenseSystemConfig(DefenseKind kind)
+{
+    return crossDefenseScenario(kind).system;
+}
+
+attack::CovertConfig
+crossDefenseChannelConfig(sys::System &system, DefenseKind kind)
+{
+    return pairConfig(system, crossDefenseScenario(kind), 0);
+}
+
+ScenarioResult
+runScenario(const CovertScenario &scenario)
+{
+    LEAKY_ASSERT(!scenario.pairs.empty(), "scenario has no pairs");
+    LEAKY_ASSERT(!scenario.bits.empty(), "scenario has no payload");
+    sys::System system(scenario.system);
+
+    // Noise microbenchmark in pair 0's sender bank (§6.3).
     std::unique_ptr<attack::NoiseAgent> noise;
-    if (spec.noise_sleep > 0) {
+    if (scenario.noise_sleep > 0) {
+        const BankPlacement &bank = scenario.pairs.front().sender;
         attack::NoiseConfig noise_cfg;
         // Six rows: more counters than one back-off recovery can reset,
         // so noise-side counters survive preventive actions.
         noise_cfg.addrs = attack::rowsInBank(
-            system.mapper(), spec.sender_channel, 0, 0, 0, 3000, 6, 512);
-        noise_cfg.sleep = spec.noise_sleep;
+            system.mapper(), bank.channel, bank.rank, bank.bankgroup,
+            bank.bank, 3000, 6, 512);
+        noise_cfg.sleep = scenario.noise_sleep;
         noise = std::make_unique<attack::NoiseAgent>(system, noise_cfg);
         noise->start();
     }
-    auto background =
-        attachBackground(system, spec.background, spec.large_caches);
+    const auto background = attachBackground(
+        system, scenario.background, scenario.large_caches);
 
-    const auto bits = attack::patternBits(
-        spec.pattern, spec.message_bytes * 8);
-    const auto symbols = attack::symbolsFromBits(bits, spec.levels);
-    return attack::runCovertChannel(system, cfg, symbols);
-}
-
-attack::ChannelResult
-runChannel(const ChannelRunSpec &spec)
-{
-    sys::System system(channelSystemConfig(spec));
-    return runChannelOn(system, spec);
+    std::vector<attack::CovertConfig> pairs;
+    for (std::size_t p = 0; p < scenario.pairs.size(); ++p)
+        pairs.push_back(pairConfig(system, scenario, p));
+    ScenarioResult out;
+    out.pairs = attack::runCovertChannel(
+        system, pairs,
+        attack::symbolsFromBits(scenario.bits, scenario.levels));
+    for (std::uint32_t ch = 0; ch < system.channels(); ++ch)
+        out.channels.push_back(system.stats(ch));
+    out.aggregate = system.aggregateStats();
+    return out;
 }
 
 PatternSweepResult
-runPatternSweep(ChannelRunSpec spec)
+runPatternSweep(CovertScenario scenario, std::size_t n_bits)
 {
     const attack::MessagePattern patterns[] = {
         attack::MessagePattern::kAllOnes,
@@ -260,46 +291,12 @@ runPatternSweep(ChannelRunSpec spec)
         attack::MessagePattern::kCheckered1};
     PatternSweepResult result;
     for (auto p : patterns) {
-        spec.pattern = p;
-        const auto run = runChannel(spec);
+        scenario.bits = attack::patternBits(p, n_bits);
+        const auto run = runScenario(scenario).pairs.front();
         result.raw_bit_rate += run.raw_bit_rate / 4.0;
         result.error_probability += run.symbol_error / 4.0;
         result.capacity += run.capacity / 4.0;
     }
-    return result;
-}
-
-MessageDemoResult
-runMessageDemo(attack::ChannelKind kind, const std::string &message,
-               const dram::MappingSpec &mapping)
-{
-    ChannelRunSpec spec;
-    spec.kind = kind;
-    spec.mapping = mapping;
-    const sys::SystemConfig sys_cfg = channelSystemConfig(spec);
-    sys::System system(sys_cfg);
-    attack::CovertConfig cfg = channelConfig(system, spec);
-
-    const auto bits = attack::bitsFromString(message);
-    std::vector<std::uint8_t> symbols;
-    for (bool b : bits)
-        symbols.push_back(b ? 1 : 0);
-
-    attack::CovertSender sender(system, cfg);
-    attack::CovertReceiver receiver(system, cfg);
-    const Tick epoch = system.now() + 2 * sim::kUs;
-    sender.transmit(symbols, epoch);
-    bool done = false;
-    receiver.listen(symbols.size(), epoch, [&done] { done = true; });
-    while (!done)
-        system.run(cfg.window);
-
-    MessageDemoResult result;
-    result.sent_bits = bits;
-    for (auto s : receiver.decoded())
-        result.received_bits.push_back(s != 0);
-    result.detections = receiver.detections();
-    result.decoded_text = attack::stringFromBits(result.received_bits);
     return result;
 }
 
@@ -397,7 +394,7 @@ fingerprintDataset(const std::vector<FingerprintSample> &raw,
     return data;
 }
 
-// ----------------------------------------------- §9.1, §11.4, §12, T3
+// ---------------------------------------------------------------- §9.1
 
 CounterLeakTrial
 runCounterLeakTrial(std::uint32_t secret)
@@ -441,215 +438,6 @@ runCounterLeakTrial(std::uint32_t secret)
     trial.elapsed_us = static_cast<double>(result.elapsed) / 1e6;
     trial.bits = result.bits;
     return trial;
-}
-
-attack::ChannelResult
-runCountermeasureCell(const CountermeasureCellSpec &spec)
-{
-    sys::SystemConfig sys_cfg = pracAttackSystem();
-    sys_cfg.defense.kind = spec.kind;
-    sys_cfg.defense.seed = spec.seed;
-    if (spec.kind == DefenseKind::kFrRfm) {
-        sys_cfg.defense.nrh = 160;
-        sys_cfg.defense.nbo_override = 0;
-    }
-    sys::System system(sys_cfg);
-
-    attack::CovertConfig cfg =
-        attack::makeChannelConfig(system, ChannelKind::kPrac);
-    if (spec.cross_bank) {
-        // Receiver in a different bank group/bank than the sender
-        // (Bank-Level PRAC's scope reduction).
-        cfg.receiver_addr =
-            attack::rowAddress(system.mapper(), 0, 0, 4, 2, 2000);
-        selfConflictSender(cfg, system.mapper(), 0,
-                           ChannelKind::kPrac);
-    }
-
-    std::unique_ptr<attack::NoiseAgent> noise;
-    if (spec.noise_sleep > 0) {
-        attack::NoiseConfig noise_cfg;
-        noise_cfg.addrs = attack::rowsInBank(system.mapper(), 0, 0, 0,
-                                             0, 3000, 6, 512);
-        noise_cfg.sleep = spec.noise_sleep;
-        noise = std::make_unique<attack::NoiseAgent>(system, noise_cfg);
-        noise->start();
-    }
-
-    const auto bits = attack::patternBits(
-        attack::MessagePattern::kCheckered0, spec.message_bytes * 8);
-    return attack::runCovertChannel(
-        system, cfg, attack::symbolsFromBits(bits, 2));
-}
-
-attack::ChannelResult
-runTriggerCell(DefenseKind kind, double para_probability,
-               std::size_t message_bytes, std::uint64_t seed)
-{
-    sys::SystemConfig sys_cfg = pracAttackSystem();
-    sys_cfg.defense.kind = kind;
-    sys_cfg.defense.para_probability = para_probability;
-    sys_cfg.defense.seed = seed;
-    sys::System system(sys_cfg);
-
-    // Receiver strategy per defense: PRAC's big back-offs use the
-    // back-off detector; PRFM/PARA preventive actions are smaller, so
-    // the receiver counts slow events per window against Trecv.
-    attack::CovertConfig cfg = attack::makeChannelConfig(
-        system, kind == DefenseKind::kPrac ? ChannelKind::kPrac
-                                           : ChannelKind::kRfm);
-    cfg.window = 25 * sim::kUs;
-    cfg.trecv = 3;
-
-    const auto bits = attack::patternBits(
-        attack::MessagePattern::kCheckered0, message_bytes * 8);
-    return attack::runCovertChannel(
-        system, cfg, attack::symbolsFromBits(bits, 2));
-}
-
-attack::ChannelResult
-runGranularityCell(ChannelKind kind, int bankgroup, int bank,
-                   std::size_t message_bytes, std::uint64_t seed)
-{
-    sys::SystemConfig sys_cfg = kind == ChannelKind::kPrac
-                                    ? pracAttackSystem()
-                                    : prfmAttackSystem();
-    sys_cfg.defense.seed = seed;
-    sys::System system(sys_cfg);
-    attack::CovertConfig cfg = attack::makeChannelConfig(system, kind);
-    if (bankgroup >= 0) {
-        // Non-colocated receiver: the sender must self-conflict, and
-        // charging the counters alone takes ~2x as long per bit.
-        cfg.receiver_addr = attack::rowAddress(
-            system.mapper(), 0, 0,
-            static_cast<std::uint32_t>(bankgroup),
-            static_cast<std::uint32_t>(bank), 2000);
-        selfConflictSender(cfg, system.mapper(), 0, kind);
-    }
-    const auto bits = attack::patternBits(
-        attack::MessagePattern::kCheckered1, message_bytes * 8);
-    return attack::runCovertChannel(
-        system, cfg, attack::symbolsFromBits(bits, 2));
-}
-
-// ------------------------- multi-channel scaling + mapping diversity
-
-CrossChannelResult
-runCrossChannelCell(const CrossChannelSpec &spec)
-{
-    LEAKY_ASSERT(spec.channels >= (spec.cross ? 2u : 1u),
-                 "cross-channel cell needs a second channel");
-    ChannelRunSpec run;
-    run.kind = ChannelKind::kPrac;
-    run.channels = spec.channels;
-    run.sender_channel = 0;
-    run.receiver_channel = spec.cross ? 1 : 0;
-    run.pattern = spec.pattern;
-    run.message_bytes = spec.message_bytes;
-    run.seed = spec.seed;
-
-    sys::System system(channelSystemConfig(run));
-    CrossChannelResult out;
-    out.channel = runChannelOn(system, run);
-    out.tx_actions =
-        system.stats(run.sender_channel).preventiveActions();
-    out.rx_actions =
-        system.stats(run.receiver_channel).preventiveActions();
-    out.aggregate_actions = system.aggregateStats().preventiveActions();
-    return out;
-}
-
-MultiChannelResult
-runMultiChannelAggregate(const MultiChannelSpec &spec)
-{
-    LEAKY_ASSERT(spec.channels >= 1, "need at least one channel");
-    ChannelRunSpec base;
-    base.kind = ChannelKind::kPrac;
-    base.channels = spec.channels;
-    base.seed = spec.seed;
-    sys::System system(channelSystemConfig(base));
-
-    // One independent sender/receiver pair per channel, transmitting
-    // the same payload concurrently. Per-channel defense instances
-    // mean the pairs never contend for counter state — only the event
-    // queue is shared.
-    const auto bits =
-        attack::patternBits(spec.pattern, spec.message_bytes * 8);
-    const auto symbols = attack::symbolsFromBits(bits, 2);
-    std::vector<std::unique_ptr<attack::CovertSender>> senders;
-    std::vector<std::unique_ptr<attack::CovertReceiver>> receivers;
-    std::uint32_t done_count = 0;
-    Tick window = 0; // Same kind/levels on every channel ⇒ one window.
-    for (std::uint32_t ch = 0; ch < spec.channels; ++ch) {
-        attack::CovertConfig cfg = attack::makeChannelConfig(
-            system, ChannelKind::kPrac, 2, ch);
-        cfg.sender_source = 200 + static_cast<std::int32_t>(2 * ch);
-        cfg.receiver_source = 201 + static_cast<std::int32_t>(2 * ch);
-        window = cfg.window;
-        senders.push_back(
-            std::make_unique<attack::CovertSender>(system, cfg));
-        receivers.push_back(
-            std::make_unique<attack::CovertReceiver>(system, cfg));
-    }
-    const Tick epoch = system.now() + 2 * sim::kUs;
-    for (std::uint32_t ch = 0; ch < spec.channels; ++ch) {
-        senders[ch]->transmit(symbols, epoch);
-        receivers[ch]->listen(symbols.size(), epoch,
-                              [&done_count] { done_count += 1; });
-    }
-    const Tick deadline =
-        epoch + (symbols.size() + 2) * window + 10 * sim::kUs;
-    while (done_count < spec.channels && system.now() < deadline)
-        system.run(window);
-    LEAKY_ASSERT(done_count == spec.channels,
-                 "%u of %u receivers finished before the deadline",
-                 done_count, spec.channels);
-
-    MultiChannelResult out;
-    for (std::uint32_t ch = 0; ch < spec.channels; ++ch) {
-        attack::ChannelResult r = attack::collectChannelResult(
-            window, 2, symbols, receivers[ch]->decoded(),
-            system.stats(ch));
-        out.aggregate_raw_bit_rate += r.raw_bit_rate;
-        out.aggregate_capacity += r.capacity;
-        out.mean_symbol_error +=
-            r.symbol_error / static_cast<double>(spec.channels);
-        out.per_channel.push_back(std::move(r));
-    }
-    out.aggregate_actions = system.aggregateStats().preventiveActions();
-    return out;
-}
-
-attack::ChannelResult
-runMappingOrderCell(const dram::MappingSpec &actual,
-                    const dram::MappingSpec &assumed,
-                    std::size_t message_bytes, std::uint64_t seed)
-{
-    ChannelRunSpec spec;
-    spec.kind = ChannelKind::kPrac;
-    spec.mapping = actual;
-    spec.message_bytes = message_bytes;
-    spec.seed = seed;
-    const sys::SystemConfig sys_cfg = channelSystemConfig(spec);
-    sys::System system(sys_cfg);
-
-    attack::CovertConfig cfg = channelConfig(system, spec);
-    // The attacker massages its pages through the mapping it reverse
-    // engineered (§5.2) — compose through the ASSUMED MappingFunction,
-    // decode through the actual one (the same composition path the
-    // mapping-recovery attacker feeds its learned function into). A
-    // non-trivial bank coordinate (bg 2, bank 1) keeps the functions
-    // distinguishable: at all-zero low fields every preset degenerates
-    // to the same line index.
-    const dram::MappingFunction assumed_fn(sys_cfg.ctrl.dram.org,
-                                           sys_cfg.channels, assumed);
-    cfg.sender_addr = attack::rowAddress(assumed_fn, 0, 0, 2, 1, 1000);
-    cfg.receiver_addr = attack::rowAddress(assumed_fn, 0, 0, 2, 1, 2000);
-
-    const auto bits = attack::patternBits(
-        attack::MessagePattern::kCheckered0, message_bytes * 8);
-    return attack::runCovertChannel(system, cfg,
-                                    attack::symbolsFromBits(bits, 2));
 }
 
 // ------------------------------- online mapping recovery (ROADMAP 2)
@@ -759,107 +547,6 @@ runMappingRecoveryCell(const dram::MappingSpec &mapping,
     return out;
 }
 
-// --------------------------------------- tracker family (cross-defense)
-
-namespace {
-
-/** Receiver configuration for a defense whose observable is a
- *  bank-blocking window (RFM / targeted refresh): count slow events
- *  against Trecv. The tracker receiver calibrates its slow-event
- *  threshold to the VRR window (shorter than a full RFM), keeping
- *  Hydra's sub-band counter fetches out of the detection class. */
-attack::CovertConfig
-trackerChannelConfig(sys::System &system)
-{
-    attack::CovertConfig cfg =
-        attack::makeChannelConfig(system, ChannelKind::kRfm);
-    cfg.trecv = 2;
-    cfg.classifier.rfm_min = 200'000;
-    return cfg;
-}
-
-std::unique_ptr<attack::NoiseAgent>
-attachNoise(sys::System &system, Tick noise_sleep)
-{
-    if (noise_sleep == 0)
-        return nullptr;
-    attack::NoiseConfig noise_cfg;
-    noise_cfg.addrs = attack::rowsInBank(system.mapper(), 0, 0, 0, 0,
-                                         3000, 6, 512);
-    noise_cfg.sleep = noise_sleep;
-    auto noise = std::make_unique<attack::NoiseAgent>(system, noise_cfg);
-    noise->start();
-    return noise;
-}
-
-} // namespace
-
-sys::SystemConfig
-crossDefenseSystemConfig(DefenseKind kind)
-{
-    const bool prac_family = kind == DefenseKind::kPrac ||
-                             kind == DefenseKind::kPracRiac ||
-                             kind == DefenseKind::kPracBank;
-    if (prac_family) {
-        sys::SystemConfig sys_cfg = pracAttackSystem();
-        sys_cfg.defense.kind = kind;
-        return sys_cfg;
-    }
-    if (kind == DefenseKind::kPrfm)
-        return prfmAttackSystem();
-    if (kind == DefenseKind::kGraphene || kind == DefenseKind::kHydra)
-        return trackerAttackSystem(kind);
-    return sys::SystemConfig::paper(kind, 160);
-}
-
-attack::CovertConfig
-crossDefenseChannelConfig(sys::System &system, DefenseKind kind)
-{
-    const bool prac_family = kind == DefenseKind::kPrac ||
-                             kind == DefenseKind::kPracRiac ||
-                             kind == DefenseKind::kPracBank;
-    if (prac_family)
-        return attack::makeChannelConfig(system, ChannelKind::kPrac);
-    if (kind == DefenseKind::kGraphene || kind == DefenseKind::kHydra)
-        return trackerChannelConfig(system);
-    return attack::makeChannelConfig(system, ChannelKind::kRfm);
-}
-
-attack::ChannelResult
-runCrossDefenseCell(DefenseKind kind, Tick noise_sleep,
-                    std::size_t message_bytes, std::uint64_t seed)
-{
-    sys::SystemConfig sys_cfg = crossDefenseSystemConfig(kind);
-    sys_cfg.defense.seed = seed;
-    sys::System system(sys_cfg);
-
-    attack::CovertConfig cfg = crossDefenseChannelConfig(system, kind);
-
-    auto noise = attachNoise(system, noise_sleep);
-    const auto bits = attack::patternBits(
-        attack::MessagePattern::kCheckered0, message_bytes * 8);
-    return attack::runCovertChannel(
-        system, cfg, attack::symbolsFromBits(bits, 2));
-}
-
-attack::ChannelResult
-runTrackerThresholdCell(DefenseKind kind, std::uint32_t threshold,
-                        std::uint32_t cc_entries,
-                        std::size_t message_bytes, std::uint64_t seed)
-{
-    sys::SystemConfig sys_cfg = trackerAttackSystem(kind);
-    sys_cfg.defense.tracker_threshold_override = threshold;
-    sys_cfg.defense.hydra_cc_entries = cc_entries;
-    sys_cfg.defense.seed = seed;
-    sys::System system(sys_cfg);
-
-    attack::CovertConfig cfg = trackerChannelConfig(system);
-    const auto bits = attack::patternBits(
-        attack::MessagePattern::kCheckered0, message_bytes * 8);
-    return attack::runCovertChannel(
-        system, cfg, attack::symbolsFromBits(bits, 2));
-}
-
 // ------------------------------------------------------------- Fig. 13
 
 namespace {
@@ -902,10 +589,6 @@ makeCores(sys::System &system, const workload::Mix &mix,
 
 constexpr Tick kPerfRunCap = 80 * sim::kMs;
 
-} // namespace
-
-namespace {
-
 /** Weighted speedup of @p mix on a system with @p kind at @p nrh. */
 double
 sharedWs(DefenseKind kind, std::uint32_t nrh, const workload::Mix &mix,
@@ -946,10 +629,9 @@ aloneIpcs(const workload::Mix &mix, std::uint64_t insts_per_core)
 
 double
 runPerfCell(DefenseKind kind, std::uint32_t nrh,
-            const std::vector<workload::Mix> &mixes, std::uint32_t cores,
+            const std::vector<workload::Mix> &mixes,
             std::uint64_t insts_per_core)
 {
-    (void)cores;
     double total_norm_ws = 0.0;
     for (const auto &mix : mixes) {
         const auto ipc_alone = aloneIpcs(mix, insts_per_core);
@@ -960,42 +642,6 @@ runPerfCell(DefenseKind kind, std::uint32_t nrh,
         total_norm_ws += ws_base > 0.0 ? ws_def / ws_base : 0.0;
     }
     return total_norm_ws / static_cast<double>(mixes.size());
-}
-
-std::vector<PerfPoint>
-runMitigationPerf(const PerfSpec &spec)
-{
-    const auto mixes =
-        workload::makeMixes(spec.mixes, spec.cores, spec.seed);
-
-    // Per-mix baselines are shared across every (defense, NRH) cell.
-    std::vector<std::vector<double>> alone;
-    std::vector<double> ws_base;
-    for (const auto &mix : mixes) {
-        alone.push_back(aloneIpcs(mix, spec.insts_per_core));
-        ws_base.push_back(sharedWs(DefenseKind::kNone, 1024, mix,
-                                   alone.back(), spec.insts_per_core));
-    }
-
-    std::vector<PerfPoint> points;
-    for (auto nrh : spec.nrh_values) {
-        for (auto kind : spec.defenses) {
-            double total = 0.0;
-            for (std::size_t m = 0; m < mixes.size(); ++m) {
-                const double ws_def =
-                    sharedWs(kind, nrh, mixes[m], alone[m],
-                             spec.insts_per_core);
-                total += ws_base[m] > 0.0 ? ws_def / ws_base[m] : 0.0;
-            }
-            PerfPoint point;
-            point.defense = defense::defenseName(kind);
-            point.nrh = nrh;
-            point.normalized_ws =
-                total / static_cast<double>(mixes.size());
-            points.push_back(point);
-        }
-    }
-    return points;
 }
 
 } // namespace leaky::core

@@ -1,10 +1,11 @@
 /**
  * @file
- * High-level experiment runners: one function per family of paper
- * results, shared by the bench/ binaries and the examples. Each runner
- * builds a fresh System (paper Table 1 configuration), attaches the
- * necessary agents/cores, runs the event queue, and returns the numbers
- * the corresponding figure/table plots.
+ * High-level experiment runners, shared by the figure registry, the
+ * demos and the benchmarks. Each runner builds a fresh System (paper
+ * Table 1 configuration), attaches the necessary agents/cores, runs
+ * the event queue, and returns the numbers the corresponding
+ * figure/table plots. Every covert-channel result is a CovertScenario
+ * run by the one covert runner, runScenario.
  *
  * Scale knobs: every runner takes explicit sizes; the figure registry
  * (src/runner/figures*.cc) picks them per smoke / default / full scale
@@ -15,6 +16,7 @@
 #define LEAKY_CORE_EXPERIMENTS_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -58,61 +60,101 @@ struct LatencyTraceResult {
 LatencyTraceResult runLatencyTrace(std::uint32_t iterations = 512,
                                    std::uint32_t rfms_per_backoff = 4);
 
-// -------------------------------------------------- Figs. 3-8 (covert)
+// ------------------------------------------- covert-channel scenarios
 
-/** Options for one covert-channel run. */
-struct ChannelRunSpec {
-    attack::ChannelKind kind = attack::ChannelKind::kPrac;
-    std::uint32_t levels = 2;
-    /** Memory-channel topology: system channel count, the channels
-     *  the two endpoints target, and the physical-address mapping.
-     *  receiver_channel != sender_channel is the cross-channel
-     *  isolation scenario: the sender then alternates two of its own
-     *  rows (self-conflict) and PRAC runs a longer window, exactly as
-     *  in the non-colocated §9.1 variants. */
-    std::uint32_t channels = 1;
-    std::uint32_t sender_channel = 0;
-    std::uint32_t receiver_channel = 0;
-    dram::MappingSpec mapping;
-    std::size_t message_bytes = 100;
-    attack::MessagePattern pattern = attack::MessagePattern::kCheckered0;
-    /** Noise microbenchmark sleep (0 = no noise agent). */
-    Tick noise_sleep = 0;
-    /** Concurrent SPEC-like apps (empty = none). */
-    std::vector<workload::AppSpec> background;
-    std::uint32_t rfms_per_backoff = 4;
-    /** Override back-off RFM latency (Fig. 12 sweep); 0 = default. */
-    Tick backoff_rfm_latency = 0;
-    /** Override the post-alert normal-traffic window; 0 = default. */
-    Tick aboact_override = 0;
-    /**
-     * Pin refreshes to the tREFI grid (no postponing) and filter them
-     * out at the receiver (paper footnote 6 and §10.1) -- used when
-     * the preventive-action latency shrinks into the refresh band
-     * (Figs. 11/12).
-     */
-    bool filter_refresh = false;
-    /** Override the receiver's back-off detection threshold (Fig. 12
-     *  sweeps it against the preventive-action latency); 0 = derive. */
-    Tick backoff_min_override = 0;
-    /** Larger cache hierarchy + prefetchers for background apps
-     *  (§10.3). */
-    bool large_caches = false;
-    std::uint64_t seed = 1;
+/** One endpoint's bank: memory channel, rank, bank group, bank. */
+struct BankPlacement {
+    std::uint32_t channel = 0;
+    std::uint32_t rank = 0;
+    std::uint32_t bankgroup = 0;
+    std::uint32_t bank = 0;
+
+    bool
+    operator==(const BankPlacement &o) const
+    {
+        return channel == o.channel && rank == o.rank &&
+               bankgroup == o.bankgroup && bank == o.bank;
+    }
 };
 
-/** A run plus its Eq.-1 metrics. */
-attack::ChannelResult runChannel(const ChannelRunSpec &spec);
+/** One sender/receiver pair: the sender hammers row 1000 of its bank,
+ *  the receiver reads row 2000 of its own. */
+struct CovertPair {
+    BankPlacement sender;
+    BankPlacement receiver;
+};
 
-/** As runChannel, but on a caller-owned @p system (whose config must
- *  match spec's topology) so the caller can inspect per-channel stats
- *  views after the transmission. */
-attack::ChannelResult runChannelOn(sys::System &system,
-                                   const ChannelRunSpec &spec);
+/**
+ * One covert-channel scenario, declared as data. Every covert result
+ * the paper reports — the PRAC and RFM channels (§6.3, §7.3) with
+ * their noise, app-noise, multibit and sensitivity studies, and the
+ * colocation, countermeasure and trigger studies (Table 3, §11.4, §12)
+ * — is one of these at a different operating point, run by
+ * runScenario. Everything else is derived, not declared:
+ *
+ *  - a pair whose receiver bank differs from its sender bank
+ *    self-conflicts (§9.1): the sender alternates rows 1000 and 1064,
+ *    and a PRAC window doubles to 50 us, since the sender alone must
+ *    charge the counters;
+ *  - the receiver filters refreshes (§10.1) exactly when
+ *    `system.ctrl.deterministic_refresh` is set;
+ *  - pair p's sender and receiver use source ids 200 + 2p / 201 + 2p;
+ *  - noise rows go in pair 0's sender bank;
+ *  - multibit cut points are calibrated when `levels > 2`.
+ */
+struct CovertScenario {
+    /** The operating point: defense and its overrides, channel count,
+     *  mapping, seed, deterministic refresh. */
+    sys::SystemConfig system = pracAttackSystem();
 
-/** System configuration a ChannelRunSpec implies (topology, defense
- *  overrides, mapping preset) — what runChannel builds internally. */
-sys::SystemConfig channelSystemConfig(const ChannelRunSpec &spec);
+    // Receiver strategy; a zero override keeps the derived value.
+    attack::ChannelKind kind = attack::ChannelKind::kPrac;
+    std::uint32_t levels = 2;
+    Tick window = 0;         ///< Derived: 25 us PRAC, 20 us RFM.
+    std::uint32_t trecv = 0; ///< RFM-count threshold (derived: 3).
+    Tick backoff_min = 0;    ///< Back-off detection threshold.
+    Tick rfm_min = 0;        ///< Slow-event (RFM band) threshold.
+
+    /** Default: one colocated pair in channel 0, rank 0, bg 0, bank 0. */
+    std::vector<CovertPair> pairs = {CovertPair{}};
+    /** The mapping the attacker composes its rows through — a wrong
+     *  reverse-engineered mapping (§5.2). Unset: the system's own. */
+    std::optional<dram::MappingSpec> assumed_mapping;
+
+    /** Eq.-2 noise microbenchmark sleep (0 = no noise agent). */
+    Tick noise_sleep = 0;
+    /** Concurrent SPEC-like apps, on the §10.3 large cache hierarchy
+     *  with prefetching when @ref large_caches is set. */
+    std::vector<workload::AppSpec> background;
+    bool large_caches = false;
+
+    std::vector<bool> bits; ///< The payload.
+};
+
+/** The PRAC (§6.3) or PRFM (§7.3) channel at the paper's attack
+ *  operating point. */
+CovertScenario channelScenario(attack::ChannelKind kind);
+
+/** The generic LeakyHammer pair against @p kind at its family's attack
+ *  operating point (PRAC NBO = 128, PRFM TRFM = 40, tracker NRH = 160,
+ *  paper defaults otherwise). The receiver adapts to the defense's
+ *  observable: back-off detection for the PRAC family, slow-event
+ *  counting for the RFM/tracker families (RFM windows and targeted
+ *  refreshes land in the same latency band, above conflicts and below
+ *  refreshes). */
+CovertScenario crossDefenseScenario(defense::DefenseKind kind);
+
+/** What runScenario observed. The stats are copies taken when the
+ *  last receiver finished. */
+struct ScenarioResult {
+    std::vector<attack::ChannelResult> pairs; ///< In scenario order.
+    std::vector<ctrl::CtrlStats> channels;    ///< Per memory channel.
+    ctrl::CtrlStats aggregate;                ///< Summed over channels.
+};
+
+/** Build the scenario's system, start its noise and background cores,
+ *  then transmit the payload over every pair concurrently. */
+ScenarioResult runScenario(const CovertScenario &scenario);
 
 /** Average metrics over the four message patterns (§6.3, §7.3). */
 struct PatternSweepResult {
@@ -121,21 +163,18 @@ struct PatternSweepResult {
     double capacity = 0.0;
 };
 
-PatternSweepResult runPatternSweep(ChannelRunSpec spec);
+/** runScenario's first pair averaged over the four message patterns,
+ *  each @p n_bits long (the scenario's own payload is replaced). */
+PatternSweepResult runPatternSweep(CovertScenario scenario,
+                                   std::size_t n_bits);
 
-/** Transmit "MICRO" and report the per-window detections (Figs. 3/6). */
-struct MessageDemoResult {
-    std::vector<bool> sent_bits;
-    std::vector<bool> received_bits;
-    /** Receiver observable per window: back-offs (PRAC) or RFM count. */
-    std::vector<std::uint32_t> detections;
-    std::string decoded_text;
-};
+/** crossDefenseScenario(kind)'s system. The pattern fuzzer (src/fuzz)
+ *  evaluates generated patterns in exactly this cell. */
+sys::SystemConfig crossDefenseSystemConfig(defense::DefenseKind kind);
 
-MessageDemoResult
-runMessageDemo(attack::ChannelKind kind,
-               const std::string &message = "MICRO",
-               const dram::MappingSpec &mapping = {});
+/** crossDefenseScenario(kind)'s sender/receiver pair on @p system. */
+attack::CovertConfig crossDefenseChannelConfig(sys::System &system,
+                                               defense::DefenseKind kind);
 
 // ------------------------------------------------------- Figs. 9/10, T2
 
@@ -171,7 +210,7 @@ FingerprintSample collectOneFingerprint(const FingerprintSpec &spec,
 ml::Dataset fingerprintDataset(const std::vector<FingerprintSample> &raw,
                                std::uint32_t windows = 32);
 
-// ----------------------------------------------- §9.1, §11.4, §12, T3
+// ---------------------------------------------------------------- §9.1
 
 /** One §9.1 counter-leak trial (Table 3's row-granular column). */
 struct CounterLeakTrial {
@@ -183,124 +222,6 @@ struct CounterLeakTrial {
 
 /** Prime the shared row's counter with @p secret and leak it back. */
 CounterLeakTrial runCounterLeakTrial(std::uint32_t secret);
-
-/** One §11.4 countermeasure scenario: the PRAC channel attacked
- *  against a protected system under ambient noise. */
-struct CountermeasureCellSpec {
-    defense::DefenseKind kind = defense::DefenseKind::kPrac;
-    /** Receiver outside the sender's bank (Bank-Level PRAC's scope
-     *  reduction); the sender self-conflicts between two rows. */
-    bool cross_bank = false;
-    Tick noise_sleep = 0; ///< Ambient Eq.-2 noise (0 = none).
-    std::size_t message_bytes = 25;
-    std::uint64_t seed = 1;
-};
-
-attack::ChannelResult
-runCountermeasureCell(const CountermeasureCellSpec &spec);
-
-/** §12 trigger-algorithm cell: exact triggers (PRAC, PRFM) vs the
- *  stateless random PARA at probability @p para_probability. */
-attack::ChannelResult runTriggerCell(defense::DefenseKind kind,
-                                     double para_probability,
-                                     std::size_t message_bytes,
-                                     std::uint64_t seed);
-
-/** Table 3 colocation cell: channel error with the receiver moved to
- *  (@p bankgroup, @p bank); (-1, -1) keeps the same-bank default. */
-attack::ChannelResult runGranularityCell(attack::ChannelKind kind,
-                                         int bankgroup, int bank,
-                                         std::size_t message_bytes,
-                                         std::uint64_t seed);
-
-// --------------------------------------- tracker family (cross-defense)
-
-/** System configuration of one cross-defense covert cell: the
- *  family-appropriate attack operating point for @p kind (PRAC
- *  NBO = 128, PRFM TRFM = 40, tracker NRH = 160, paper defaults
- *  otherwise). Exposed for reuse — the pattern fuzzer (src/fuzz)
- *  evaluates generated patterns in exactly this cell. */
-sys::SystemConfig crossDefenseSystemConfig(defense::DefenseKind kind);
-
-/** Receiver/channel configuration matching crossDefenseSystemConfig:
- *  back-off detection for the PRAC family, slow-event counting for
- *  the RFM/tracker families (targeted refreshes land in the RFM
- *  latency band, above conflicts and below refreshes). */
-attack::CovertConfig crossDefenseChannelConfig(sys::System &system,
-                                               defense::DefenseKind kind);
-
-/** One cross-defense covert cell: the generic LeakyHammer sender vs a
- *  system protected by @p kind, with Eq.-2 noise at @p noise_sleep.
- *  The receiver strategy adapts to the defense's observable: back-off
- *  detection for the PRAC family, slow-event counting for the
- *  RFM/tracker families (RFM windows and targeted refreshes land in
- *  the same latency band, above conflicts and below refreshes). */
-attack::ChannelResult runCrossDefenseCell(defense::DefenseKind kind,
-                                          Tick noise_sleep,
-                                          std::size_t message_bytes,
-                                          std::uint64_t seed);
-
-/** One tracker-threshold cell: a Graphene/Hydra system with the
- *  targeted-refresh threshold pinned to @p threshold (and, for Hydra,
- *  @p cc_entries counter-cache entries; 0 = default). */
-attack::ChannelResult runTrackerThresholdCell(defense::DefenseKind kind,
-                                              std::uint32_t threshold,
-                                              std::uint32_t cc_entries,
-                                              std::size_t message_bytes,
-                                              std::uint64_t seed);
-
-// ------------------------- multi-channel scaling + mapping diversity
-
-/** One cross-channel isolation cell (§5.2 threat-model negative
- *  control): the sender hammers channel 0; the receiver either
- *  colocates (the ordinary channel) or listens on channel 1, where the
- *  independent defense instance never fires for the sender's rows. */
-struct CrossChannelSpec {
-    std::uint32_t channels = 2;
-    bool cross = true; ///< Receiver on channel 1 (false = colocated).
-    attack::MessagePattern pattern = attack::MessagePattern::kCheckered0;
-    std::size_t message_bytes = 4;
-    std::uint64_t seed = 1;
-};
-
-struct CrossChannelResult {
-    /** Eq.-1 metrics + the RECEIVER channel's ground truth. */
-    attack::ChannelResult channel;
-    std::uint64_t tx_actions = 0; ///< Preventive actions, sender channel.
-    std::uint64_t rx_actions = 0; ///< Preventive actions, receiver channel.
-    std::uint64_t aggregate_actions = 0; ///< Summed over all channels.
-};
-
-CrossChannelResult runCrossChannelCell(const CrossChannelSpec &spec);
-
-/** One aggregate-scaling cell: an independent sender/receiver pair on
- *  EVERY channel, transmitting concurrently in one system. */
-struct MultiChannelSpec {
-    std::uint32_t channels = 1;
-    attack::MessagePattern pattern = attack::MessagePattern::kCheckered0;
-    std::size_t message_bytes = 4;
-    std::uint64_t seed = 1;
-};
-
-struct MultiChannelResult {
-    std::vector<attack::ChannelResult> per_channel;
-    double aggregate_raw_bit_rate = 0.0; ///< Sum over channels.
-    double aggregate_capacity = 0.0;     ///< Sum over channels.
-    double mean_symbol_error = 0.0;
-    std::uint64_t aggregate_actions = 0; ///< aggregateStats() view.
-};
-
-MultiChannelResult runMultiChannelAggregate(const MultiChannelSpec &spec);
-
-/** One mapping-diversity cell: the system decodes through @p actual
- *  while the attacker composes its rows through the @p assumed
- *  MappingFunction — the partially-wrong reverse-engineered mapping of
- *  §5.2. Equal specs reproduce the baseline PRAC channel; a mismatch
- *  scatters the attacker's "same-bank" pair and the channel collapses. */
-attack::ChannelResult runMappingOrderCell(const dram::MappingSpec &actual,
-                                          const dram::MappingSpec &assumed,
-                                          std::size_t message_bytes,
-                                          std::uint64_t seed);
 
 // ------------------------------- online mapping recovery (ROADMAP 2)
 
@@ -336,33 +257,10 @@ runMappingRecoveryCell(const dram::MappingSpec &mapping,
 
 // ------------------------------------------------------------- Fig. 13
 
-/** One cell of the Fig. 13 sweep. */
-struct PerfPoint {
-    std::string defense;
-    std::uint32_t nrh = 0;
-    double normalized_ws = 0.0; ///< vs. the no-mitigation baseline.
-};
-
-/** Performance-evaluation options. */
-struct PerfSpec {
-    std::vector<std::uint32_t> nrh_values = {1024, 512, 256, 128, 64};
-    std::vector<defense::DefenseKind> defenses = {
-        defense::DefenseKind::kPrac, defense::DefenseKind::kPrfm,
-        defense::DefenseKind::kPracRiac, defense::DefenseKind::kFrRfm,
-        defense::DefenseKind::kPracBank};
-    std::uint32_t mixes = 60;
-    std::uint32_t cores = 4;
-    std::uint64_t insts_per_core = 200'000;
-    std::uint64_t seed = 42;
-};
-
-/** Run the Fig. 13 sweep (normalized weighted speedup). */
-std::vector<PerfPoint> runMitigationPerf(const PerfSpec &spec);
-
 /** Weighted speedup of one (defense, nrh, mixes) cell. */
 double runPerfCell(defense::DefenseKind kind, std::uint32_t nrh,
                    const std::vector<workload::Mix> &mixes,
-                   std::uint32_t cores, std::uint64_t insts_per_core);
+                   std::uint64_t insts_per_core);
 
 } // namespace leaky::core
 

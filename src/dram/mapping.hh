@@ -159,7 +159,7 @@ class MappingSpec
     /** Implicit: presets are the common spelling at call sites. */
     MappingSpec(MappingPreset preset); // NOLINT(google-explicit-*)
 
-    /** The legacy raw-field-order family (deprecated-adapter path). */
+    /** A raw field order (collapsed onto the preset it equals). */
     static MappingSpec
     fieldOrder(const std::array<Field, kNumFields> &order);
 

@@ -9,7 +9,7 @@
  * fan the seven campaigns out over the work-stealing SweepPool, which
  * makes the whole search bit-identical for any thread count.
  *
- * The evaluation cell is exactly core::runCrossDefenseCell's system
+ * The evaluation cell is exactly core::crossDefenseScenario's system
  * and receiver (crossDefenseSystemConfig / crossDefenseChannelConfig);
  * only the sender differs: it replays the pattern's expanded access
  * sequence (CovertConfig::sender_sequence) instead of the hand-written

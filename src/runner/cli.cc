@@ -527,48 +527,6 @@ cmdFuzz(int argc, char **argv)
     return kOk;
 }
 
-// -------------------------------------------------------------- bench
-
-int
-cmdBench(int argc, char **argv)
-{
-    std::uint32_t jobs = 512;
-    std::uint32_t spin = 20'000;
-    FlagParser parser;
-    parser.addUint("jobs", &jobs, "synthetic jobs per batch");
-    parser.addUint("spin", &spin, "RNG draws of work per job");
-    std::string error;
-    if (!parser.parse(argc, argv, &error))
-        return usageError(error, "bench");
-    if (jobs == 0)
-        return usageError("--jobs must be positive", "bench");
-
-    const SweepSpec spec = syntheticBenchSpec(jobs, spin);
-
-    const unsigned hw = SweepPool::resolveThreads(0);
-    std::vector<unsigned> counts = {1};
-    if (hw >= 4)
-        counts.push_back(4);
-    if (hw != 1 && hw != 4)
-        counts.push_back(hw);
-
-    core::Table table({"threads", "jobs", "wall (s)", "jobs/s"});
-    for (unsigned threads : counts) {
-        const auto result = runSweep(spec, threads);
-        const double rate =
-            result.wall_seconds > 0.0
-                ? static_cast<double>(result.jobs) / result.wall_seconds
-                : 0.0;
-        table.addRow({std::to_string(threads), std::to_string(jobs),
-                      core::fmt(result.wall_seconds, 3),
-                      core::fmt(rate, 0)});
-    }
-    std::printf("%s", table.str().c_str());
-    std::printf("\n(BM_SweepRunner in bench/micro_simulator_throughput "
-                "tracks this number in BENCH_kernel.json.)\n");
-    return kOk;
-}
-
 // --------------------------------------------------------------- help
 
 int
@@ -641,11 +599,6 @@ cmdHelp(int argc, char **argv)
             parser.helpText().c_str());
         return kOk;
     }
-    if (topic == "bench") {
-        std::printf("usage: leakyhammer bench [--jobs <n>] "
-                    "[--spin <n>]\n");
-        return kOk;
-    }
     if (topic == "list") {
         std::printf("usage: leakyhammer list [--names]\n"
                     "  --names   print just the figure names, one per "
@@ -676,8 +629,6 @@ cliMain(int argc, char **argv)
             return cmdRun(argc - 2, argv + 2);
         if (command == "fuzz")
             return cmdFuzz(argc - 2, argv + 2);
-        if (command == "bench")
-            return cmdBench(argc - 2, argv + 2);
         if (command == "help" || command == "--help" || command == "-h")
             return cmdHelp(argc - 2, argv + 2);
     } catch (const std::exception &e) {

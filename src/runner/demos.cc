@@ -18,24 +18,30 @@ covertOneChannel(attack::ChannelKind kind, const std::string &message,
         kind == attack::ChannelKind::kPrac ? "PRAC" : "RFM (PRFM)";
     core::banner(std::string(name) + " covert channel");
 
-    const auto result = core::runMessageDemo(kind, message, mapping);
+    auto scenario = core::channelScenario(kind);
+    scenario.system.mapping = mapping;
+    scenario.bits = attack::bitsFromString(message);
+    const auto result = core::runScenario(scenario).pairs.front();
 
+    std::vector<bool> received;
     std::printf("sent bits:     ");
-    for (bool b : result.sent_bits)
-        std::printf("%d", b ? 1 : 0);
+    for (auto s : result.sent)
+        std::printf("%d", s);
     std::printf("\nreceived bits: ");
-    for (bool b : result.received_bits)
-        std::printf("%d", b ? 1 : 0);
+    for (auto s : result.received) {
+        std::printf("%d", s);
+        received.push_back(s != 0);
+    }
     std::printf("\ndetections:    ");
     for (auto d : result.detections)
         std::printf("%u", d > 9 ? 9 : d);
-    std::printf("\ndecoded text:  \"%s\"\n", result.decoded_text.c_str());
+    std::printf("\ndecoded text:  \"%s\"\n",
+                attack::stringFromBits(received).c_str());
 
     std::size_t errors = 0;
-    for (std::size_t i = 0; i < result.sent_bits.size(); ++i)
-        errors += result.sent_bits[i] != result.received_bits[i];
-    std::printf("bit errors:    %zu / %zu\n", errors,
-                result.sent_bits.size());
+    for (std::size_t i = 0; i < result.sent.size(); ++i)
+        errors += result.sent[i] != result.received[i];
+    std::printf("bit errors:    %zu / %zu\n", errors, result.sent.size());
 }
 
 } // namespace
@@ -148,33 +154,6 @@ runFingerprintDemo(std::uint32_t sites, std::uint32_t loads)
     return 0;
 }
 
-namespace {
-
-double
-channelCapacityAgainst(defense::DefenseKind kind, std::uint32_t nrh)
-{
-    sys::SystemConfig cfg = core::pracAttackSystem();
-    cfg.defense.kind = kind;
-    if (kind == defense::DefenseKind::kFrRfm ||
-        kind == defense::DefenseKind::kPrfm) {
-        cfg.defense.nrh = nrh;
-        cfg.defense.nbo_override = 0;
-    }
-    sys::System system(cfg);
-    auto channel_cfg =
-        attack::makeChannelConfig(system, attack::ChannelKind::kPrac);
-
-    const auto bits =
-        attack::patternBits(attack::MessagePattern::kCheckered0, 160);
-    std::vector<std::uint8_t> symbols;
-    for (bool b : bits)
-        symbols.push_back(b ? 1 : 0);
-    return attack::runCovertChannel(system, channel_cfg, symbols)
-        .capacity;
-}
-
-} // namespace
-
 int
 runMitigationDemo(std::uint32_t nrh)
 {
@@ -186,8 +165,20 @@ runMitigationDemo(std::uint32_t nrh)
          {defense::DefenseKind::kPrac, defense::DefenseKind::kPrfm,
           defense::DefenseKind::kPracRiac, defense::DefenseKind::kFrRfm,
           defense::DefenseKind::kPracBank}) {
-        const double capacity = channelCapacityAgainst(kind, nrh);
-        const double ws = core::runPerfCell(kind, nrh, mixes, 4, 100'000);
+        // The PRAC channel, with the defense swapped in; the RFM
+        // family runs at the requested threshold.
+        core::CovertScenario scenario;
+        scenario.system.defense.kind = kind;
+        if (kind == defense::DefenseKind::kFrRfm ||
+            kind == defense::DefenseKind::kPrfm) {
+            scenario.system.defense.nrh = nrh;
+            scenario.system.defense.nbo_override = 0;
+        }
+        scenario.bits =
+            attack::patternBits(attack::MessagePattern::kCheckered0, 160);
+        const double capacity =
+            core::runScenario(scenario).pairs.front().capacity;
+        const double ws = core::runPerfCell(kind, nrh, mixes, 100'000);
         table.addRow({defense::defenseName(kind),
                       core::fmtKbps(capacity), core::fmt(ws, 3)});
         std::printf("%-10s capacity %-12s normalized WS %.3f\n",

@@ -21,6 +21,13 @@ seedOr(const RunOptions &opts, std::uint64_t fallback)
     return opts.seed ? opts.seed : fallback;
 }
 
+attack::MessagePattern
+patternAxis(const Job &job)
+{
+    return static_cast<attack::MessagePattern>(
+        static_cast<int>(job.param("pattern")));
+}
+
 std::vector<double>
 iota(std::uint32_t count)
 {

@@ -73,23 +73,17 @@ thresholdFigure()
                 static_cast<std::uint32_t>(job.param("nrh"));
             // Secure parameters derive from NRH via policy.hh; only
             // the RIAC variant consumes randomness.
-            sys::SystemConfig cfg = sys::SystemConfig::paper(kind, nrh);
-            cfg.defense.seed = job.seed;
-            sys::System system(cfg);
-
+            core::CovertScenario scenario;
+            scenario.system = sys::SystemConfig::paper(kind, nrh);
+            scenario.system.defense.seed = job.seed;
             // The receiver listens for the defense's own preventive
             // action: back-offs for the PRAC family, RFM latency
             // events for the RFM family.
-            const bool rfm_family = kind == DefenseKind::kPrfm ||
-                                    kind == DefenseKind::kFrRfm;
-            auto channel_cfg = attack::makeChannelConfig(
-                system,
-                rfm_family ? ChannelKind::kRfm : ChannelKind::kPrac);
-
-            const auto bits = attack::patternBits(
+            if (kind == DefenseKind::kPrfm || kind == DefenseKind::kFrRfm)
+                scenario.kind = ChannelKind::kRfm;
+            scenario.bits = attack::patternBits(
                 attack::MessagePattern::kCheckered0, bytes * 8);
-            const auto result = attack::runCovertChannel(
-                system, channel_cfg, attack::symbolsFromBits(bits, 2));
+            const auto result = core::runScenario(scenario).pairs.front();
             return {{job.param("defense"), job.param("nrh"),
                      result.raw_bit_rate, result.symbol_error,
                      result.capacity,
@@ -169,7 +163,7 @@ mitigationFigure()
             const double ws = core::runPerfCell(
                 static_cast<DefenseKind>(
                     static_cast<int>(job.param("defense"))),
-                static_cast<std::uint32_t>(job.param("nrh")), {mix}, 4,
+                static_cast<std::uint32_t>(job.param("nrh")), {mix},
                 insts);
             return {{job.param("defense"), job.param("nrh"),
                      job.param("mix"), ws}};
@@ -196,15 +190,17 @@ mitigationFigure()
 struct CountermeasureScenario {
     const char *name;
     DefenseKind kind;
-    bool cross_bank;
+    core::BankPlacement receiver;
 };
 
 constexpr CountermeasureScenario kCountermeasureScenarios[] = {
-    {"PRAC (insecure baseline)", DefenseKind::kPrac, false},
-    {"PRAC-RIAC", DefenseKind::kPracRiac, false},
-    {"FR-RFM", DefenseKind::kFrRfm, false},
-    {"Bank-PRAC (cross-bank rx)", DefenseKind::kPracBank, true},
-    {"Bank-PRAC (same-bank rx)", DefenseKind::kPracBank, false},
+    {"PRAC (insecure baseline)", DefenseKind::kPrac, {}},
+    {"PRAC-RIAC", DefenseKind::kPracRiac, {}},
+    {"FR-RFM", DefenseKind::kFrRfm, {}},
+    // Receiver in a different bank group/bank than the sender
+    // (Bank-Level PRAC's scope reduction).
+    {"Bank-PRAC (cross-bank rx)", DefenseKind::kPracBank, {0, 0, 4, 2}},
+    {"Bank-PRAC (same-bank rx)", DefenseKind::kPracBank, {}},
 };
 
 Figure
@@ -231,17 +227,22 @@ countermeasuresFigure()
         spec.job = [bytes](const Job &job) -> JobRows {
             const auto &scenario = kCountermeasureScenarios[
                 static_cast<std::size_t>(job.param("scenario"))];
-            core::CountermeasureCellSpec cell;
-            cell.kind = scenario.kind;
-            cell.cross_bank = scenario.cross_bank;
+            core::CovertScenario cell;
+            cell.system.defense.kind = scenario.kind;
+            cell.system.defense.seed = job.seed;
+            if (scenario.kind == DefenseKind::kFrRfm) {
+                cell.system.defense.nrh = 160;
+                cell.system.defense.nbo_override = 0;
+            }
+            cell.pairs.front().receiver = scenario.receiver;
             // Ambient activity (the paper's noisy-environment
             // assumption for the RIAC evaluation, §11.2 footnote 12):
             // the Eq.-2 microbenchmark at 75% intensity, applied
             // identically to every scenario.
             cell.noise_sleep = 650'000;
-            cell.message_bytes = bytes;
-            cell.seed = job.seed;
-            const auto result = core::runCountermeasureCell(cell);
+            cell.bits = attack::patternBits(
+                attack::MessagePattern::kCheckered0, bytes * 8);
+            const auto result = core::runScenario(cell).pairs.front();
             return {{job.param("scenario"), result.symbol_error,
                      result.capacity,
                      static_cast<double>(result.backoffs),
@@ -347,17 +348,16 @@ counterLeakFigure()
 struct GranularityScenario {
     const char *name;
     ChannelKind kind;
-    int bankgroup; ///< -1 keeps the same-bank default.
-    int bank;
+    core::BankPlacement receiver;
 };
 
 constexpr GranularityScenario kGranularityScenarios[] = {
     // PRAC: receiver in an arbitrary other bank (bg 5, bank 3).
-    {"PRAC, channel coloc.", ChannelKind::kPrac, 5, 3},
-    {"PRAC, same-bank coloc.", ChannelKind::kPrac, -1, -1},
+    {"PRAC, channel coloc.", ChannelKind::kPrac, {0, 0, 5, 3}},
+    {"PRAC, same-bank coloc.", ChannelKind::kPrac, {}},
     // RFM: receiver shares the bank index (bg 5, bank 0).
-    {"RFM, bank-group coloc.", ChannelKind::kRfm, 5, 0},
-    {"RFM, same-bank coloc.", ChannelKind::kRfm, -1, -1},
+    {"RFM, bank-group coloc.", ChannelKind::kRfm, {0, 0, 5, 0}},
+    {"RFM, same-bank coloc.", ChannelKind::kRfm, {}},
 };
 
 Figure
@@ -382,9 +382,12 @@ granularityFigure()
         spec.job = [bytes](const Job &job) -> JobRows {
             const auto &scenario = kGranularityScenarios[
                 static_cast<std::size_t>(job.param("scenario"))];
-            const auto result = core::runGranularityCell(
-                scenario.kind, scenario.bankgroup, scenario.bank,
-                bytes, job.seed);
+            auto cell = core::channelScenario(scenario.kind);
+            cell.system.defense.seed = job.seed;
+            cell.pairs.front().receiver = scenario.receiver;
+            cell.bits = attack::patternBits(
+                attack::MessagePattern::kCheckered1, bytes * 8);
+            const auto result = core::runScenario(cell).pairs.front();
             return {{job.param("scenario"), result.symbol_error,
                      result.capacity}};
         };
@@ -449,8 +452,21 @@ triggerFigure()
                 : scenario == 1 ? DefenseKind::kPrfm
                                 : DefenseKind::kPara;
             const double p = scenario >= 2 ? kParaP[scenario - 2] : 0.0;
-            const auto result =
-                core::runTriggerCell(kind, p, bytes, job.seed);
+            // Every arm is the PRAC attack system with the defense
+            // swapped in.
+            core::CovertScenario cell;
+            cell.system.defense.kind = kind;
+            cell.system.defense.para_probability = p;
+            cell.system.defense.seed = job.seed;
+            // PRAC's big back-offs use the back-off detector; PRFM/PARA
+            // preventive actions are smaller, so the receiver counts
+            // slow events per window against Trecv.
+            if (kind != DefenseKind::kPrac)
+                cell.kind = ChannelKind::kRfm;
+            cell.window = 25 * sim::kUs;
+            cell.bits = attack::patternBits(
+                attack::MessagePattern::kCheckered0, bytes * 8);
+            const auto result = core::runScenario(cell).pairs.front();
             return {{job.param("scenario"), p, result.symbol_error,
                      result.capacity}};
         };

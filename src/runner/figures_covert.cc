@@ -24,6 +24,14 @@ namespace {
 
 using attack::ChannelKind;
 
+/** The `channel` axis: 0 = PRAC, 1 = RFM. */
+ChannelKind
+channelAxis(const Job &job)
+{
+    return job.param("channel") < 0.5 ? ChannelKind::kPrac
+                                      : ChannelKind::kRfm;
+}
+
 // ------------------------------------------------------------ Fig. 2
 
 Figure
@@ -175,14 +183,15 @@ messageFigure(ChannelKind kind)
                       {static_cast<double>(message.size() * 8)}}};
         spec.columns = {"window", "sent", "detections", "decoded"};
         spec.job = [kind, message](const Job &) -> JobRows {
-            const auto demo = core::runMessageDemo(kind, message);
+            auto scenario = core::channelScenario(kind);
+            scenario.bits = attack::bitsFromString(message);
+            const auto run = core::runScenario(scenario).pairs.front();
             JobRows rows;
-            for (std::size_t i = 0; i < demo.sent_bits.size(); ++i)
-                rows.push_back(
-                    {static_cast<double>(i),
-                     demo.sent_bits[i] ? 1.0 : 0.0,
-                     static_cast<double>(demo.detections[i]),
-                     demo.received_bits[i] ? 1.0 : 0.0});
+            for (std::size_t i = 0; i < run.sent.size(); ++i)
+                rows.push_back({static_cast<double>(i),
+                                static_cast<double>(run.sent[i]),
+                                static_cast<double>(run.detections[i]),
+                                static_cast<double>(run.received[i])});
             return rows;
         };
         return spec;
@@ -235,14 +244,10 @@ bitrateFigure()
                         "error_probability", "capacity", "backoffs",
                         "rfms"};
         spec.job = [bytes](const Job &job) -> JobRows {
-            core::ChannelRunSpec run;
-            run.kind = job.param("channel") < 0.5 ? ChannelKind::kPrac
-                                                  : ChannelKind::kRfm;
-            run.pattern = static_cast<attack::MessagePattern>(
-                static_cast<int>(job.param("pattern")));
-            run.message_bytes = bytes;
-            run.seed = job.seed;
-            const auto result = core::runChannel(run);
+            auto scenario = core::channelScenario(channelAxis(job));
+            scenario.system.defense.seed = job.seed;
+            scenario.bits = attack::patternBits(patternAxis(job), bytes * 8);
+            const auto result = core::runScenario(scenario).pairs.front();
             return {{job.param("channel"), job.param("pattern"),
                      result.raw_bit_rate, result.symbol_error,
                      result.capacity,
@@ -310,18 +315,14 @@ capacityFigure()
                         "error_probability", "capacity",
                         "backoffs", "rfms"};
         spec.job = [bytes](const Job &job) -> JobRows {
-            core::ChannelRunSpec run;
-            run.kind = job.param("channel") < 0.5 ? ChannelKind::kPrac
-                                                  : ChannelKind::kRfm;
-            run.pattern = static_cast<attack::MessagePattern>(
-                static_cast<int>(job.param("pattern")));
-            run.message_bytes = bytes;
-            run.seed = job.seed;
+            auto scenario = core::channelScenario(channelAxis(job));
+            scenario.system.defense.seed = job.seed;
+            scenario.bits = attack::patternBits(patternAxis(job), bytes * 8);
             // Eq. 2: sleep in [0.2 us, 2 us] maps to intensity
             // [100 %, 1 %].
-            run.noise_sleep = stats::sleepForIntensity(
+            scenario.noise_sleep = stats::sleepForIntensity(
                 job.param("intensity"), 200'000, 2'000'000);
-            const auto result = core::runChannel(run);
+            const auto result = core::runScenario(scenario).pairs.front();
             return {{job.param("channel"), job.param("intensity"),
                      job.param("pattern"), result.raw_bit_rate,
                      result.symbol_error, result.capacity,
@@ -372,17 +373,14 @@ appNoiseFigure()
         spec.columns = {"channel", "app_intensity", "raw_bit_rate",
                         "error_probability", "capacity"};
         spec.job = [bytes](const Job &job) -> JobRows {
-            core::ChannelRunSpec run;
-            run.kind = job.param("channel") < 0.5 ? ChannelKind::kPrac
-                                                  : ChannelKind::kRfm;
-            run.message_bytes = bytes;
-            run.seed = job.seed;
+            auto scenario = core::channelScenario(channelAxis(job));
+            scenario.system.defense.seed = job.seed;
             // One concurrent application per run (paper §6.3); the
             // first of the class is a stable, documented selection.
             const auto level = static_cast<workload::Intensity>(
                 static_cast<int>(job.param("app_intensity")));
-            run.background = {workload::appsWithIntensity(level)[0]};
-            const auto sweep = core::runPatternSweep(run);
+            scenario.background = {workload::appsWithIntensity(level)[0]};
+            const auto sweep = core::runPatternSweep(scenario, bytes * 8);
             return {{job.param("channel"), job.param("app_intensity"),
                      sweep.raw_bit_rate, sweep.error_probability,
                      sweep.capacity}};
@@ -429,17 +427,16 @@ multibitFigure()
         spec.columns = {"levels", "bits_per_symbol", "raw_bit_rate",
                         "symbol_error", "capacity"};
         spec.job = [bytes](const Job &job) -> JobRows {
-            core::ChannelRunSpec run;
-            run.kind = ChannelKind::kPrac;
-            run.levels =
+            core::CovertScenario scenario;
+            scenario.levels =
                 static_cast<std::uint32_t>(job.param("levels"));
-            run.message_bytes = bytes;
+            scenario.system.defense.seed = job.seed;
             // A random payload exercises all symbol values (§6.3).
-            run.pattern = attack::MessagePattern::kRandom;
-            run.seed = job.seed;
-            const auto result = core::runChannel(run);
+            scenario.bits = attack::patternBits(
+                attack::MessagePattern::kRandom, bytes * 8);
+            const auto result = core::runScenario(scenario).pairs.front();
             return {{job.param("levels"),
-                     attack::bitsPerSymbol(run.levels),
+                     attack::bitsPerSymbol(scenario.levels),
                      result.raw_bit_rate, result.symbol_error,
                      result.capacity}};
         };
@@ -490,16 +487,18 @@ rfmCountFigure()
         spec.columns = {"rfms_per_backoff", "intensity",
                         "error_probability", "capacity"};
         spec.job = [bytes](const Job &job) -> JobRows {
-            core::ChannelRunSpec run;
-            run.kind = ChannelKind::kPrac;
-            run.rfms_per_backoff = static_cast<std::uint32_t>(
+            core::CovertScenario scenario;
+            auto &defense = scenario.system.defense;
+            defense.rfms_per_backoff = static_cast<std::uint32_t>(
                 job.param("rfms_per_backoff"));
-            run.filter_refresh = run.rfms_per_backoff < 4;
-            run.noise_sleep = stats::sleepForIntensity(
+            defense.seed = job.seed;
+            // Fewer RFMs move the back-off toward the refresh band, so
+            // the receiver filters refreshes (§10.1).
+            scenario.system.ctrl.deterministic_refresh =
+                defense.rfms_per_backoff < 4;
+            scenario.noise_sleep = stats::sleepForIntensity(
                 job.param("intensity"), 200'000, 2'000'000);
-            run.message_bytes = bytes;
-            run.seed = job.seed;
-            const auto sweep = core::runPatternSweep(run);
+            const auto sweep = core::runPatternSweep(scenario, bytes * 8);
             return {{job.param("rfms_per_backoff"),
                      job.param("intensity"), sweep.error_probability,
                      sweep.capacity}};
@@ -550,21 +549,20 @@ actionLatencyFigure()
         spec.job = [bytes](const Job &job) -> JobRows {
             const auto ns =
                 static_cast<std::uint64_t>(job.param("latency_ns"));
-            core::ChannelRunSpec run;
-            run.kind = ChannelKind::kPrac;
-            run.rfms_per_backoff = 1;
-            run.backoff_rfm_latency = ns ? ns * 1000 : 1;
+            core::CovertScenario scenario;
+            auto &defense = scenario.system.defense;
+            defense.rfms_per_backoff = 1;
+            defense.backoff_rfm_latency = ns ? ns * 1000 : 1;
             // Model the preventive action as immediately following
             // the triggering activation (paper Fig. 12 abstraction).
-            run.aboact_override = 1'000;
-            run.filter_refresh = true;
+            defense.aboact_override = 1'000;
+            defense.seed = job.seed;
+            scenario.system.ctrl.deterministic_refresh = true;
             // Detection threshold just above the conflict band: the
             // action partially overlaps the access's own precharge,
             // so the observed delta is sub-linear in L.
-            run.backoff_min_override = 105'000 + ns * 150;
-            run.message_bytes = bytes;
-            run.seed = job.seed;
-            const auto sweep = core::runPatternSweep(run);
+            scenario.backoff_min = 105'000 + ns * 150;
+            const auto sweep = core::runPatternSweep(scenario, bytes * 8);
             return {{job.param("latency_ns"), sweep.error_probability,
                      sweep.capacity}};
         };

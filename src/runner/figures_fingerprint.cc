@@ -310,16 +310,14 @@ cachePrefetchFigure()
             const auto scenario =
                 static_cast<int>(job.param("scenario"));
             if (scenario < 2) {
-                core::ChannelRunSpec run;
-                run.kind = scenario == 0 ? ChannelKind::kPrac
-                                         : ChannelKind::kRfm;
-                run.message_bytes = bytes;
-                run.large_caches = large;
-                run.seed = job.seed;
+                auto cell = core::channelScenario(
+                    scenario == 0 ? ChannelKind::kPrac : ChannelKind::kRfm);
+                cell.system.defense.seed = job.seed;
                 // A background app exercises the caches/prefetcher.
-                run.background = {workload::appsWithIntensity(
+                cell.background = {workload::appsWithIntensity(
                     workload::Intensity::kMedium)[1]};
-                const auto sweep = core::runPatternSweep(run);
+                cell.large_caches = large;
+                const auto sweep = core::runPatternSweep(cell, bytes * 8);
                 return {{job.param("scenario"),
                          job.param("large_caches"),
                          sweep.error_probability, sweep.capacity}};

@@ -13,6 +13,7 @@
 #include <map>
 #include <vector>
 
+#include "attack/message.hh"
 #include "fuzz/campaign.hh"
 #include "runner/figures.hh"
 
@@ -37,6 +38,9 @@ byScale(Scale scale, T smoke, T dflt, T full)
         return full;
     return scale == Scale::kSmoke ? smoke : dflt;
 }
+
+/** The job's `pattern` axis value (an attack::MessagePattern). */
+attack::MessagePattern patternAxis(const Job &job);
 
 /** Mean of column @p value grouped by the tuple of @p keys columns. */
 std::map<std::vector<double>, double>

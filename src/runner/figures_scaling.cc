@@ -77,22 +77,26 @@ crossChannelFigure()
                         "tx_actions", "rx_actions",
                         "aggregate_actions"};
         spec.job = [bytes](const Job &job) -> JobRows {
-            core::CrossChannelSpec cell;
-            cell.channels =
+            core::CovertScenario cell;
+            cell.system.channels =
                 static_cast<std::uint32_t>(job.param("channels"));
-            cell.cross = job.param("placement") > 0.5;
-            cell.pattern = static_cast<attack::MessagePattern>(
-                static_cast<int>(job.param("pattern")));
-            cell.message_bytes = bytes;
-            cell.seed = job.seed;
-            const auto result = core::runCrossChannelCell(cell);
+            cell.system.defense.seed = job.seed;
+            // The sender hammers channel 0; the receiver colocates or
+            // listens on channel 1.
+            const std::uint32_t rx = job.param("placement") > 0.5 ? 1 : 0;
+            cell.pairs.front().receiver.channel = rx;
+            cell.bits = attack::patternBits(patternAxis(job), bytes * 8);
+            const auto result = core::runScenario(cell);
+            const auto &channel = result.pairs.front();
             return {{job.param("channels"), job.param("placement"),
-                     job.param("pattern"), result.channel.raw_bit_rate,
-                     result.channel.symbol_error,
-                     result.channel.capacity,
-                     static_cast<double>(result.tx_actions),
-                     static_cast<double>(result.rx_actions),
-                     static_cast<double>(result.aggregate_actions)}};
+                     job.param("pattern"), channel.raw_bit_rate,
+                     channel.symbol_error, channel.capacity,
+                     static_cast<double>(
+                         result.channels[0].preventiveActions()),
+                     static_cast<double>(
+                         result.channels[rx].preventiveActions()),
+                     static_cast<double>(
+                         result.aggregate.preventiveActions())}};
         };
         return spec;
     };
@@ -150,24 +154,32 @@ channelScalingFigure()
                         "aggregate_capacity",     "min_channel_capacity",
                         "aggregate_actions"};
         spec.job = [bytes](const Job &job) -> JobRows {
-            core::MultiChannelSpec cell;
-            cell.channels =
+            // One independent pair per channel, transmitting the same
+            // payload concurrently. Per-channel defense instances mean
+            // the pairs never contend for counter state — only the
+            // event queue is shared.
+            const auto channels =
                 static_cast<std::uint32_t>(job.param("channels"));
-            cell.pattern = static_cast<attack::MessagePattern>(
-                static_cast<int>(job.param("pattern")));
-            cell.message_bytes = bytes;
-            cell.seed = job.seed;
-            const auto result = core::runMultiChannelAggregate(cell);
-            double min_capacity = result.per_channel.empty()
-                                      ? 0.0
-                                      : result.per_channel[0].capacity;
-            for (const auto &ch : result.per_channel)
-                min_capacity = std::min(min_capacity, ch.capacity);
+            core::CovertScenario cell;
+            cell.system.channels = channels;
+            cell.system.defense.seed = job.seed;
+            cell.pairs.clear();
+            for (std::uint32_t ch = 0; ch < channels; ++ch)
+                cell.pairs.push_back({{ch, 0, 0, 0}, {ch, 0, 0, 0}});
+            cell.bits = attack::patternBits(patternAxis(job), bytes * 8);
+            const auto result = core::runScenario(cell);
+            double raw_bit_rate = 0.0, mean_error = 0.0, capacity = 0.0;
+            double min_capacity = result.pairs.front().capacity;
+            for (const auto &pair : result.pairs) {
+                raw_bit_rate += pair.raw_bit_rate;
+                capacity += pair.capacity;
+                mean_error += pair.symbol_error / channels;
+                min_capacity = std::min(min_capacity, pair.capacity);
+            }
             return {{job.param("channels"), job.param("pattern"),
-                     result.aggregate_raw_bit_rate,
-                     result.mean_symbol_error,
-                     result.aggregate_capacity, min_capacity,
-                     static_cast<double>(result.aggregate_actions)}};
+                     raw_bit_rate, mean_error, capacity, min_capacity,
+                     static_cast<double>(
+                         result.aggregate.preventiveActions())}};
         };
         return spec;
     };
@@ -230,8 +242,19 @@ mappingOrderFigure()
                 static_cast<int>(job.param("actual")));
             const auto assumed = static_cast<MappingPreset>(
                 static_cast<int>(job.param("assumed")));
-            const auto result = core::runMappingOrderCell(
-                actual, assumed, bytes, job.seed);
+            // The system decodes through the actual mapping while the
+            // attacker composes through the assumed one. A non-trivial
+            // bank (bg 2, bank 1) keeps the functions distinguishable:
+            // at all-zero low fields every preset degenerates to the
+            // same line index.
+            core::CovertScenario cell;
+            cell.system.mapping = actual;
+            cell.system.defense.seed = job.seed;
+            cell.assumed_mapping = assumed;
+            cell.pairs.front() = {{0, 0, 2, 1}, {0, 0, 2, 1}};
+            cell.bits = attack::patternBits(
+                attack::MessagePattern::kCheckered0, bytes * 8);
+            const auto result = core::runScenario(cell).pairs.front();
             return {{job.param("actual"), job.param("assumed"),
                      actual == assumed ? 1.0 : 0.0,
                      result.raw_bit_rate, result.symbol_error,

@@ -19,6 +19,7 @@
 
 #include <string>
 
+#include "attack/message.hh"
 #include "core/experiments.hh"
 #include "core/report.hh"
 #include "stats/channel_metrics.hh"
@@ -75,11 +76,13 @@ crossDefenseFigure()
         spec.job = [bytes](const Job &job) -> JobRows {
             const auto kind = static_cast<DefenseKind>(
                 static_cast<int>(job.param("defense")));
-            const auto result = core::runCrossDefenseCell(
-                kind,
-                stats::sleepForIntensity(job.param("intensity"),
-                                         200'000, 2'000'000),
-                bytes, job.seed);
+            auto cell = core::crossDefenseScenario(kind);
+            cell.system.defense.seed = job.seed;
+            cell.noise_sleep = stats::sleepForIntensity(
+                job.param("intensity"), 200'000, 2'000'000);
+            cell.bits = attack::patternBits(
+                attack::MessagePattern::kCheckered0, bytes * 8);
+            const auto result = core::runScenario(cell).pairs.front();
             return {{job.param("defense"), job.param("intensity"),
                      result.raw_bit_rate, result.symbol_error,
                      result.capacity,
@@ -145,10 +148,13 @@ trackerThresholdFigure()
         spec.job = [bytes](const Job &job) -> JobRows {
             const auto kind = static_cast<DefenseKind>(
                 static_cast<int>(job.param("tracker")));
-            const auto result = core::runTrackerThresholdCell(
-                kind,
-                static_cast<std::uint32_t>(job.param("threshold")),
-                /*cc_entries=*/0, bytes, job.seed);
+            auto cell = core::crossDefenseScenario(kind);
+            cell.system.defense.tracker_threshold_override =
+                static_cast<std::uint32_t>(job.param("threshold"));
+            cell.system.defense.seed = job.seed;
+            cell.bits = attack::patternBits(
+                attack::MessagePattern::kCheckered0, bytes * 8);
+            const auto result = core::runScenario(cell).pairs.front();
             return {{job.param("tracker"), job.param("threshold"),
                      result.symbol_error, result.capacity,
                      static_cast<double>(result.targeted_refreshes),

@@ -75,9 +75,8 @@ std::uint64_t jobSeed(std::uint64_t base, std::size_t index);
 
 /**
  * The synthetic runner-overhead probe: @p jobs jobs of @p spin seeded
- * RNG draws each. Shared by `leakyhammer bench` and BM_SweepRunner so
- * the CLI's jobs/s and the tracked BENCH_kernel.json number measure
- * the same workload.
+ * RNG draws each: the workload BM_SweepRunner times for the
+ * BENCH_kernel.json sweep-pool throughput number.
  */
 SweepSpec syntheticBenchSpec(std::uint32_t jobs, std::uint32_t spin);
 

@@ -22,31 +22,39 @@ binarySymbols(const std::vector<bool> &bits)
     return symbols;
 }
 
+/** Transmit "MICRO" over the @p kind channel (Figs. 3/6). */
+attack::ChannelResult
+transmitMicro(ChannelKind kind)
+{
+    auto scenario = core::channelScenario(kind);
+    scenario.bits = attack::bitsFromString("MICRO");
+    return core::runScenario(scenario).pairs.front();
+}
+
 TEST(CovertChannel, PracTransmitsMicroErrorFree)
 {
-    const auto demo = core::runMessageDemo(ChannelKind::kPrac, "MICRO");
-    EXPECT_EQ(demo.decoded_text, "MICRO");
-    EXPECT_EQ(demo.sent_bits, demo.received_bits);
+    const auto run = transmitMicro(ChannelKind::kPrac);
+    EXPECT_EQ(run.received, run.sent);
     // Each logic-1 window saw exactly one back-off (paper Fig. 3).
-    for (std::size_t i = 0; i < demo.sent_bits.size(); ++i) {
-        if (demo.sent_bits[i])
-            EXPECT_EQ(demo.detections[i], 1u) << "window " << i;
+    for (std::size_t i = 0; i < run.sent.size(); ++i) {
+        if (run.sent[i])
+            EXPECT_EQ(run.detections[i], 1u) << "window " << i;
         else
-            EXPECT_EQ(demo.detections[i], 0u) << "window " << i;
+            EXPECT_EQ(run.detections[i], 0u) << "window " << i;
     }
 }
 
 TEST(CovertChannel, RfmTransmitsMicroErrorFree)
 {
-    const auto demo = core::runMessageDemo(ChannelKind::kRfm, "MICRO");
-    EXPECT_EQ(demo.decoded_text, "MICRO");
+    const auto run = transmitMicro(ChannelKind::kRfm);
+    EXPECT_EQ(run.received, run.sent);
     // Logic-1 windows see multiple RFMs, logic-0 windows fewer than
     // Trecv (paper Fig. 6).
-    for (std::size_t i = 0; i < demo.sent_bits.size(); ++i) {
-        if (demo.sent_bits[i])
-            EXPECT_GE(demo.detections[i], 3u) << "window " << i;
+    for (std::size_t i = 0; i < run.sent.size(); ++i) {
+        if (run.sent[i])
+            EXPECT_GE(run.detections[i], 3u) << "window " << i;
         else
-            EXPECT_LT(demo.detections[i], 3u) << "window " << i;
+            EXPECT_LT(run.detections[i], 3u) << "window " << i;
     }
 }
 
@@ -112,15 +120,14 @@ TEST(CovertChannel, CrossBankReceiverStillDecodesPrac)
 
 TEST(CovertChannel, NoiseDegradesButDoesNotKillChannel)
 {
-    core::ChannelRunSpec clean;
-    clean.kind = ChannelKind::kPrac;
-    clean.message_bytes = 8;
-    clean.pattern = attack::MessagePattern::kCheckered0;
-    const auto quiet = core::runChannel(clean);
+    core::CovertScenario clean;
+    clean.bits = attack::patternBits(attack::MessagePattern::kCheckered0,
+                                     64);
+    const auto quiet = core::runScenario(clean).pairs.front();
 
-    core::ChannelRunSpec noisy = clean;
+    core::CovertScenario noisy = clean;
     noisy.noise_sleep = 400'000; // High intensity.
-    const auto loud = core::runChannel(noisy);
+    const auto loud = core::runScenario(noisy).pairs.front();
 
     EXPECT_LE(quiet.symbol_error, loud.symbol_error + 0.05);
     EXPECT_GT(loud.capacity, 0.0);
@@ -133,12 +140,11 @@ class MultibitChannel : public ::testing::TestWithParam<std::uint32_t>
 
 TEST_P(MultibitChannel, RandomPayloadMostlyDecodes)
 {
-    core::ChannelRunSpec spec;
-    spec.kind = ChannelKind::kPrac;
-    spec.levels = GetParam();
-    spec.message_bytes = 8;
-    spec.pattern = attack::MessagePattern::kRandom;
-    const auto result = core::runChannel(spec);
+    core::CovertScenario scenario;
+    scenario.levels = GetParam();
+    scenario.bits =
+        attack::patternBits(attack::MessagePattern::kRandom, 64);
+    const auto result = core::runScenario(scenario).pairs.front();
     // Binary/ternary decode cleanly; quaternary tolerates some symbol
     // confusion (paper: 0.29 error).
     const double budget = GetParam() == 4 ? 0.35 : 0.05;

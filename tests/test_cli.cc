@@ -38,7 +38,7 @@ TEST(CliErrors, NoCommandOrUnknownCommandIsUsageError)
 TEST(CliErrors, EverySubcommandRejectsUnknownFlags)
 {
     for (const char *command :
-         {"list", "repro", "campaign", "run", "fuzz", "bench"}) {
+         {"list", "repro", "campaign", "run", "fuzz"}) {
         if (std::string(command) == "run") {
             // `run` resolves the demo first; flags parse inside it.
             EXPECT_EQ(runCli({"run", "quickstart", "--nope"}), 2);
@@ -56,8 +56,6 @@ TEST(CliErrors, MalformedValuesAreUsageErrors)
     EXPECT_EQ(runCli({"repro", "--fig", "latency", "--seed", "-1"}), 2);
     EXPECT_EQ(runCli({"fuzz", "--seed", "abc"}), 2);
     EXPECT_EQ(runCli({"fuzz", "--threads", "1.5"}), 2);
-    EXPECT_EQ(runCli({"bench", "--jobs", "abc"}), 2);
-    EXPECT_EQ(runCli({"bench", "--jobs", "0"}), 2);
     EXPECT_EQ(runCli({"campaign", "--shards", "zero"}), 2);
 }
 

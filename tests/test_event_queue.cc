@@ -45,10 +45,35 @@ operator new[](std::size_t n)
     return ::operator new(n);
 }
 
+// The nothrow forms must route through malloc too: std::stable_sort's
+// temporary buffer comes from nothrow new and returns through the
+// plain delete below, which ASan reports as a new/free mismatch
+// unless both sides are replaced.
+void *
+operator new(std::size_t n, const std::nothrow_t &) noexcept
+{
+    leaky_test_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+    return std::malloc(n ? n : 1);
+}
+
+void *
+operator new[](std::size_t n, const std::nothrow_t &tag) noexcept
+{
+    return ::operator new(n, tag);
+}
+
 void operator delete(void *p) noexcept { std::free(p); }
 void operator delete[](void *p) noexcept { std::free(p); }
 void operator delete(void *p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void *p, std::size_t) noexcept { std::free(p); }
+void operator delete(void *p, const std::nothrow_t &) noexcept
+{
+    std::free(p);
+}
+void operator delete[](void *p, const std::nothrow_t &) noexcept
+{
+    std::free(p);
+}
 
 namespace {
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "core/experiments.hh"
 #include "core/report.hh"
 
@@ -29,17 +31,90 @@ TEST(Experiments, LatencyTraceSeparatesBands)
               result.mean_conflict_latency_ns);
 }
 
+/** A 4-byte checkered payload on the default PRAC scenario. */
+core::CovertScenario
+smallPracScenario()
+{
+    core::CovertScenario scenario;
+    scenario.bits =
+        attack::patternBits(attack::MessagePattern::kCheckered0, 32);
+    return scenario;
+}
+
+void
+expectSameChannel(const attack::ChannelResult &a,
+                  const attack::ChannelResult &b)
+{
+    EXPECT_EQ(a.sent, b.sent);
+    EXPECT_EQ(a.received, b.received);
+    EXPECT_EQ(a.detections, b.detections);
+    EXPECT_EQ(a.symbol_error, b.symbol_error);
+    EXPECT_EQ(a.raw_bit_rate, b.raw_bit_rate);
+    EXPECT_EQ(a.capacity, b.capacity);
+    EXPECT_EQ(a.backoffs, b.backoffs);
+    EXPECT_EQ(a.rfms, b.rfms);
+    EXPECT_EQ(a.targeted_refreshes, b.targeted_refreshes);
+    EXPECT_EQ(a.counter_fetches, b.counter_fetches);
+}
+
 TEST(Experiments, ChannelRunProducesMetrics)
 {
-    core::ChannelRunSpec spec;
-    spec.kind = attack::ChannelKind::kPrac;
-    spec.message_bytes = 4;
-    spec.pattern = attack::MessagePattern::kCheckered0;
-    const auto result = core::runChannel(spec);
+    const auto result =
+        core::runScenario(smallPracScenario()).pairs.front();
     EXPECT_EQ(result.sent.size(), 32u);
     EXPECT_EQ(result.received.size(), 32u);
+    EXPECT_EQ(result.detections.size(), 32u);
     EXPECT_LE(result.symbol_error, 0.05);
     EXPECT_GT(result.capacity, 30'000.0);
+}
+
+/** Metamorphic: respelling the system mapping as its explicit XOR
+ *  matrix changes nothing the channel can observe. */
+TEST(Experiments, XorRespellingOfPresetGivesIdenticalChannel)
+{
+    const core::CovertScenario preset = smallPracScenario();
+    ASSERT_EQ(preset.system.mapping.str(), "row-interleaved");
+    const dram::MappingFunction fn(preset.system.ctrl.dram.org,
+                                   preset.system.channels,
+                                   preset.system.mapping);
+    std::array<std::vector<std::uint64_t>, dram::kNumFields> masks;
+    for (std::size_t f = 0; f < dram::kNumFields; ++f)
+        masks[f] = fn.fieldMasks(static_cast<dram::Field>(f));
+    core::CovertScenario xored = preset;
+    xored.system.mapping = dram::MappingSpec::fromMasks(masks);
+    ASSERT_NE(xored.system.mapping.str(), preset.system.mapping.str());
+
+    const auto a = core::runScenario(preset).pairs.front();
+    const auto b = core::runScenario(xored).pairs.front();
+    expectSameChannel(a, b);
+    EXPECT_GT(a.backoffs, 0u);
+}
+
+/** Metamorphic: one pair per channel at channels = 1 is the default
+ *  single pair, and both equal the attack layer's single-pair loop. */
+TEST(Experiments, OnePairPerChannelAtOneChannelIsTheSinglePair)
+{
+    const core::CovertScenario single = smallPracScenario();
+    core::CovertScenario per_channel = single;
+    per_channel.pairs.clear();
+    for (std::uint32_t ch = 0; ch < per_channel.system.channels; ++ch)
+        per_channel.pairs.push_back({{ch, 0, 0, 0}, {ch, 0, 0, 0}});
+    ASSERT_EQ(per_channel.pairs.size(), 1u);
+
+    const auto a = core::runScenario(single);
+    const auto b = core::runScenario(per_channel);
+    ASSERT_EQ(a.pairs.size(), 1u);
+    ASSERT_EQ(b.pairs.size(), 1u);
+    expectSameChannel(a.pairs.front(), b.pairs.front());
+    EXPECT_EQ(a.aggregate, b.aggregate);
+
+    sys::System system(single.system);
+    const auto cfg =
+        attack::makeChannelConfig(system, attack::ChannelKind::kPrac);
+    expectSameChannel(
+        a.pairs.front(),
+        attack::runCovertChannel(system, cfg,
+                                 attack::symbolsFromBits(single.bits, 2)));
 }
 
 TEST(Experiments, PerfCellBaselineIsNearUnity)
@@ -47,7 +122,7 @@ TEST(Experiments, PerfCellBaselineIsNearUnity)
     // No defense vs no defense must normalise to ~1.
     const auto mixes = workload::makeMixes(2, 4, 42);
     const double ws = core::runPerfCell(defense::DefenseKind::kNone,
-                                        1024, mixes, 4, 50'000);
+                                        1024, mixes, 50'000);
     EXPECT_NEAR(ws, 1.0, 0.02);
 }
 
@@ -55,9 +130,9 @@ TEST(Experiments, DefenseCostsPerformanceAtLowNrh)
 {
     const auto mixes = workload::makeMixes(2, 4, 42);
     const double high_nrh = core::runPerfCell(
-        defense::DefenseKind::kPrac, 1024, mixes, 4, 50'000);
+        defense::DefenseKind::kPrac, 1024, mixes, 50'000);
     const double low_nrh = core::runPerfCell(
-        defense::DefenseKind::kPrac, 64, mixes, 4, 50'000);
+        defense::DefenseKind::kPrac, 64, mixes, 50'000);
     EXPECT_GT(high_nrh, low_nrh);
     EXPECT_LE(high_nrh, 1.01);
 }

@@ -136,6 +136,30 @@ class GrammarTable(unittest.TestCase):
         ("channel_outside_scope_accepted", "src/runner/foo.cc",
          "void f(sys::System &s) { s.controller(0).stats(); }\n",
          []),
+        # ---------------------------------------- single-covert-loop
+        ("covert_local_sender_rejected", "src/core/foo.cc",
+         "void f(sys::System &s, const CovertConfig &c) {"
+         " attack::CovertSender sender(s, c); }\n",
+         ["single-covert-loop"]),
+        ("covert_make_unique_receiver_rejected", "tests/foo.cc",
+         "auto r = std::make_unique<attack::CovertReceiver>(s, c);\n",
+         ["single-covert-loop"]),
+        ("covert_owning_vector_rejected", "src/runner/foo.cc",
+         "std::vector<std::unique_ptr<CovertSender>> senders;\n",
+         ["single-covert-loop"]),
+        ("covert_home_accepted", "src/attack/covert.cc",
+         "CovertSender::CovertSender(sys::MemoryPort &p,"
+         " const CovertConfig &c) : port_(p), cfg_(c) {}\n"
+         "void g(sys::System &s, const CovertConfig &c) {"
+         " CovertReceiver receiver(s, c); }\n",
+         []),
+        ("covert_reference_accepted", "src/core/foo.cc",
+         "void f(const attack::CovertReceiver &r);\n"
+         "class CovertSender;\n",
+         []),
+        ("covert_run_loop_accepted", "src/core/foo.cc",
+         "auto r = attack::runCovertChannel(system, cfg, symbols);\n",
+         []),
         # ------------------------------------------- no-raw-assert
         ("raw_assert_rejected", "src/sim/foo.cc",
          "void f(int x) { assert(x > 0); }\n",

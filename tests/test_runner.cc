@@ -289,13 +289,13 @@ TEST(SweepRunner, RealSystemSweepIsThreadCountInvariant)
     spec.axes = {{"pattern", {2, 3}}};
     spec.columns = {"pattern", "error", "capacity", "backoffs"};
     spec.job = [](const Job &job) -> JobRows {
-        core::ChannelRunSpec run;
-        run.kind = attack::ChannelKind::kPrac;
-        run.pattern = static_cast<attack::MessagePattern>(
-            static_cast<int>(job.param("pattern")));
-        run.message_bytes = 2;
-        run.seed = job.seed;
-        const auto result = core::runChannel(run);
+        core::CovertScenario scenario;
+        scenario.system.defense.seed = job.seed;
+        scenario.bits = attack::patternBits(
+            static_cast<attack::MessagePattern>(
+                static_cast<int>(job.param("pattern"))),
+            16);
+        const auto result = core::runScenario(scenario).pairs.front();
         return {{job.param("pattern"), result.symbol_error,
                  result.capacity,
                  static_cast<double>(result.backoffs)}};
