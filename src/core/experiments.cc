@@ -608,11 +608,12 @@ sharedWs(DefenseKind kind, std::uint32_t nrh, const workload::Mix &mix,
     return stats::weightedSpeedup(ipc_shared, ipc_alone);
 }
 
-/** Alone IPC per app of a mix on the unprotected system. */
-std::vector<double>
-aloneIpcs(const workload::Mix &mix, std::uint64_t insts_per_core)
+} // namespace
+
+PerfReference
+perfReference(const workload::Mix &mix, std::uint64_t insts_per_core)
 {
-    std::vector<double> ipc_alone;
+    PerfReference ref;
     for (const auto &app : mix.apps) {
         sys::SystemConfig cfg =
             sys::SystemConfig::paper(DefenseKind::kNone, 1024);
@@ -620,28 +621,21 @@ aloneIpcs(const workload::Mix &mix, std::uint64_t insts_per_core)
         workload::Mix solo{mix.name + "-solo", {app}};
         auto cores = makeCores(system, solo, insts_per_core);
         runCoresToBudget(system, cores, kPerfRunCap);
-        ipc_alone.push_back(cores[0]->ipcAt(system.now()));
+        ref.ipc_alone.push_back(cores[0]->ipcAt(system.now()));
     }
-    return ipc_alone;
+    // No defense reads NRH, so any threshold gives the same bits.
+    ref.ws_base = sharedWs(DefenseKind::kNone, 1024, mix, ref.ipc_alone,
+                           insts_per_core);
+    return ref;
 }
 
-} // namespace
-
 double
-runPerfCell(DefenseKind kind, std::uint32_t nrh,
-            const std::vector<workload::Mix> &mixes,
-            std::uint64_t insts_per_core)
+normalizedWs(DefenseKind kind, std::uint32_t nrh, const workload::Mix &mix,
+             const PerfReference &ref, std::uint64_t insts_per_core)
 {
-    double total_norm_ws = 0.0;
-    for (const auto &mix : mixes) {
-        const auto ipc_alone = aloneIpcs(mix, insts_per_core);
-        const double ws_base = sharedWs(DefenseKind::kNone, nrh, mix,
-                                        ipc_alone, insts_per_core);
-        const double ws_def =
-            sharedWs(kind, nrh, mix, ipc_alone, insts_per_core);
-        total_norm_ws += ws_base > 0.0 ? ws_def / ws_base : 0.0;
-    }
-    return total_norm_ws / static_cast<double>(mixes.size());
+    const double ws =
+        sharedWs(kind, nrh, mix, ref.ipc_alone, insts_per_core);
+    return ref.ws_base > 0.0 ? ws / ref.ws_base : 0.0;
 }
 
 } // namespace leaky::core

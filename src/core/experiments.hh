@@ -257,10 +257,27 @@ runMappingRecoveryCell(const dram::MappingSpec &mapping,
 
 // ------------------------------------------------------------- Fig. 13
 
-/** Weighted speedup of one (defense, nrh, mixes) cell. */
-double runPerfCell(defense::DefenseKind kind, std::uint32_t nrh,
-                   const std::vector<workload::Mix> &mixes,
-                   std::uint64_t insts_per_core);
+/** The job-invariant half of a Fig. 13 cell: how a mix runs on the
+ *  undefended system. A pure function of (mix, insts_per_core), so a
+ *  sweep computes it once per mix and shares it across defenses and
+ *  thresholds. */
+struct PerfReference {
+    /** IPC of each app of the mix running alone, in mix order. */
+    std::vector<double> ipc_alone;
+    /** Weighted speedup of the whole mix with no defense. */
+    double ws_base = 0.0;
+};
+
+/** Simulate @p mix's reference: each app alone, then the mix shared,
+ *  all on the undefended system. */
+PerfReference perfReference(const workload::Mix &mix,
+                            std::uint64_t insts_per_core);
+
+/** Weighted speedup of @p mix under (@p kind, @p nrh), normalized by
+ *  @p ref's undefended one (0 when that is 0). */
+double normalizedWs(defense::DefenseKind kind, std::uint32_t nrh,
+                    const workload::Mix &mix, const PerfReference &ref,
+                    std::uint64_t insts_per_core);
 
 } // namespace leaky::core
 

@@ -160,6 +160,10 @@ runMitigationDemo(std::uint32_t nrh)
     core::banner("Defense comparison at NRH = " + std::to_string(nrh));
 
     const auto mixes = workload::makeMixes(3, 4, 7);
+    constexpr std::uint64_t kInsts = 100'000;
+    std::vector<core::PerfReference> refs;
+    for (const auto &mix : mixes)
+        refs.push_back(core::perfReference(mix, kInsts));
     core::Table table({"defense", "channel capacity", "normalized WS"});
     for (auto kind :
          {defense::DefenseKind::kPrac, defense::DefenseKind::kPrfm,
@@ -178,7 +182,10 @@ runMitigationDemo(std::uint32_t nrh)
             attack::patternBits(attack::MessagePattern::kCheckered0, 160);
         const double capacity =
             core::runScenario(scenario).pairs.front().capacity;
-        const double ws = core::runPerfCell(kind, nrh, mixes, 100'000);
+        double ws = 0.0;
+        for (std::size_t m = 0; m < mixes.size(); ++m)
+            ws += core::normalizedWs(kind, nrh, mixes[m], refs[m], kInsts);
+        ws /= static_cast<double>(mixes.size());
         table.addRow({defense::defenseName(kind),
                       core::fmtKbps(capacity), core::fmt(ws, 3)});
         std::printf("%-10s capacity %-12s normalized WS %.3f\n",

@@ -9,6 +9,8 @@
 
 #include "runner/figures_internal.hh"
 
+#include <memory>
+#include <mutex>
 #include <string>
 
 #include "attack/message.hh"
@@ -157,14 +159,25 @@ mitigationFigure()
         // the Fig.-13 workload set once and share it across jobs.
         const auto all_mixes =
             workload::makeMixes(mixes, 4, spec.base_seed);
-        spec.job = [all_mixes, insts](const Job &job) -> JobRows {
-            const auto &mix =
-                all_mixes[static_cast<std::size_t>(job.param("mix"))];
-            const double ws = core::runPerfCell(
+        // Every (defense, nrh) job on a mix shares its undefended
+        // reference: the first job to need it fills the slot, and make()
+        // only allocates the slots (see docs/EXPERIMENTS.md).
+        struct ReferenceSlot {
+            std::once_flag once;
+            core::PerfReference ref;
+        };
+        auto refs = std::make_shared<std::vector<ReferenceSlot>>(mixes);
+        spec.job = [all_mixes, refs, insts](const Job &job) -> JobRows {
+            const auto m = static_cast<std::size_t>(job.param("mix"));
+            auto &slot = (*refs)[m];
+            std::call_once(slot.once, [&] {
+                slot.ref = core::perfReference(all_mixes[m], insts);
+            });
+            const double ws = core::normalizedWs(
                 static_cast<DefenseKind>(
                     static_cast<int>(job.param("defense"))),
-                static_cast<std::uint32_t>(job.param("nrh")), {mix},
-                insts);
+                static_cast<std::uint32_t>(job.param("nrh")),
+                all_mixes[m], slot.ref, insts);
             return {{job.param("defense"), job.param("nrh"),
                      job.param("mix"), ws}};
         };

@@ -24,6 +24,7 @@
 #include "campaign/fault.hh"
 #include "campaign/manifest.hh"
 #include "campaign/shard.hh"
+#include "runner/figures.hh"
 #include "runner/runner.hh"
 #include "runner/sweep.hh"
 #include "sim/rng.hh"
@@ -235,6 +236,31 @@ TEST(Campaign, MergedCsvIsShardCountInvariant)
             << shards << " shards";
         std::filesystem::remove_all(dir);
     }
+}
+
+// Fig. 13 computes each mix's reference lazily inside its spec; shards
+// in separate processes each recompute it, and must agree bit for bit
+// with a single-process sweep. One make() per shard stands in for the
+// separate processes.
+TEST(Campaign, MitigationShardsRecomputeTheSameReference)
+{
+    const auto *figure = runner::findFigure("mitigation");
+    ASSERT_NE(figure, nullptr);
+    runner::RunOptions opts;
+    opts.smoke = true;
+    const auto reference =
+        runner::toCsv(runner::runSweep(figure->make(opts), 1));
+    const auto dir = tempDir("mitigation");
+    const auto meta = openFor(figure->make(opts), 2, dir);
+    for (std::size_t s = 0; s < 2; ++s) {
+        const auto report = campaign::runShard(figure->make(opts), meta,
+                                               configFor(dir), s);
+        EXPECT_TRUE(report.complete()) << s;
+        EXPECT_EQ(report.failed, 0u) << s;
+    }
+    EXPECT_EQ(campaign::readFileOrThrow(campaign::writeMergedCsv(dir)),
+              reference);
+    std::filesystem::remove_all(dir);
 }
 
 // ----------------------------------------------------- fault isolation

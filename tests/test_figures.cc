@@ -159,6 +159,24 @@ TEST(FigureRegistry, FuzzFiguresAreThreadCountInvariant)
     }
 }
 
+// Fig. 13 shares each mix's undefended reference across the jobs of a
+// sweep, filled by whichever job needs it first. Each sweep gets its
+// own make() so the 4-thread one fills a fresh cache concurrently; the
+// rerun of that spec then reads the warm cache.
+TEST(FigureRegistry, MitigationIsThreadCountInvariant)
+{
+    const auto *figure = runner::findFigure("mitigation");
+    ASSERT_NE(figure, nullptr);
+    const auto serial_spec = figure->make(smokeOptions());
+    const auto parallel_spec = figure->make(smokeOptions());
+    const auto serial = runner::toCsv(runner::runSweep(serial_spec, 1));
+    const auto cold = runner::toCsv(runner::runSweep(parallel_spec, 4));
+    const auto warm = runner::toCsv(runner::runSweep(parallel_spec, 4));
+    EXPECT_FALSE(serial.empty());
+    EXPECT_EQ(serial, cold);
+    EXPECT_EQ(serial, warm);
+}
+
 TEST(FigureRegistry, ReproduceWritesTheCsvArtifact)
 {
     const auto *figure = runner::findFigure("message-prac");
