@@ -119,6 +119,18 @@ if [ "$BUILD_VARIANT" = default ]; then
     python3 tools/check_docs.py --names "$BUILD_DIR/figure_names.txt"
 fi
 
+# Mapping-spec smoke (default variant only): a preset and its `order:`
+# respelling are one spec, so the covert demo must print the same
+# bytes for both — checked through the demo's own flag plumbing.
+if [ "$BUILD_VARIANT" = default ]; then
+    "$BUILD_DIR/leakyhammer" run covert --mapping bank-first \
+        > "$BUILD_DIR/covert-preset.txt"
+    "$BUILD_DIR/leakyhammer" run covert \
+        --mapping order:bg,ba,ra,col,row,ch > "$BUILD_DIR/covert-order.txt"
+    cmp "$BUILD_DIR/covert-preset.txt" "$BUILD_DIR/covert-order.txt"
+    echo "mapping smoke: preset and order: spelling print identical runs"
+fi
+
 # Fuzz smoke (default variant only): `leakyhammer fuzz` at a tiny
 # budget, run twice with the same seed — the search CSV and the
 # best-pattern serializations must be byte-identical (the fuzzer's

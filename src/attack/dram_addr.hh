@@ -5,9 +5,9 @@
  * and massage pages into chosen rows/banks; in simulation that amounts
  * to composing physical addresses through a dram::MappingFunction — the
  * attacker's ASSUMED function, which mapping-order (wrong assumption)
- * and mapping-recovery (learned assumption) both route through. The
- * AddressMapper overloads below compose through the system's own
- * function, the "attacker already knows the mapping" baseline.
+ * and mapping-recovery (learned assumption) both route through.
+ * Passing the system's own function (sys::System::mapper()) models the
+ * "attacker already knows the mapping" baseline.
  */
 
 #ifndef LEAKY_ATTACK_DRAM_ADDR_HH
@@ -16,7 +16,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "dram/address_mapper.hh"
+#include "dram/mapping.hh"
 #include "sim/logging.hh"
 
 namespace leaky::attack {
@@ -44,16 +44,6 @@ rowAddress(const dram::MappingFunction &fn, std::uint32_t channel,
     return fn.compose(a);
 }
 
-/** As above, through the system mapper's own function. */
-inline std::uint64_t
-rowAddress(const dram::AddressMapper &mapper, std::uint32_t channel,
-           std::uint32_t rank, std::uint32_t bankgroup, std::uint32_t bank,
-           std::uint32_t row, std::uint32_t column = 0)
-{
-    return rowAddress(mapper.fn(), channel, rank, bankgroup, bank, row,
-                      column);
-}
-
 /** N addresses in distinct rows of the same bank (for Listing 2). */
 inline std::vector<std::uint64_t>
 rowsInBank(const dram::MappingFunction &fn, std::uint32_t channel,
@@ -68,17 +58,6 @@ rowsInBank(const dram::MappingFunction &fn, std::uint32_t channel,
                                  first_row + i * stride));
     }
     return out;
-}
-
-/** As above, through the system mapper's own function. */
-inline std::vector<std::uint64_t>
-rowsInBank(const dram::AddressMapper &mapper, std::uint32_t channel,
-           std::uint32_t rank, std::uint32_t bankgroup, std::uint32_t bank,
-           std::uint32_t first_row, std::uint32_t count,
-           std::uint32_t stride = 1)
-{
-    return rowsInBank(mapper.fn(), channel, rank, bankgroup, bank,
-                      first_row, count, stride);
 }
 
 } // namespace leaky::attack

@@ -31,7 +31,7 @@ MappingRecovery::MappingRecovery(sys::MemoryPort &port,
     // Datasheet knowledge only: the module's capacity and geometry
     // counts. Which physical bits feed which coordinate — the mapping
     // function itself — is what the probing below has to discover.
-    const dram::AddressMapper &mapper = port_.mapper();
+    const dram::MappingFunction &mapper = port_.mapper();
     total_bits_ = log2OfPow2(mapper.capacityBytes() /
                              dram::MappingFunction::kLineBytes);
     const dram::Organization &org = mapper.org();

@@ -153,7 +153,7 @@ pairConfig(sys::System &system, const CovertScenario &scenario,
         assumed.emplace(sys_cfg.ctrl.dram.org, sys_cfg.channels,
                         *scenario.assumed_mapping);
     const dram::MappingFunction &fn =
-        assumed ? *assumed : system.mapper().fn();
+        assumed ? *assumed : system.mapper();
     cfg.sender_addr = attack::rowAddress(fn, tx.channel, tx.rank,
                                          tx.bankgroup, tx.bank, 1000);
     cfg.receiver_channel = rx.channel;
@@ -463,8 +463,8 @@ std::vector<RecoveryMappingCase>
 recoveryMappings()
 {
     std::vector<RecoveryMappingCase> out;
-    for (dram::MappingPreset preset : dram::kAllMappingPresets)
-        out.push_back({dram::presetName(preset), 0, preset});
+    for (const std::string &name : dram::mappingPresets())
+        out.push_back({name, 0, dram::MappingSpec::parse(name)});
 
     // XOR variants: row-interleaved's explicit matrix with row bits
     // folded into bank-set masks at increasing heights. Under the
@@ -475,12 +475,9 @@ recoveryMappings()
     // round per fold.
     const sys::SystemConfig base_cfg =
         sys::SystemConfig::paper(DefenseKind::kNone);
-    const dram::MappingFunction base(
-        base_cfg.ctrl.dram.org, base_cfg.channels,
-        dram::MappingPreset::kRowInterleaved);
-    std::array<std::vector<std::uint64_t>, dram::kNumFields> masks{};
-    for (std::size_t i = 0; i < dram::kNumFields; ++i)
-        masks[i] = base.fieldMasks(static_cast<dram::Field>(i));
+    auto masks = dram::MappingFunction(base_cfg.ctrl.dram.org,
+                                       base_cfg.channels, base_cfg.mapping)
+                     .masks();
 
     foldTap(masks, dram::Field::kBankGroup, 24);
     out.push_back({"xor-near", 1, dram::MappingSpec::fromMasks(masks)});
@@ -523,12 +520,12 @@ runMappingRecoveryCell(const dram::MappingSpec &mapping,
     // must match as a SPAN (any basis of the same space predicts the
     // same conflicts); row functions only modulo bank functions, so
     // the joint bank+row span is the identifiable object.
-    const dram::MappingFunction &fn = system.mapper().fn();
+    const auto true_masks = system.mapper().masks();
     dram::gf2::BitBasis true_bank;
     for (dram::Field f :
          {dram::Field::kChannel, dram::Field::kRank,
           dram::Field::kBankGroup, dram::Field::kBank})
-        for (std::uint64_t m : fn.fieldMasks(f))
+        for (std::uint64_t m : true_masks[static_cast<std::size_t>(f)])
             true_bank.insert(m);
     dram::gf2::BitBasis got_bank;
     for (std::uint64_t m : out.recovered.bank_masks)
@@ -537,7 +534,8 @@ runMappingRecoveryCell(const dram::MappingSpec &mapping,
         out.recovered.bank_solved && got_bank.sameSpan(true_bank);
 
     dram::gf2::BitBasis true_joint = true_bank;
-    for (std::uint64_t m : fn.fieldMasks(dram::Field::kRow))
+    for (std::uint64_t m :
+         true_masks[static_cast<std::size_t>(dram::Field::kRow)])
         true_joint.insert(m);
     dram::gf2::BitBasis got_joint = got_bank;
     for (std::uint64_t m : out.recovered.row_masks)

@@ -34,8 +34,8 @@
 #include "defense/policy.hh"
 #include "defense/prac.hh"
 #include "defense/prfm.hh"
-#include "dram/address_mapper.hh"
 #include "dram/channel.hh"
+#include "dram/mapping.hh"
 #include "ml/classifier.hh"
 #include "ml/ensemble.hh"
 #include "ml/linear.hh"

@@ -61,32 +61,50 @@ fieldName(Field f)
     sim::panic("unknown address field");
 }
 
-std::array<Field, kNumFields>
-presetOrder(MappingPreset preset)
-{
-    switch (preset) {
-      case MappingPreset::kRowInterleaved:
-        return {Field::kColumn, Field::kBankGroup, Field::kBank,
-                Field::kRank, Field::kRow, Field::kChannel};
-      case MappingPreset::kBankFirst:
-        return {Field::kBankGroup, Field::kBank, Field::kRank,
-                Field::kColumn, Field::kRow, Field::kChannel};
-      case MappingPreset::kChannelLast:
-        return {Field::kColumn, Field::kRow, Field::kBankGroup,
-                Field::kBank, Field::kRank, Field::kChannel};
-    }
-    sim::panic("unknown mapping preset");
-}
+namespace {
 
-const char *
-presetName(MappingPreset preset)
+/** A named field order (least to most significant). The presets only
+ *  differ in observable behaviour when traffic is generated in
+ *  *physical* addresses — attacks that compose coordinates through the
+ *  system's own mapping are order-invariant by construction, which is
+ *  exactly what the `mapping-order` figure exploits to model attackers
+ *  with a *wrong* mapping assumption. */
+struct Preset {
+    const char *name;
+    std::array<Field, kNumFields> order;
+};
+
+/** Position = the CSV encoding mappingPresets() documents. */
+constexpr Preset kPresets[] = {
+    // The default: consecutive lines walk a row, then interleave bank
+    // groups.
+    {"row-interleaved",
+     {Field::kColumn, Field::kBankGroup, Field::kBank, Field::kRank,
+      Field::kRow, Field::kChannel}},
+    // Bank bits at the LSB end, so consecutive lines stripe across
+    // banks first.
+    {"bank-first",
+     {Field::kBankGroup, Field::kBank, Field::kRank, Field::kColumn,
+      Field::kRow, Field::kChannel}},
+    // Channel stays the most-significant field but each bank's rows
+    // are physically contiguous below it (no bank interleaving).
+    {"channel-last",
+     {Field::kColumn, Field::kRow, Field::kBankGroup, Field::kBank,
+      Field::kRank, Field::kChannel}},
+};
+
+} // namespace
+
+const std::vector<std::string> &
+mappingPresets()
 {
-    switch (preset) {
-      case MappingPreset::kRowInterleaved: return "row-interleaved";
-      case MappingPreset::kBankFirst: return "bank-first";
-      case MappingPreset::kChannelLast: return "channel-last";
-    }
-    sim::panic("unknown mapping preset");
+    static const std::vector<std::string> names = [] {
+        std::vector<std::string> out;
+        for (const Preset &preset : kPresets)
+            out.push_back(preset.name);
+        return out;
+    }();
+    return names;
 }
 
 // -------------------------------------------------------------- gf2 utils
@@ -182,21 +200,16 @@ annihilator(const BitBasis &basis, std::uint32_t nbits)
 
 namespace {
 
-const char *
-kindPrefix(MappingSpec::Kind kind)
-{
-    switch (kind) {
-      case MappingSpec::Kind::kPreset: return "";
-      case MappingSpec::Kind::kOrder: return "order:";
-      case MappingSpec::Kind::kXor: return "xor:";
-    }
-    sim::panic("unknown mapping-spec kind");
-}
+constexpr const char *kOrderPrefix = "order:";
+constexpr const char *kXorPrefix = "xor:";
 
 std::string
 orderText(const std::array<Field, kNumFields> &order)
 {
-    std::string text = kindPrefix(MappingSpec::Kind::kOrder);
+    for (const Preset &preset : kPresets)
+        if (order == preset.order)
+            return preset.name;
+    std::string text = kOrderPrefix;
     for (std::size_t i = 0; i < order.size(); ++i) {
         if (i > 0)
             text += ",";
@@ -208,7 +221,7 @@ orderText(const std::array<Field, kNumFields> &order)
 std::string
 xorText(const std::array<std::vector<std::uint64_t>, kNumFields> &masks)
 {
-    std::string text = kindPrefix(MappingSpec::Kind::kXor);
+    std::string text = kXorPrefix;
     bool first_field = true;
     for (Field f : kCanonicalFields) {
         const auto &field_masks = masks[indexOf(f)];
@@ -358,38 +371,17 @@ parseXorBody(const std::string &body,
 
 } // namespace
 
-MappingSpec::MappingSpec(MappingPreset preset)
-    : kind_(Kind::kPreset), preset_(preset), order_(presetOrder(preset)),
-      text_(presetName(preset))
+MappingSpec::MappingSpec() : MappingSpec(kPresets[0].order) {}
+
+MappingSpec::MappingSpec(const std::array<Field, kNumFields> &order)
+    : order_(order), text_(orderText(order))
 {
 }
 
 MappingSpec::MappingSpec(
-    Kind kind, MappingPreset preset,
-    const std::array<Field, kNumFields> &order,
     std::array<std::vector<std::uint64_t>, kNumFields> masks)
-    : kind_(kind), preset_(preset), order_(order),
-      masks_(std::move(masks))
+    : is_xor_(true), masks_(std::move(masks)), text_(xorText(masks_))
 {
-    text_ = kind_ == Kind::kOrder ? orderText(order_) : xorText(masks_);
-}
-
-MappingSpec
-MappingSpec::fieldOrder(const std::array<Field, kNumFields> &order)
-{
-    // An order equal to a preset's canonicalizes to the preset itself,
-    // so the legacy adapter lands on the same spec (and compares
-    // equal) as the modern spelling.
-    for (MappingPreset preset : kAllMappingPresets)
-        if (order == presetOrder(preset))
-            return MappingSpec(preset);
-    std::uint32_t seen = 0;
-    for (Field f : order)
-        seen |= 1u << indexOf(f);
-    LEAKY_ASSERT(seen == (1u << kNumFields) - 1,
-                 "mapper order is not a permutation of all fields");
-    return MappingSpec(Kind::kOrder, MappingPreset::kRowInterleaved,
-                       order, {});
 }
 
 MappingSpec
@@ -405,22 +397,20 @@ MappingSpec::fromMasks(
                       1)) == 0,
                 "mapping masks must use physical bits >= %u",
                 MappingFunction::kLineShift);
-    return MappingSpec(Kind::kXor, MappingPreset::kRowInterleaved,
-                       presetOrder(MappingPreset::kRowInterleaved),
-                       masks);
+    return MappingSpec(masks);
 }
 
 bool
 MappingSpec::tryParse(const std::string &text, MappingSpec *out,
                       std::string *error)
 {
-    for (MappingPreset preset : kAllMappingPresets) {
-        if (text == presetName(preset)) {
-            *out = MappingSpec(preset);
+    for (const Preset &preset : kPresets) {
+        if (text == preset.name) {
+            *out = MappingSpec(preset.order);
             return true;
         }
     }
-    const std::string order_prefix = kindPrefix(Kind::kOrder);
+    const std::string order_prefix = kOrderPrefix;
     if (text.rfind(order_prefix, 0) == 0) {
         const auto names =
             splitOn(text.substr(order_prefix.size()), ',');
@@ -442,10 +432,10 @@ MappingSpec::tryParse(const std::string &text, MappingSpec *out,
             }
             seen |= 1u << indexOf(order[i]);
         }
-        *out = fieldOrder(order);
+        *out = MappingSpec(order);
         return true;
     }
-    const std::string xor_prefix = kindPrefix(Kind::kXor);
+    const std::string xor_prefix = kXorPrefix;
     if (text.rfind(xor_prefix, 0) == 0) {
         std::array<std::vector<std::uint64_t>, kNumFields> masks{};
         if (!parseXorBody(text.substr(xor_prefix.size()), &masks,
@@ -469,37 +459,12 @@ MappingSpec::parse(const std::string &text)
     return spec;
 }
 
-MappingPreset
-MappingSpec::preset() const
-{
-    LEAKY_ASSERT(isPreset(), "mapping spec '%s' is not a preset",
-                 text_.c_str());
-    return preset_;
-}
-
-const std::array<Field, kNumFields> &
-MappingSpec::order() const
-{
-    LEAKY_ASSERT(kind_ != Kind::kXor,
-                 "xor mapping '%s' has no field order", text_.c_str());
-    return order_;
-}
-
-const std::array<std::vector<std::uint64_t>, kNumFields> &
-MappingSpec::masks() const
-{
-    LEAKY_ASSERT(kind_ == Kind::kXor,
-                 "mapping spec '%s' has no explicit masks",
-                 text_.c_str());
-    return masks_;
-}
-
 // -------------------------------------------------------- MappingFunction
 
 MappingFunction::MappingFunction(const Organization &org,
                                  std::uint32_t channels,
                                  const MappingSpec &spec)
-    : spec_(spec), channels_(channels)
+    : spec_(spec), org_(org), channels_(channels)
 {
     LEAKY_ASSERT(channels_ > 0, "need at least one channel");
     const std::array<std::uint64_t, kNumFields> sizes = {
@@ -523,10 +488,10 @@ MappingFunction::MappingFunction(const Organization &org,
                  "mapped address space out of range (%u line bits)",
                  total_bits_);
     fwd_.assign(total_bits_, 0);
-    if (spec_.kind() == MappingSpec::Kind::kXor)
-        compileMasks(spec_.masks());
+    if (spec_.is_xor_)
+        compileMasks(spec_.masks_);
     else
-        compileOrder(spec_.order());
+        compileOrder(spec_.order_);
     invert();
 
     // Plain-field fast path: a field whose forward rows are one
@@ -561,11 +526,6 @@ MappingFunction::MappingFunction(const Organization &org,
 void
 MappingFunction::compileOrder(const std::array<Field, kNumFields> &order)
 {
-    std::uint32_t seen = 0;
-    for (Field f : order)
-        seen |= 1u << indexOf(f);
-    LEAKY_ASSERT(seen == (1u << kNumFields) - 1,
-                 "mapper order is not a permutation of all fields");
     // Least-to-most significant: slot i's field takes the next
     // width(f) line bits — exactly the mixed-radix digit layout of
     // the legacy mapper for power-of-two sizes.
@@ -660,30 +620,15 @@ MappingFunction::fieldSize(Field f) const
     return 1u << widths_[indexOf(f)];
 }
 
-std::uint64_t
-MappingFunction::outputMask(Field f, std::uint32_t bit) const
+std::array<std::vector<std::uint64_t>, kNumFields>
+MappingFunction::masks() const
 {
-    LEAKY_ASSERT(bit < fieldWidth(f), "field %s has no output bit %u",
-                 fieldName(f), bit);
-    return fwd_[fieldOffset(f) + bit] << kLineShift;
-}
-
-std::vector<std::uint64_t>
-MappingFunction::fieldMasks(Field f) const
-{
-    std::vector<std::uint64_t> out;
-    for (std::uint32_t j = 0; j < fieldWidth(f); ++j)
-        out.push_back(outputMask(f, j));
-    return out;
-}
-
-MappingSpec
-MappingFunction::asXorSpec() const
-{
-    std::array<std::vector<std::uint64_t>, kNumFields> masks{};
+    std::array<std::vector<std::uint64_t>, kNumFields> out{};
     for (Field f : kCanonicalFields)
-        masks[indexOf(f)] = fieldMasks(f);
-    return MappingSpec::fromMasks(masks);
+        for (std::uint32_t j = 0; j < fieldWidth(f); ++j)
+            out[indexOf(f)].push_back(fwd_[fieldOffset(f) + j]
+                                      << kLineShift);
+    return out;
 }
 
 Address

@@ -9,13 +9,15 @@
  * mounting the channel; attack::MappingRecovery learns one online.
  *
  * Three layers:
- *  - MappingSpec: the declarative description (a named preset, a field
- *    order, or an explicit `xor:` matrix) — cheap to copy/compare,
- *    geometry-independent, the type SystemConfig carries.
+ *  - MappingSpec: the declarative description (a field order — the
+ *    named presets are field orders — or an explicit `xor:` matrix) —
+ *    cheap to copy/compare, geometry-independent, the type
+ *    SystemConfig carries.
  *  - MappingFunction: the spec compiled against a concrete geometry
  *    into a validated GF(2) bit matrix with its inverse. Construction
- *    rejects non-invertible matrices (the XOR-family analogue of the
- *    old "order must be a permutation" assert).
+ *    rejects non-invertible matrices. It is also the system's mapper
+ *    (sys::System::mapper()): decode() fills the cached flat-bank
+ *    indices, compose() is the attacker's page massaging.
  *  - gf2: the small Gaussian-elimination toolkit both the compiler and
  *    the mapping-recovery attacker use.
  */
@@ -45,38 +47,13 @@ inline constexpr std::size_t kNumFields = 6;
 const char *fieldName(Field f);
 
 /**
- * Named physical-to-DRAM mapping presets (the reverse-engineering
- * targets of §5.2). Each is a pure bit permutation: a full field
- * order, least to most significant. The presets only differ in
- * observable behaviour when traffic is generated in *physical*
- * addresses — attacks that compose coordinates through the system's
- * own mapper are order-invariant by construction, which is exactly
- * what the `mapping-order` figure exploits to model attackers with a
- * *wrong* mapping assumption.
+ * Names of the preset mappings (the reverse-engineering targets of
+ * §5.2), in a stable order: a name's position in this list is its
+ * CSV encoding (0, 1, 2) in the `mapping-order` figure. Each preset is
+ * a named field order — a pure bit permutation, spelled
+ * `order:...` as well — defined in mapping.cc.
  */
-enum class MappingPreset : std::uint8_t {
-    /** column, bankgroup, bank, rank, row, channel — the default:
-     *  consecutive lines walk a row, then interleave bank groups. */
-    kRowInterleaved,
-    /** bankgroup, bank, rank, column, row, channel — bank bits at the
-     *  LSB end, so consecutive lines stripe across banks first. */
-    kBankFirst,
-    /** column, row, bankgroup, bank, rank, channel — channel stays the
-     *  most-significant field but each bank's rows are physically
-     *  contiguous below it (no bank interleaving). */
-    kChannelLast,
-};
-
-/** All presets, for sweeps and tests. */
-inline constexpr MappingPreset kAllMappingPresets[] = {
-    MappingPreset::kRowInterleaved, MappingPreset::kBankFirst,
-    MappingPreset::kChannelLast};
-
-/** Field order of a preset (least to most significant). */
-std::array<Field, kNumFields> presetOrder(MappingPreset preset);
-
-/** Stable CLI/CSV name of a preset ("row-interleaved", ...). */
-const char *presetName(MappingPreset preset);
+const std::vector<std::string> &mappingPresets();
 
 // ------------------------------------------------------------ gf2 utils
 
@@ -122,10 +99,10 @@ std::vector<std::uint64_t> annihilator(const BitBasis &basis,
 
 /**
  * Declarative mapping description — what SystemConfig carries and the
- * CLI parses. One of:
- *  - a named preset (`"row-interleaved"`, ...): the default family;
- *  - a custom field order (the legacy constructor-adapter form,
- *    spelled `"order:col,bg,ba,ra,row,ch"`);
+ * CLI parses. Either:
+ *  - a field order, least to most significant: a preset name
+ *    (`"row-interleaved"`, see mappingPresets()) or a custom
+ *    `"order:col,bg,ba,ra,row,ch"` list;
  *  - an explicit XOR matrix (`"xor:..."`, grammar below).
  *
  * `xor:` grammar — semicolon-separated field definitions:
@@ -144,24 +121,16 @@ std::vector<std::uint64_t> annihilator(const BitBasis &basis,
  * sizes; the matrix must be invertible) happen when the spec is
  * compiled into a MappingFunction — a spec alone is geometry-free.
  * Equality is canonical-text equality: specs are normalized at
- * construction (fields in canonical order, bits ascending), so two
- * spellings of the same matrix compare equal, but a preset never
+ * construction (an order equal to a preset's prints as the preset
+ * name; xor fields in canonical order, bits ascending), so two
+ * spellings of the same spec compare equal, but a field order never
  * equals the `xor:` spelling of the same function.
  */
 class MappingSpec
 {
   public:
-    enum class Kind : std::uint8_t { kPreset, kOrder, kXor };
-
     /** Defaults to the paper's row-interleaved mapping. */
-    MappingSpec() : MappingSpec(MappingPreset::kRowInterleaved) {}
-
-    /** Implicit: presets are the common spelling at call sites. */
-    MappingSpec(MappingPreset preset); // NOLINT(google-explicit-*)
-
-    /** A raw field order (collapsed onto the preset it equals). */
-    static MappingSpec
-    fieldOrder(const std::array<Field, kNumFields> &order);
+    MappingSpec();
 
     /** Explicit XOR matrix from per-field output-bit masks over
      *  physical address bits (masks[field][j] = inputs of output bit
@@ -183,19 +152,6 @@ class MappingSpec
      *  parse(str()) == *this. */
     const std::string &str() const { return text_; }
 
-    Kind kind() const { return kind_; }
-    bool isPreset() const { return kind_ == Kind::kPreset; }
-    MappingPreset preset() const; ///< Asserts isPreset().
-
-    /** Field order (preset / order kinds only; asserted). */
-    const std::array<Field, kNumFields> &order() const;
-
-    /** Per-field XOR masks over physical bits (xor kind only;
-     *  asserted). masks()[f] has one entry per output bit, LSB
-     *  first; an empty vector is a zero-width field. */
-    const std::array<std::vector<std::uint64_t>, kNumFields> &
-    masks() const;
-
     bool
     operator==(const MappingSpec &other) const
     {
@@ -208,13 +164,18 @@ class MappingSpec
     }
 
   private:
-    MappingSpec(Kind kind, MappingPreset preset,
-                const std::array<Field, kNumFields> &order,
-                std::array<std::vector<std::uint64_t>, kNumFields> masks);
+    /** MappingFunction compiles the order or masks below. */
+    friend class MappingFunction;
 
-    Kind kind_ = Kind::kPreset;
-    MappingPreset preset_ = MappingPreset::kRowInterleaved;
+    explicit MappingSpec(const std::array<Field, kNumFields> &order);
+    explicit MappingSpec(
+        std::array<std::vector<std::uint64_t>, kNumFields> masks);
+
+    bool is_xor_ = false;
+    /** Field order, least to most significant (order specs). */
     std::array<Field, kNumFields> order_{};
+    /** Per-field XOR masks over physical bits (xor specs): one entry
+     *  per output bit, LSB first; empty = zero-width field. */
     std::array<std::vector<std::uint64_t>, kNumFields> masks_{};
     std::string text_;
 };
@@ -249,12 +210,20 @@ class MappingFunction
     /** Encode coordinates into a line index (asserts field ranges). */
     std::uint64_t composeLine(const Address &addr) const;
 
-    /** Physical-address conveniences (wrap / line-align included). */
+    /** Decode a physical byte address (wrapped to capacity, offset
+     *  within the line ignored) and fill the cached flat bank/group
+     *  indices the channel, scheduler and defense hot paths read. */
     Address
     decode(std::uint64_t phys_addr) const
     {
-        return decodeLine((phys_addr % capacityBytes()) / kLineBytes);
+        Address out =
+            decodeLine((phys_addr % capacityBytes()) / kLineBytes);
+        org_.annotate(out);
+        return out;
     }
+
+    /** Encode coordinates into a physical (line-aligned) address —
+     *  how attack processes massage pages into chosen rows/banks. */
     std::uint64_t
     compose(const Address &addr) const
     {
@@ -262,6 +231,8 @@ class MappingFunction
     }
 
     const MappingSpec &spec() const { return spec_; }
+    /** Channel geometry this function was compiled against. */
+    const Organization &org() const { return org_; }
     std::uint32_t channels() const { return channels_; }
 
     /** Mapped line bits: capacityBytes() == 64 << totalBits(). */
@@ -275,18 +246,12 @@ class MappingFunction
     std::uint32_t fieldWidth(Field f) const;
     std::uint32_t fieldSize(Field f) const; ///< 1u << fieldWidth(f).
 
-    /** XOR mask over PHYSICAL address bits feeding output bit @p bit
-     *  of field @p f — the ground truth the mapping-recovery figure
-     *  verifies the attacker against. */
-    std::uint64_t outputMask(Field f, std::uint32_t bit) const;
-
-    /** outputMask over all bits of @p f (the field's function rows). */
-    std::vector<std::uint64_t> fieldMasks(Field f) const;
-
-    /** The compiled matrix re-spelled as an explicit `xor:` spec —
-     *  the bridge from the preset family into the XOR family (used to
-     *  derive "preset + folded bits" variants). */
-    MappingSpec asXorSpec() const;
+    /** The compiled matrix as per-field XOR masks over PHYSICAL
+     *  address bits: masks()[f][j] feeds output bit j of field f. The
+     *  ground truth the mapping-recovery figure grades the attacker
+     *  against; MappingSpec::fromMasks(masks()) re-spells any
+     *  function as an explicit `xor:` spec. */
+    std::array<std::vector<std::uint64_t>, kNumFields> masks() const;
 
   private:
     std::uint32_t fieldOffset(Field f) const;
@@ -296,6 +261,7 @@ class MappingFunction
     void invert();
 
     MappingSpec spec_;
+    Organization org_;
     std::uint32_t channels_ = 1;
     std::uint32_t total_bits_ = 0;
     /** Field widths / packed offsets in canonical field order. */

@@ -54,7 +54,7 @@ struct Address {
 
     /**
      * Cached flat (rank, bankgroup, bank) index within the channel,
-     * filled by AddressMapper::decode / Organization::annotate so the
+     * filled by MappingFunction::decode / Organization::annotate so the
      * channel and scheduler hot paths skip the flattening multiplies.
      * kNoFlat means "not cached"; consumers fall back to computing it.
      * Mutating rank/bankgroup/bank invalidates the cache -- re-annotate.

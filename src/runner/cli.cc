@@ -106,7 +106,7 @@ cmdList(int argc, char **argv)
     core::Table demos({"demo", "flags", "scenario"});
     demos.addRow({"quickstart", "-",
                   "Listing-1 latency probe, Fig. 2 bands"});
-    demos.addRow({"covert", "--message <s>",
+    demos.addRow({"covert", "--message <s> --mapping <spec>",
                   "transmit text over both covert channels"});
     demos.addRow({"fingerprint", "--sites <n> --loads <n>",
                   "website fingerprinting + classifier"});
@@ -578,6 +578,8 @@ cmdHelp(int argc, char **argv)
             "usage: leakyhammer run <demo> [flags]\n"
             "  quickstart                 no flags\n"
             "  covert [--message <s>]     default MICRO\n"
+            "         [--mapping <spec>]  default row-interleaved\n"
+            "                             (preset|order:...|xor:...)\n"
             "  fingerprint [--sites <n>] [--loads <n>]\n"
             "  mitigation [--nrh <n>]     default 256\n");
         return kOk;

@@ -100,12 +100,11 @@ runQuickstartDemo()
 }
 
 int
-runCovertDemo(const std::string &message, const std::string &mapping)
+runCovertDemo(const std::string &message, const dram::MappingSpec &mapping)
 {
-    const dram::MappingSpec spec = dram::MappingSpec::parse(mapping);
-    std::printf("address mapping: %s\n", spec.str().c_str());
-    covertOneChannel(attack::ChannelKind::kPrac, message, spec);
-    covertOneChannel(attack::ChannelKind::kRfm, message, spec);
+    std::printf("address mapping: %s\n", mapping.str().c_str());
+    covertOneChannel(attack::ChannelKind::kPrac, message, mapping);
+    covertOneChannel(attack::ChannelKind::kRfm, message, mapping);
     return 0;
 }
 
@@ -242,7 +241,7 @@ covertMain(int argc, char **argv, const char *prog)
     dram::MappingSpec spec;
     if (!dram::MappingSpec::tryParse(mapping, &spec, &error))
         return usageError(prog, "bad --mapping: " + error, usage);
-    return runCovertDemo(message, mapping);
+    return runCovertDemo(message, spec);
 }
 
 int

@@ -12,16 +12,18 @@
 #include <cstdint>
 #include <string>
 
+#include "dram/mapping.hh"
+
 namespace leaky::runner {
 
 /** Listing-1 latency probe against PRAC; the Fig. 2 bands. */
 int runQuickstartDemo();
 
 /** Transmit @p message over the PRAC and RFM covert channels, with
- *  the system decoding through @p mapping (a validated MappingSpec —
- *  preset, order:, or xor: form; see docs/EXPERIMENTS.md). */
+ *  the system decoding through @p mapping (preset, order:, or xor:
+ *  form; see docs/EXPERIMENTS.md). */
 int runCovertDemo(const std::string &message,
-                  const std::string &mapping = "row-interleaved");
+                  const dram::MappingSpec &mapping);
 
 /** Collect fingerprints, train the classifier, report accuracy. */
 int runFingerprintDemo(std::uint32_t sites, std::uint32_t loads);

@@ -30,13 +30,11 @@
 
 #include "core/experiments.hh"
 #include "core/report.hh"
-#include "dram/address_mapper.hh"
+#include "dram/mapping.hh"
 
 namespace leaky::runner {
 
 namespace {
-
-using dram::MappingPreset;
 
 // ------------------------------------------ cross-channel isolation
 
@@ -216,6 +214,15 @@ channelScalingFigure()
 
 // ------------------------------------- mapping-order sensitivity
 
+/** The preset a `mapping-order` CSV cell encodes: its position in
+ *  dram::mappingPresets(). */
+dram::MappingSpec
+presetAt(double index)
+{
+    return dram::MappingSpec::parse(
+        dram::mappingPresets().at(static_cast<std::size_t>(index)));
+}
+
 Figure
 mappingOrderFigure()
 {
@@ -238,10 +245,8 @@ mappingOrderFigure()
         spec.columns = {"actual", "assumed", "match", "raw_bit_rate",
                         "error_probability", "capacity", "backoffs"};
         spec.job = [bytes](const Job &job) -> JobRows {
-            const auto actual = static_cast<MappingPreset>(
-                static_cast<int>(job.param("actual")));
-            const auto assumed = static_cast<MappingPreset>(
-                static_cast<int>(job.param("assumed")));
+            const auto actual = presetAt(job.param("actual"));
+            const auto assumed = presetAt(job.param("assumed"));
             // The system decodes through the actual mapping while the
             // attacker composes through the assumed one. A non-trivial
             // bank (bg 2, bank 1) keeps the functions distinguishable:
@@ -267,10 +272,8 @@ mappingOrderFigure()
         core::Table table({"actual", "assumed", "error prob",
                            "capacity (Kbps)", "back-offs"});
         for (const auto &row : result.rows)
-            table.addRow({dram::presetName(static_cast<MappingPreset>(
-                              static_cast<int>(row[0]))),
-                          dram::presetName(static_cast<MappingPreset>(
-                              static_cast<int>(row[1]))),
+            table.addRow({presetAt(row[0]).str(),
+                          presetAt(row[1]).str(),
                           core::fmt(row[4], 3),
                           core::fmt(row[5] / 1000.0, 1),
                           core::fmt(row[6], 0)});

@@ -12,7 +12,7 @@
 #include <cstdint>
 #include <functional>
 
-#include "dram/address_mapper.hh"
+#include "dram/mapping.hh"
 #include "sim/tick.hh"
 
 namespace leaky::sys {
@@ -47,7 +47,7 @@ class MemoryPort
                             std::int32_t source) = 0;
 
     /** Physical-address <-> DRAM-coordinate mapping. */
-    virtual const dram::AddressMapper &mapper() const = 0;
+    virtual const dram::MappingFunction &mapper() const = 0;
 };
 
 } // namespace leaky::sys

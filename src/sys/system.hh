@@ -15,7 +15,7 @@
 
 #include "ctrl/controller.hh"
 #include "defense/factory.hh"
-#include "dram/address_mapper.hh"
+#include "dram/mapping.hh"
 #include "sim/event_queue.hh"
 #include "sys/port.hh"
 
@@ -24,8 +24,8 @@ namespace leaky::sys {
 /** Whole-system configuration. */
 struct SystemConfig {
     std::uint32_t channels = 1;
-    /** Physical-to-DRAM mapping (§5.2 mapping diversity): a preset
-     *  name, field order, or XOR-function matrix. The mapped address
+    /** Physical-to-DRAM mapping (§5.2 mapping diversity): a field
+     *  order (a preset name or `order:` list) or XOR-function matrix. The mapped address
      *  space spans `channels` x the per-channel capacity regardless
      *  of the function chosen. */
     dram::MappingSpec mapping;
@@ -84,7 +84,7 @@ class System final : public MemoryPort
     void issueRead(std::uint64_t phys_addr, std::int32_t source,
                    ReadCallback cb) override;
     void issueWrite(std::uint64_t phys_addr, std::int32_t source) override;
-    const dram::AddressMapper &mapper() const override { return mapper_; }
+    const dram::MappingFunction &mapper() const override { return mapper_; }
 
   private:
     /**
@@ -117,7 +117,7 @@ class System final : public MemoryPort
 
     SystemConfig cfg_;
     sim::EventQueue eq_;
-    dram::AddressMapper mapper_;
+    dram::MappingFunction mapper_;
     std::vector<std::unique_ptr<ctrl::MemoryController>> ctrls_;
     std::vector<defense::DefenseBundle> bundles_;
     std::deque<PendingSlot> pending_;

@@ -88,7 +88,7 @@ appsWithIntensity(Intensity level)
 }
 
 std::vector<TraceEntry>
-generateTrace(const AppSpec &app, const dram::AddressMapper &mapper,
+generateTrace(const AppSpec &app, const dram::MappingFunction &mapper,
               std::uint32_t records)
 {
     LEAKY_ASSERT(app.mpki > 0.0 && app.rbmpki > 0.0 &&

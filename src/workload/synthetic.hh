@@ -15,7 +15,7 @@
 #include <string>
 #include <vector>
 
-#include "dram/address_mapper.hh"
+#include "dram/mapping.hh"
 #include "sys/core.hh"
 
 namespace leaky::workload {
@@ -63,7 +63,7 @@ std::vector<AppSpec> appsWithIntensity(Intensity level);
  * regardless of the mapping configuration.
  */
 std::vector<TraceEntry> generateTrace(const AppSpec &app,
-                                      const dram::AddressMapper &mapper,
+                                      const dram::MappingFunction &mapper,
                                       std::uint32_t records);
 
 /** A multiprogrammed mix: one AppSpec per core. */

@@ -52,7 +52,7 @@ struct Phase {
 
 std::vector<sys::TraceEntry>
 generateWebsiteTrace(const WebsiteTraceConfig &cfg,
-                     const dram::AddressMapper &mapper)
+                     const dram::MappingFunction &mapper)
 {
     const auto &org = mapper.org();
     LEAKY_ASSERT(cfg.site < websiteNames().size(), "site index %u >= 40",

@@ -27,7 +27,7 @@
 #include <string>
 #include <vector>
 
-#include "dram/address_mapper.hh"
+#include "dram/mapping.hh"
 #include "sys/core.hh"
 
 namespace leaky::workload {
@@ -54,7 +54,7 @@ struct WebsiteTraceConfig {
  */
 std::vector<sys::TraceEntry>
 generateWebsiteTrace(const WebsiteTraceConfig &cfg,
-                     const dram::AddressMapper &mapper);
+                     const dram::MappingFunction &mapper);
 
 } // namespace leaky::workload
 

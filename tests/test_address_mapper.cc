@@ -1,21 +1,26 @@
-/** @file AddressMapper tests: decode/compose round trips, field order. */
+/** @file System-mapping tests: MappingFunction's physical-address
+ *  decode/compose round trips and the preset field orders. */
 
 #include <gtest/gtest.h>
 
-#include "dram/address_mapper.hh"
+#include <string>
+#include <vector>
+
+#include "dram/mapping.hh"
 #include "sim/rng.hh"
 
 namespace {
 
 using leaky::dram::Address;
-using leaky::dram::AddressMapper;
-using leaky::dram::Field;
+using leaky::dram::mappingPresets;
+using leaky::dram::MappingFunction;
+using leaky::dram::MappingSpec;
 using leaky::dram::Organization;
 
 TEST(AddressMapper, CapacityMatchesGeometry)
 {
     Organization org;
-    AddressMapper mapper(org, 1);
+    MappingFunction mapper(org, 1, MappingSpec{});
     const std::uint64_t expected = 64ull * org.columns * org.bankgroups *
                                    org.banks_per_group * org.ranks *
                                    org.rows;
@@ -25,7 +30,7 @@ TEST(AddressMapper, CapacityMatchesGeometry)
 TEST(AddressMapper, ConsecutiveLinesWalkColumnsFirst)
 {
     Organization org;
-    AddressMapper mapper(org, 1);
+    MappingFunction mapper(org, 1, MappingSpec{});
     const auto a0 = mapper.decode(0);
     const auto a1 = mapper.decode(64);
     EXPECT_EQ(a0.column + 1, a1.column);
@@ -36,7 +41,7 @@ TEST(AddressMapper, ConsecutiveLinesWalkColumnsFirst)
 TEST(AddressMapper, OffsetWithinLineIgnored)
 {
     Organization org;
-    AddressMapper mapper(org, 1);
+    MappingFunction mapper(org, 1, MappingSpec{});
     const auto a = mapper.decode(4096);
     const auto b = mapper.decode(4096 + 63);
     EXPECT_TRUE(a.sameRow(b));
@@ -46,7 +51,7 @@ TEST(AddressMapper, OffsetWithinLineIgnored)
 TEST(AddressMapper, ComposeDecodesBack)
 {
     Organization org;
-    AddressMapper mapper(org, 2);
+    MappingFunction mapper(org, 2, MappingSpec{});
     Address addr;
     addr.channel = 1;
     addr.rank = 1;
@@ -67,54 +72,38 @@ TEST(AddressMapper, ComposeDecodesBack)
 TEST(AddressMapperDeath, ComposeRejectsOutOfRangeFields)
 {
     Organization org;
-    AddressMapper mapper(org, 1);
+    MappingFunction mapper(org, 1, MappingSpec{});
     Address addr;
     addr.bankgroup = org.bankgroups; // One past the end.
     EXPECT_DEATH(mapper.compose(addr), "out of range");
 }
 
-TEST(AddressMapperDeath, RejectsNonPermutationOrders)
-{
-    Organization org;
-    // kRow duplicated, kColumn missing: before validation this built a
-    // mapper whose decode/compose round trips silently corrupted.
-    EXPECT_DEATH(AddressMapper(org, 1,
-                               leaky::dram::MappingSpec::fieldOrder(
-                                   {Field::kRow, Field::kBankGroup,
-                                    Field::kBank, Field::kRank,
-                                    Field::kRow, Field::kChannel})),
-                 "permutation");
-}
-
 TEST(AddressMapper, PresetOrdersArePermutations)
 {
     Organization org;
-    for (auto preset : leaky::dram::kAllMappingPresets) {
+    for (const std::string &preset : mappingPresets()) {
         // Construction validates the order; capacity is preset-
         // independent (a permutation never changes the field product).
-        AddressMapper mapper(org, 4, preset);
-        AddressMapper reference(org, 4);
+        MappingFunction mapper(org, 4, MappingSpec::parse(preset));
+        MappingFunction reference(org, 4, MappingSpec{});
         EXPECT_EQ(mapper.capacityBytes(), reference.capacityBytes())
-            << leaky::dram::presetName(preset);
+            << preset;
     }
 }
 
+/** The names and their order are the CLI and CSV surface: a preset's
+ *  position is its `mapping-order` CSV encoding. */
 TEST(AddressMapper, PresetNamesAreStable)
 {
-    using leaky::dram::MappingPreset;
-    using leaky::dram::presetName;
-    EXPECT_STREQ(presetName(MappingPreset::kRowInterleaved),
-                 "row-interleaved");
-    EXPECT_STREQ(presetName(MappingPreset::kBankFirst), "bank-first");
-    EXPECT_STREQ(presetName(MappingPreset::kChannelLast),
-                 "channel-last");
+    EXPECT_EQ(mappingPresets(),
+              (std::vector<std::string>{"row-interleaved", "bank-first",
+                                        "channel-last"}));
 }
 
 TEST(AddressMapper, BankFirstStripesConsecutiveLinesAcrossBanks)
 {
     Organization org;
-    AddressMapper mapper(org, 1,
-                         leaky::dram::MappingPreset::kBankFirst);
+    MappingFunction mapper(org, 1, MappingSpec::parse("bank-first"));
     const auto a0 = mapper.decode(0);
     const auto a1 = mapper.decode(64);
     EXPECT_FALSE(a0.sameBank(a1)); // Bank fields at the LSB end.
@@ -126,11 +115,12 @@ TEST(AddressMapper, BankFirstStripesConsecutiveLinesAcrossBanks)
 TEST(AddressMapper, PresetsRoundTripRandomCoordinates)
 {
     Organization org;
-    for (auto preset : leaky::dram::kAllMappingPresets) {
+    for (std::uint32_t index = 0; index < mappingPresets().size();
+         ++index) {
         for (std::uint32_t channels : {1u, 2u, 4u}) {
-            AddressMapper mapper(org, channels, preset);
-            leaky::sim::Rng rng(channels * 7 +
-                                static_cast<std::uint32_t>(preset));
+            MappingFunction mapper(
+                org, channels, MappingSpec::parse(mappingPresets()[index]));
+            leaky::sim::Rng rng(channels * 7 + index);
             for (int i = 0; i < 200; ++i) {
                 Address addr;
                 addr.channel =
@@ -164,7 +154,7 @@ TEST_P(MapperRoundTrip, RandomRoundTrips)
 {
     Organization org;
     const auto channels = GetParam();
-    AddressMapper mapper(org, channels);
+    MappingFunction mapper(org, channels, MappingSpec{});
     leaky::sim::Rng rng(channels);
     for (int i = 0; i < 500; ++i) {
         Address addr;
@@ -189,11 +179,8 @@ INSTANTIATE_TEST_SUITE_P(Channels, MapperRoundTrip,
 TEST(AddressMapper, AlternativeFieldOrderStillRoundTrips)
 {
     Organization org;
-    AddressMapper mapper(org, 1,
-                         leaky::dram::MappingSpec::fieldOrder(
-                             {Field::kBank, Field::kColumn, Field::kRank,
-                              Field::kBankGroup, Field::kRow,
-                              Field::kChannel}));
+    MappingFunction mapper(org, 1,
+                           MappingSpec::parse("order:ba,col,ra,bg,row,ch"));
     Address addr;
     addr.rank = 1;
     addr.bankgroup = 3;
@@ -205,14 +192,13 @@ TEST(AddressMapper, AlternativeFieldOrderStillRoundTrips)
     EXPECT_EQ(back.column, addr.column);
 }
 
-/** fieldOrder canonicalizes a preset-equal order onto the preset. */
+/** An order equal to a preset's is that preset: same spec, same
+ *  canonical name. */
 TEST(AddressMapper, FieldOrderCollapsesPresetEqualOrder)
 {
-    const std::array<Field, leaky::dram::kNumFields> order = {
-        Field::kBankGroup, Field::kBank, Field::kRank,
-        Field::kColumn,    Field::kRow,  Field::kChannel};
-    EXPECT_EQ(leaky::dram::MappingSpec::fieldOrder(order).str(),
-              "bank-first");
+    const MappingSpec order = MappingSpec::parse("order:bg,ba,ra,col,row,ch");
+    EXPECT_EQ(order.str(), "bank-first");
+    EXPECT_EQ(order, MappingSpec::parse("bank-first"));
 }
 
 } // namespace

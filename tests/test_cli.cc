@@ -57,6 +57,10 @@ TEST(CliErrors, MalformedValuesAreUsageErrors)
     EXPECT_EQ(runCli({"fuzz", "--seed", "abc"}), 2);
     EXPECT_EQ(runCli({"fuzz", "--threads", "1.5"}), 2);
     EXPECT_EQ(runCli({"campaign", "--shards", "zero"}), 2);
+    EXPECT_EQ(runCli({"run", "covert", "--mapping", "bogus"}), 2);
+    EXPECT_EQ(runCli({"run", "covert", "--mapping",
+                      "order:col,col,ba,ra,row,ch"}),
+              2);
 }
 
 TEST(CliErrors, MissingRequiredArgumentsAreUsageErrors)

@@ -77,11 +77,8 @@ TEST(Experiments, XorRespellingOfPresetGivesIdenticalChannel)
     const dram::MappingFunction fn(preset.system.ctrl.dram.org,
                                    preset.system.channels,
                                    preset.system.mapping);
-    std::array<std::vector<std::uint64_t>, dram::kNumFields> masks;
-    for (std::size_t f = 0; f < dram::kNumFields; ++f)
-        masks[f] = fn.fieldMasks(static_cast<dram::Field>(f));
     core::CovertScenario xored = preset;
-    xored.system.mapping = dram::MappingSpec::fromMasks(masks);
+    xored.system.mapping = dram::MappingSpec::fromMasks(fn.masks());
     ASSERT_NE(xored.system.mapping.str(), preset.system.mapping.str());
 
     const auto a = core::runScenario(preset).pairs.front();

@@ -7,16 +7,16 @@
 #include <string>
 #include <vector>
 
+#include "core/experiments.hh"
 #include "dram/mapping.hh"
 #include "sim/rng.hh"
 
 namespace {
 
 using leaky::dram::Address;
-using leaky::dram::Field;
 using leaky::dram::kNumFields;
+using leaky::dram::mappingPresets;
 using leaky::dram::MappingFunction;
-using leaky::dram::MappingPreset;
 using leaky::dram::MappingSpec;
 using leaky::dram::Organization;
 namespace gf2 = leaky::dram::gf2;
@@ -138,14 +138,15 @@ TEST(MappingSpec, ParseRejectTable)
 
 TEST(MappingSpec, EqualityIsCanonicalText)
 {
-    const MappingSpec preset(MappingPreset::kRowInterleaved);
+    const MappingSpec preset = MappingSpec::parse("row-interleaved");
     EXPECT_EQ(preset, MappingSpec::parse("order:col,bg,ba,ra,row,ch"));
+    EXPECT_EQ(preset, MappingSpec{});
     // A preset never equals the xor: spelling of the same function —
     // sweep axes distinguish the two deliberately.
     const MappingFunction fn(Organization{}, 1, preset);
-    EXPECT_NE(preset, fn.asXorSpec());
-    EXPECT_EQ(fn.asXorSpec(),
-              MappingSpec::parse(fn.asXorSpec().str()));
+    const MappingSpec xored = MappingSpec::fromMasks(fn.masks());
+    EXPECT_NE(preset, xored);
+    EXPECT_EQ(xored, MappingSpec::parse(xored.str()));
 }
 
 // --------------------------------------------------- MappingFunction
@@ -153,18 +154,18 @@ TEST(MappingSpec, EqualityIsCanonicalText)
 TEST(MappingFunction, PresetsMatchTheirXorRespelling)
 {
     Organization org;
-    for (MappingPreset preset : leaky::dram::kAllMappingPresets) {
+    for (const std::string &preset : mappingPresets()) {
         for (std::uint32_t channels : {1u, 2u}) {
-            const MappingFunction fn(org, channels, preset);
+            const MappingFunction fn(org, channels,
+                                     MappingSpec::parse(preset));
             // Every preset is a pure bit permutation...
-            for (std::size_t i = 0; i < kNumFields; ++i) {
-                const auto f = static_cast<Field>(i);
-                for (std::uint32_t j = 0; j < fn.fieldWidth(f); ++j)
-                    EXPECT_EQ(
-                        __builtin_popcountll(fn.outputMask(f, j)), 1);
-            }
+            const auto masks = fn.masks();
+            for (const auto &field_masks : masks)
+                for (std::uint64_t mask : field_masks)
+                    EXPECT_EQ(__builtin_popcountll(mask), 1);
             // ...and its explicit xor: respelling decodes identically.
-            const MappingFunction xor_fn(org, channels, fn.asXorSpec());
+            const MappingFunction xor_fn(org, channels,
+                                         MappingSpec::fromMasks(masks));
             leaky::sim::Rng rng(17 * channels);
             for (int i = 0; i < 200; ++i) {
                 const std::uint64_t line =
@@ -179,6 +180,52 @@ TEST(MappingFunction, PresetsMatchTheirXorRespelling)
     }
 }
 
+/** decode() fills the cached flat bank / bank-group indices the
+ *  channel, scheduler and defense hot paths read — for permutation
+ *  and XOR mappings alike — while decodeLine() stays raw. */
+TEST(MappingFunction, DecodeFillsFlatBankCaches)
+{
+    Organization org;
+    std::vector<std::pair<std::string, MappingSpec>> specs;
+    for (const std::string &preset : mappingPresets())
+        specs.push_back({preset, MappingSpec::parse(preset)});
+    for (const auto &c : leaky::core::recoveryMappings())
+        if (c.name == "xor-far")
+            specs.push_back({c.name, c.spec});
+    ASSERT_EQ(specs.size(), mappingPresets().size() + 1);
+
+    for (const auto &[name, spec] : specs) {
+        for (std::uint32_t channels : {1u, 2u}) {
+            MappingSpec sized = spec;
+            if (channels == 2 && name == "xor-far") {
+                // xor-far is spelled for one channel; at two it gains
+                // the next physical bit as its channel function.
+                const MappingFunction one(org, 1, spec);
+                auto masks = one.masks();
+                masks[static_cast<std::size_t>(
+                    leaky::dram::Field::kChannel)] = {one.capacityBytes()};
+                sized = MappingSpec::fromMasks(masks);
+            }
+            const MappingFunction fn(org, channels, sized);
+            leaky::sim::Rng rng(31 * channels);
+            for (int i = 0; i < 200; ++i) {
+                const std::uint64_t phys = rng.below(fn.capacityBytes());
+                const Address a = fn.decode(phys);
+                EXPECT_EQ(a.flat_bank,
+                          org.flatBank(a.rank, a.bankgroup, a.bank))
+                    << name << " @ " << channels << " channels";
+                EXPECT_EQ(a.flat_group,
+                          a.rank * org.bankgroups + a.bankgroup)
+                    << name << " @ " << channels << " channels";
+                const Address raw = fn.decodeLine(
+                    phys / MappingFunction::kLineBytes);
+                EXPECT_TRUE(raw.sameRow(a));
+                EXPECT_EQ(raw.flat_bank, Address::kNoFlat);
+            }
+        }
+    }
+}
+
 /** Apply @p ops random GF(2) row operations (add output row k to
  *  output row j) to a permutation matrix — each op is elementary, so
  *  the result is a uniform-ish random sample of invertible mappings
@@ -187,9 +234,7 @@ std::array<std::vector<std::uint64_t>, kNumFields>
 randomInvertibleMasks(const MappingFunction &base, leaky::sim::Rng &rng,
                       int ops)
 {
-    std::array<std::vector<std::uint64_t>, kNumFields> masks{};
-    for (std::size_t i = 0; i < kNumFields; ++i)
-        masks[i] = base.fieldMasks(static_cast<Field>(i));
+    auto masks = base.masks();
     std::vector<std::pair<std::size_t, std::size_t>> rows;
     for (std::size_t i = 0; i < kNumFields; ++i)
         for (std::size_t j = 0; j < masks[i].size(); ++j)
@@ -208,7 +253,7 @@ TEST(MappingFunction, RandomInvertibleMatricesRoundTrip)
 {
     Organization org;
     leaky::sim::Rng rng(2026);
-    const MappingFunction base(org, 2, MappingPreset::kRowInterleaved);
+    const MappingFunction base(org, 2, MappingSpec{});
     for (int trial = 0; trial < 20; ++trial) {
         const auto masks = randomInvertibleMasks(base, rng, 40);
         const MappingFunction fn(org, 2,

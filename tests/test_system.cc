@@ -194,7 +194,7 @@ TEST(System, ScalingFiguresAreThreadCountInvariant)
 TEST(System, MappingPresetReachesTheMapper)
 {
     SystemConfig cfg = SystemConfig::paper(DefenseKind::kNone);
-    cfg.mapping = leaky::dram::MappingPreset::kBankFirst;
+    cfg.mapping = leaky::dram::MappingSpec::parse("bank-first");
     System system(cfg);
     const auto a0 = system.mapper().decode(0);
     const auto a1 = system.mapper().decode(64);

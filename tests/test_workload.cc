@@ -10,7 +10,8 @@
 
 namespace {
 
-using leaky::dram::AddressMapper;
+using leaky::dram::MappingFunction;
+using leaky::dram::MappingSpec;
 using leaky::dram::Organization;
 using leaky::workload::AppSpec;
 using leaky::workload::Intensity;
@@ -19,8 +20,8 @@ using leaky::workload::WebsiteTraceConfig;
 class WorkloadTest : public ::testing::Test
 {
   protected:
-    WorkloadTest() : mapper_(Organization{}, 1) {}
-    AddressMapper mapper_;
+    WorkloadTest() : mapper_(Organization{}, 1, MappingSpec{}) {}
+    MappingFunction mapper_;
 };
 
 TEST_F(WorkloadTest, TraceGenerationIsDeterministic)
