@@ -155,6 +155,19 @@ if [ "$BUILD_VARIANT" = default ]; then
     ci/smoke_campaign.sh "$BUILD_DIR/leakyhammer" "$BUILD_DIR/campaign-smoke"
 fi
 
+# Default-scale Fig. 13 (release variant only): the smoke golden runs
+# one short mix whose traces never wrap, so this run covers the
+# workload -> cache -> core path at full length (cores loop their
+# traces) and on 4 threads, against the same SHA-256 pin bench/e2e
+# checks at figure seed 11.
+if [ "$BUILD_VARIANT" = release ]; then
+    expected="$PWD/bench/e2e/expected/mitigation.seed11.sha256"
+    rm -rf "$BUILD_DIR/mitigation-seed11"
+    "$BUILD_DIR/leakyhammer" repro --fig mitigation --seed 11 --threads 4 \
+        --out "$BUILD_DIR/mitigation-seed11"
+    (cd "$BUILD_DIR/mitigation-seed11" && sha256sum -c "$expected")
+fi
+
 # Perf harness: run every benchmark to completion and guard against
 # regressions on the variant whose numbers are comparable to the
 # tracked baseline (Release, hot-path checks off). The other variants

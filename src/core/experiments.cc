@@ -108,11 +108,26 @@ runLatencyTrace(std::uint32_t iterations, std::uint32_t rfms_per_backoff)
 
 namespace {
 
+/** A started core replaying @p app, its trace generated on demand. */
+std::unique_ptr<sys::TraceCore>
+startAppCore(sys::System &system, const sys::CoreConfig &core_cfg,
+             const workload::AppSpec &app, std::int32_t source)
+{
+    auto core = std::make_unique<sys::TraceCore>(
+        system, core_cfg,
+        [stream = workload::AppTraceStream(app, system.mapper())]() mutable {
+            return stream.next();
+        },
+        workload::kAppTracePeriod, source);
+    core->start();
+    return core;
+}
+
 /** Attach background SPEC-like cores; returns them for lifetime. */
 std::vector<std::unique_ptr<sys::TraceCore>>
 attachBackground(sys::System &system,
                  const std::vector<workload::AppSpec> &apps,
-                 bool large_caches, std::uint32_t trace_records = 40'000)
+                 bool large_caches)
 {
     std::vector<std::unique_ptr<sys::TraceCore>> cores;
     std::int32_t source = 10;
@@ -124,11 +139,7 @@ attachBackground(sys::System &system,
             core_cfg.caches = sys::CacheHierarchyConfig::largeHierarchy();
             core_cfg.enable_prefetcher = true;
         }
-        auto trace = workload::generateTrace(app, system.mapper(),
-                                             trace_records);
-        cores.push_back(std::make_unique<sys::TraceCore>(
-            system, core_cfg, std::move(trace), source++));
-        cores.back()->start();
+        cores.push_back(startAppCore(system, core_cfg, app, source++));
     }
     return cores;
 }
@@ -576,11 +587,7 @@ makeCores(sys::System &system, const workload::Mix &mix,
         sys::CoreConfig core_cfg;
         core_cfg.inst_budget = insts_per_core;
         core_cfg.mshrs = app.mlp;
-        auto trace = workload::generateTrace(app, system.mapper(),
-                                             40'000);
-        cores.push_back(std::make_unique<sys::TraceCore>(
-            system, core_cfg, std::move(trace), source++));
-        cores.back()->start();
+        cores.push_back(startAppCore(system, core_cfg, app, source++));
     }
     return cores;
 }

@@ -521,6 +521,8 @@ MappingFunction::MappingFunction(const Organization &org,
         if (plain)
             plain_shift_[fi] = shift;
     }
+    all_plain_ = std::all_of(plain_shift_.begin(), plain_shift_.end(),
+                             [](std::int32_t shift) { return shift >= 0; });
 }
 
 void
@@ -677,8 +679,15 @@ MappingFunction::composeLine(const Address &addr) const
         }
         LEAKY_ASSERT(digit < fieldSize(f), "field %d out of range",
                      static_cast<int>(f));
-        coords |= std::uint64_t{digit} << offsets_[indexOf(f)];
+        // A permutation places each digit's bits as one run in the
+        // line; the general path solves the GF(2) system instead.
+        if (all_plain_)
+            coords |= std::uint64_t{digit} << plain_shift_[indexOf(f)];
+        else
+            coords |= std::uint64_t{digit} << offsets_[indexOf(f)];
     }
+    if (all_plain_)
+        return coords;
     std::uint64_t line = 0;
     for (std::uint32_t i = 0; i < total_bits_; ++i)
         line |= std::uint64_t{parity(inv_[i] & coords)} << i;

@@ -275,6 +275,10 @@ class MappingFunction
      *  identity run (every preset/order mapping), decode is a single
      *  shift+mask instead of width parity reductions. */
     std::array<std::int32_t, kNumFields> plain_shift_{};
+    /** Every field is plain (the function is a bit permutation), so
+     *  compose is a shift+or per field instead of the inverse's
+     *  total_bits_ parity reductions. */
+    bool all_plain_ = false;
 };
 
 } // namespace leaky::dram

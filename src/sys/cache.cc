@@ -35,9 +35,9 @@ CacheLevel::access(std::uint64_t line_addr, bool is_write)
     const auto tag = tagOf(line_addr);
     for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
         Line &line = lines_[set * cfg_.ways + w];
-        if (line.valid && line.tag == tag) {
-            line.lru = ++lru_clock_;
-            line.dirty = line.dirty || is_write;
+        if (line.valid() && line.tag == tag) {
+            line.lru = ++lru_clock_ | (line.lru & kDirty) |
+                       (is_write ? kDirty : 0);
             hits_ += 1;
             return true;
         }
@@ -55,9 +55,9 @@ CacheLevel::insert(std::uint64_t line_addr, bool dirty)
     // just refresh it.
     for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
         Line &line = lines_[set * cfg_.ways + w];
-        if (line.valid && line.tag == tag) {
-            line.dirty = line.dirty || dirty;
-            line.lru = ++lru_clock_;
+        if (line.valid() && line.tag == tag) {
+            line.lru = ++lru_clock_ | (line.lru & kDirty) |
+                       (dirty ? kDirty : 0);
             return {};
         }
     }
@@ -65,25 +65,23 @@ CacheLevel::insert(std::uint64_t line_addr, bool dirty)
     Line *victim = nullptr;
     for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
         Line &line = lines_[set * cfg_.ways + w];
-        if (!line.valid) {
+        if (!line.valid()) {
             victim = &line;
             break;
         }
-        if (!victim || line.lru < victim->lru)
+        if (!victim || line.stamp() < victim->stamp())
             victim = &line;
     }
     LEAKY_ASSERT(victim != nullptr, "no victim way found");
 
     Eviction ev;
-    if (victim->valid) {
+    if (victim->valid()) {
         ev.valid = true;
-        ev.dirty = victim->dirty;
+        ev.dirty = victim->dirty();
         ev.line_addr = victim->tag * sets_ + set;
     }
-    victim->valid = true;
-    victim->dirty = dirty;
     victim->tag = tag;
-    victim->lru = ++lru_clock_;
+    victim->lru = ++lru_clock_ | (dirty ? kDirty : 0);
     return ev;
 }
 
@@ -94,10 +92,9 @@ CacheLevel::flush(std::uint64_t line_addr)
     const auto tag = tagOf(line_addr);
     for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
         Line &line = lines_[set * cfg_.ways + w];
-        if (line.valid && line.tag == tag) {
-            const bool dirty = line.dirty;
-            line.valid = false;
-            line.dirty = false;
+        if (line.valid() && line.tag == tag) {
+            const bool dirty = line.dirty();
+            line.lru = 0;
             return dirty;
         }
     }
@@ -111,7 +108,7 @@ CacheLevel::contains(std::uint64_t line_addr) const
     const auto tag = tagOf(line_addr);
     for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
         const Line &line = lines_[set * cfg_.ways + w];
-        if (line.valid && line.tag == tag)
+        if (line.valid() && line.tag == tag)
             return true;
     }
     return false;

@@ -58,12 +58,17 @@ class CacheLevel
     std::uint64_t misses() const { return misses_; }
 
   private:
+    /** 16 bytes: `lru` is the recency stamp in the low 63 bits, 0 for
+     *  an invalid way, and the dirty flag in the top bit. */
     struct Line {
         std::uint64_t tag = 0;
-        bool valid = false;
-        bool dirty = false;
         std::uint64_t lru = 0;
+
+        bool valid() const { return lru != 0; }
+        bool dirty() const { return (lru & kDirty) != 0; }
+        std::uint64_t stamp() const { return lru & ~kDirty; }
     };
+    static constexpr std::uint64_t kDirty = std::uint64_t{1} << 63;
 
     std::size_t setIndex(std::uint64_t line_addr) const;
     std::uint64_t tagOf(std::uint64_t line_addr) const;

@@ -1,17 +1,27 @@
 #include "sys/core.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "sim/logging.hh"
 
 namespace leaky::sys {
 
 TraceCore::TraceCore(MemoryPort &port, const CoreConfig &cfg,
-                     std::vector<TraceEntry> trace, std::int32_t source_id)
-    : port_(port), cfg_(cfg), trace_(std::move(trace)), source_(source_id),
-      caches_(cfg.caches)
+                     RecordSource source, std::size_t period,
+                     std::int32_t source_id)
+    : port_(port), cfg_(cfg), next_record_(std::move(source)),
+      period_(period), source_(source_id), caches_(cfg.caches),
+      outstanding_(cfg.mshrs), mshrs_(cfg.mshrs)
 {
-    LEAKY_ASSERT(!trace_.empty(), "core %d has an empty trace", source_id);
+    LEAKY_ASSERT(period_ > 0, "core %d has an empty trace", source_id);
+}
+
+TraceCore::TraceCore(MemoryPort &port, const CoreConfig &cfg,
+                     std::vector<TraceEntry> trace, std::int32_t source_id)
+    : TraceCore(port, cfg, nullptr, trace.size(), source_id)
+{
+    trace_ = std::move(trace);
 }
 
 Tick
@@ -73,15 +83,52 @@ TraceCore::issuePrefetch(std::uint64_t line_addr)
     });
 }
 
-void
-TraceCore::onLoadDone(std::uint64_t inst_index)
+TraceCore::Outstanding &
+TraceCore::outstandingAt(std::size_t i)
 {
-    const auto it = std::find(outstanding_.begin(), outstanding_.end(),
-                              inst_index);
-    LEAKY_ASSERT(it != outstanding_.end(), "unknown load completion");
-    outstanding_.erase(it);
+    return outstanding_[(outstanding_head_ + i) % outstanding_.size()];
+}
+
+void
+TraceCore::completeLoad(std::size_t i)
+{
+    // Loads complete out of order: close the gap behind the oldest.
+    if (i == 0) {
+        outstanding_head_ = (outstanding_head_ + 1) % outstanding_.size();
+    } else {
+        for (std::size_t k = i; k + 1 < outstanding_count_; ++k)
+            outstandingAt(k) = outstandingAt(k + 1);
+    }
+    outstanding_count_ -= 1;
     retire(1);
     dispatch();
+}
+
+void
+TraceCore::onLoadHit(std::uint64_t inst_index)
+{
+    std::size_t i = 0;
+    while (i < outstanding_count_ && outstandingAt(i).inst != inst_index)
+        i += 1;
+    LEAKY_ASSERT(i < outstanding_count_, "unknown load completion");
+    completeLoad(i);
+}
+
+void
+TraceCore::onFill(std::uint32_t mshr)
+{
+    // Free the MSHR before waking anyone: a load dispatched below that
+    // misses on this line again starts a fill of its own. Such a load
+    // may take this entry, but it queues behind every old waiter, so
+    // the oldest load tagged with it is always an old waiter.
+    std::uint32_t waiters = std::exchange(mshrs_[mshr].waiters, 0);
+    for (; waiters > 0; --waiters) {
+        std::size_t i = 0;
+        while (i < outstanding_count_ && outstandingAt(i).mshr != mshr)
+            i += 1;
+        LEAKY_ASSERT(i < outstanding_count_, "unknown fill waiter");
+        completeLoad(i);
+    }
 }
 
 void
@@ -107,18 +154,20 @@ TraceCore::dispatch()
             return;
         }
 
-        const TraceEntry &entry = trace_[trace_pos_];
+        if (trace_pos_ == trace_.size())
+            trace_.push_back(next_record_());
+        const TraceEntry entry = trace_[trace_pos_];
         const std::uint64_t last_inst =
             insts_dispatched_ + entry.non_mem_insts + 1;
 
         // Instruction-window limit past the oldest outstanding load.
-        if (!outstanding_.empty() &&
-            last_inst - outstanding_.front() > cfg_.window) {
-            return; // Resumed by onLoadDone().
+        if (outstanding_count_ > 0 &&
+            last_inst - outstandingAt(0).inst > cfg_.window) {
+            return; // Resumed by a load completion.
         }
         const bool is_load = !entry.is_write;
-        if (is_load && outstanding_.size() >= cfg_.mshrs)
-            return; // Resumed by onLoadDone().
+        if (is_load && outstanding_count_ >= cfg_.mshrs)
+            return; // Resumed by a load completion.
 
         // Consume the compute burst.
         ready_time_ += instTicks(entry.non_mem_insts);
@@ -126,38 +175,49 @@ TraceCore::dispatch()
 
         if (is_load) {
             auto result = caches_.access(entry.addr, false);
-            outstanding_.push_back(last_inst);
+            Outstanding &load = outstandingAt(outstanding_count_);
+            outstanding_count_ += 1;
+            load = {last_inst, kNoMshr};
             if (result.hit) {
                 const Tick done = ready_time_ + result.latency;
                 port_.schedule(done - now, [this, last_inst] {
-                    onLoadDone(last_inst);
+                    onLoadHit(last_inst);
                 });
             } else {
                 const std::uint64_t addr = entry.addr;
                 const std::uint64_t line = addr / 64;
-                auto pending = pending_fills_.find(line);
-                if (pending != pending_fills_.end()) {
-                    // Coalesce: an MSHR already tracks this line.
-                    pending->second.push_back(last_inst);
+                std::uint32_t free_mshr = kNoMshr;
+                for (std::uint32_t m = 0; m < mshrs_.size(); ++m) {
+                    if (mshrs_[m].waiters == 0) {
+                        if (free_mshr == kNoMshr)
+                            free_mshr = m;
+                    } else if (mshrs_[m].line == line) {
+                        load.mshr = m; // Coalesce onto the fill.
+                        break;
+                    }
+                }
+                if (load.mshr != kNoMshr) {
+                    mshrs_[load.mshr].waiters += 1;
                 } else {
-                    pending_fills_[line] = {last_inst};
+                    // Outstanding loads bound the busy MSHRs, and this
+                    // load passed the MSHR limit, so one is free.
+                    LEAKY_ASSERT(free_mshr != kNoMshr, "no free MSHR");
+                    const std::uint32_t mshr = free_mshr;
+                    mshrs_[mshr] = {line, 1};
+                    load.mshr = mshr;
                     mem_reads_ += 1;
                     const Tick issue_delay =
                         (ready_time_ - now) + result.latency;
-                    port_.schedule(issue_delay, [this, addr, line] {
+                    port_.schedule(issue_delay, [this, addr, line, mshr] {
                         port_.issueRead(addr, source_,
-                                        [this, addr, line](Tick) {
+                                        [this, addr, line, mshr](Tick) {
                             CacheHierarchy::Result fill;
                             caches_.fill(addr, false, fill);
                             for (auto wb : fill.writebacks)
                                 port_.issueWrite(wb, source_);
                             if (cfg_.enable_prefetcher)
                                 prefetcher_.onFill(line);
-                            auto waiters = std::move(
-                                pending_fills_[line]);
-                            pending_fills_.erase(line);
-                            for (auto inst : waiters)
-                                onLoadDone(inst);
+                            onFill(mshr);
                         });
                     });
                 }
@@ -181,7 +241,7 @@ TraceCore::dispatch()
         }
 
         insts_dispatched_ = last_inst;
-        trace_pos_ = (trace_pos_ + 1) % trace_.size();
+        trace_pos_ = (trace_pos_ + 1) % period_;
     }
 }
 

@@ -17,8 +17,7 @@
 #define LEAKY_SYS_CORE_HH
 
 #include <cstdint>
-#include <deque>
-#include <unordered_map>
+#include <functional>
 #include <vector>
 
 #include "sys/cache.hh"
@@ -45,10 +44,22 @@ struct CoreConfig {
     CacheHierarchyConfig caches = CacheHierarchyConfig::paperDefault();
 };
 
-/** Trace-replaying core. */
+/**
+ * Trace-replaying core. Record i of the trace is read from the record
+ * source the first time the core reaches it and kept, so after
+ * `period` records the core loops over what it has already read. A
+ * run that stops early never generates the records it did not reach.
+ */
 class TraceCore
 {
   public:
+    /** Yields the next trace record on each call. */
+    using RecordSource = std::function<TraceEntry()>;
+
+    TraceCore(MemoryPort &port, const CoreConfig &cfg, RecordSource source,
+              std::size_t period, std::int32_t source_id);
+
+    /** A core over records generated up front (period = trace size). */
     TraceCore(MemoryPort &port, const CoreConfig &cfg,
               std::vector<TraceEntry> trace, std::int32_t source_id);
 
@@ -78,15 +89,34 @@ class TraceCore
     std::uint64_t memWrites() const { return mem_writes_; }
 
   private:
+    static constexpr std::uint32_t kNoMshr = ~std::uint32_t{0};
+    /** A load in the instruction window. */
+    struct Outstanding {
+        std::uint64_t inst = 0;       ///< Index of the load instruction.
+        std::uint32_t mshr = kNoMshr; ///< Fill it waits on (none: a hit).
+    };
+    /** A line fill in flight and the number of loads waiting on it;
+     *  an entry with no waiters is free. */
+    struct Mshr {
+        std::uint64_t line = 0;
+        std::uint32_t waiters = 0;
+    };
+
     void dispatch();
-    void onLoadDone(std::uint64_t inst_index);
+    /** Retire the @p i-th oldest outstanding load and dispatch on. */
+    void completeLoad(std::size_t i);
+    void onLoadHit(std::uint64_t inst_index);
+    void onFill(std::uint32_t mshr);
+    Outstanding &outstandingAt(std::size_t i);
     void retire(std::uint64_t insts);
     Tick instTicks(std::uint64_t insts) const;
     void issuePrefetch(std::uint64_t line_addr);
 
     MemoryPort &port_;
     CoreConfig cfg_;
-    std::vector<TraceEntry> trace_;
+    RecordSource next_record_;
+    std::size_t period_;
+    std::vector<TraceEntry> trace_; ///< Records read so far.
     std::int32_t source_;
     CacheHierarchy caches_;
     BestOffsetPrefetcher prefetcher_;
@@ -95,10 +125,12 @@ class TraceCore
     std::uint64_t insts_dispatched_ = 0;
     std::uint64_t insts_retired_ = 0;
     Tick ready_time_ = 0;           ///< Core-local dispatch clock.
-    std::deque<std::uint64_t> outstanding_; ///< Inst indices of loads.
-    /** MSHR coalescing: line -> inst indices waiting on its fill. */
-    std::unordered_map<std::uint64_t, std::vector<std::uint64_t>>
-        pending_fills_;
+    /** Ring of outstanding loads (at most `mshrs`), oldest first. */
+    std::vector<Outstanding> outstanding_;
+    std::size_t outstanding_head_ = 0;
+    std::size_t outstanding_count_ = 0;
+    /** MSHR coalescing: one entry per line with a fill in flight. */
+    std::vector<Mshr> mshrs_;
     bool wake_pending_ = false;
     Tick start_tick_ = 0;
     Tick finish_tick_ = 0;

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "sim/logging.hh"
-#include "sim/rng.hh"
 
 namespace leaky::workload {
 
@@ -87,33 +86,25 @@ appsWithIntensity(Intensity level)
     return out;
 }
 
-std::vector<TraceEntry>
-generateTrace(const AppSpec &app, const dram::MappingFunction &mapper,
-              std::uint32_t records)
+AppTraceStream::AppTraceStream(const AppSpec &app,
+                               const dram::MappingFunction &mapper)
+    : mapper_(&mapper), rng_(app.seed),
+      footprint_(std::min(app.footprint_rows, mapper.org().rows)),
+      columns_(mapper.org().columns),
+      insts_per_access_(1000.0 / app.mpki),
+      hits_per_miss_(app.mpki / app.rbmpki),
+      write_frac_(app.write_frac), stream_frac_(app.stream_frac),
+      hot_frac_(app.hot_frac)
 {
     LEAKY_ASSERT(app.mpki > 0.0 && app.rbmpki > 0.0 &&
                      app.rbmpki <= app.mpki,
                  "%s: need 0 < RBMPKI <= MPKI", app.name.c_str());
-    sim::Rng rng(app.seed);
     const dram::Organization &org = mapper.org();
-    const std::uint32_t footprint =
-        std::min(app.footprint_rows, org.rows);
-
-    // Average non-memory instructions between accesses.
-    const double insts_per_access = 1000.0 / app.mpki;
-    // Accesses served from an already-open row between row switches.
-    const double hits_per_miss = app.mpki / app.rbmpki;
-
-    std::vector<TraceEntry> trace;
-    trace.reserve(records);
-
-    Address cur;
-    cur.rank = static_cast<std::uint32_t>(rng.below(org.ranks));
-    cur.bankgroup = static_cast<std::uint32_t>(rng.below(org.bankgroups));
-    cur.bank = static_cast<std::uint32_t>(rng.below(org.banks_per_group));
-    cur.row = static_cast<std::uint32_t>(rng.below(footprint));
-    cur.column = 0;
-    double hit_budget = 0.0;
+    cur_.rank = static_cast<std::uint32_t>(rng_.below(org.ranks));
+    cur_.bankgroup = static_cast<std::uint32_t>(rng_.below(org.bankgroups));
+    cur_.bank = static_cast<std::uint32_t>(rng_.below(org.banks_per_group));
+    cur_.row = static_cast<std::uint32_t>(rng_.below(footprint_));
+    cur_.column = 0;
 
     // Hot-row set: heavily reused same-bank row PAIRS. Alternating
     // between the two rows of a pair guarantees a row-buffer conflict
@@ -123,77 +114,84 @@ generateTrace(const AppSpec &app, const dram::MappingFunction &mapper,
     // the row-thrashing behaviour that charges PRAC counters at low
     // NRH (Fig. 13).
     const std::uint32_t hot_pairs = std::max(1u, app.hot_rows / 2);
-    std::vector<Address> hot_a(hot_pairs);
-    std::vector<Address> hot_b(hot_pairs);
-    std::vector<std::uint32_t> hot_next_col(hot_pairs, 0);
-    std::vector<bool> hot_toggle(hot_pairs, false);
+    hot_a_.resize(hot_pairs);
+    hot_b_.resize(hot_pairs);
+    hot_next_col_.assign(hot_pairs, 0);
+    hot_toggle_.assign(hot_pairs, false);
     for (std::uint32_t h = 0; h < hot_pairs; ++h) {
         Address hot;
-        hot.rank = static_cast<std::uint32_t>(rng.below(org.ranks));
+        hot.rank = static_cast<std::uint32_t>(rng_.below(org.ranks));
         hot.bankgroup =
-            static_cast<std::uint32_t>(rng.below(org.bankgroups));
+            static_cast<std::uint32_t>(rng_.below(org.bankgroups));
         hot.bank =
-            static_cast<std::uint32_t>(rng.below(org.banks_per_group));
-        hot.row = static_cast<std::uint32_t>(rng.below(footprint));
-        hot_a[h] = hot;
+            static_cast<std::uint32_t>(rng_.below(org.banks_per_group));
+        hot.row = static_cast<std::uint32_t>(rng_.below(footprint_));
+        hot_a_[h] = hot;
         hot.row = (hot.row + 1 + static_cast<std::uint32_t>(
-                                     rng.below(64))) %
-                  footprint;
-        hot_b[h] = hot;
+                                     rng_.below(64))) %
+                  footprint_;
+        hot_b_[h] = hot;
     }
+}
 
-    const auto org_cols = org.columns;
-    while (trace.size() < records) {
-        if (hit_budget < 1.0) {
-            // Row switch: revisit a hot pair, stream on, or jump. Each
-            // branch grants the same in-row hit budget, so the switch
-            // cadence (RBMPKI) is pattern-independent.
-            if (app.hot_frac > 0.0 && rng.uniform() < app.hot_frac) {
-                const auto h = rng.below(hot_pairs);
-                const Address &hot =
-                    hot_toggle[h] ? hot_b[h] : hot_a[h];
-                hot_toggle[h] = !hot_toggle[h];
-                cur.rank = hot.rank;
-                cur.bankgroup = hot.bankgroup;
-                cur.bank = hot.bank;
-                cur.row = hot.row;
-                cur.column = hot_next_col[h];
-                if (hot_toggle[h]) {
-                    hot_next_col[h] =
-                        (hot_next_col[h] + 4) % org.columns;
-                }
-            } else if (rng.uniform() < app.stream_frac) {
-                cur.row = (cur.row + 1) % footprint;
-                cur.column =
-                    static_cast<std::uint32_t>(rng.below(org_cols));
-            } else {
-                cur.row = static_cast<std::uint32_t>(rng.below(footprint));
-                cur.bankgroup = static_cast<std::uint32_t>(
-                    rng.below(org.bankgroups));
-                cur.bank = static_cast<std::uint32_t>(
-                    rng.below(org.banks_per_group));
-                cur.rank = static_cast<std::uint32_t>(
-                    rng.below(org.ranks));
-                cur.column =
-                    static_cast<std::uint32_t>(rng.below(org_cols));
-            }
-            hit_budget += hits_per_miss;
+TraceEntry
+AppTraceStream::next()
+{
+    const dram::Organization &org = mapper_->org();
+    if (hit_budget_ < 1.0) {
+        // Row switch: revisit a hot pair, stream on, or jump. Each
+        // branch grants the same in-row hit budget, so the switch
+        // cadence (RBMPKI) is pattern-independent.
+        if (hot_frac_ > 0.0 && rng_.uniform() < hot_frac_) {
+            const auto h = rng_.below(hot_a_.size());
+            const Address &hot = hot_toggle_[h] ? hot_b_[h] : hot_a_[h];
+            hot_toggle_[h] = !hot_toggle_[h];
+            cur_.rank = hot.rank;
+            cur_.bankgroup = hot.bankgroup;
+            cur_.bank = hot.bank;
+            cur_.row = hot.row;
+            cur_.column = hot_next_col_[h];
+            if (hot_toggle_[h])
+                hot_next_col_[h] = (hot_next_col_[h] + 4) % columns_;
+        } else if (rng_.uniform() < stream_frac_) {
+            cur_.row = (cur_.row + 1) % footprint_;
+            cur_.column = static_cast<std::uint32_t>(rng_.below(columns_));
+        } else {
+            cur_.row = static_cast<std::uint32_t>(rng_.below(footprint_));
+            cur_.bankgroup =
+                static_cast<std::uint32_t>(rng_.below(org.bankgroups));
+            cur_.bank = static_cast<std::uint32_t>(
+                rng_.below(org.banks_per_group));
+            cur_.rank = static_cast<std::uint32_t>(rng_.below(org.ranks));
+            cur_.column = static_cast<std::uint32_t>(rng_.below(columns_));
         }
-        hit_budget -= 1.0;
-
-        TraceEntry entry;
-        // Jitter the compute burst by +/-50% for realistic irregularity.
-        const double jitter = 0.5 + rng.uniform();
-        entry.non_mem_insts = static_cast<std::uint32_t>(
-            std::max(0.0, insts_per_access * jitter - 1.0));
-        entry.is_write = rng.uniform() < app.write_frac;
-        entry.addr = mapper.compose(cur);
-        trace.push_back(entry);
-
-        // Next access within the row: walk columns to dodge the caches
-        // (each line is touched once per row visit).
-        cur.column = (cur.column + 1) % org_cols;
+        hit_budget_ += hits_per_miss_;
     }
+    hit_budget_ -= 1.0;
+
+    TraceEntry entry;
+    // Jitter the compute burst by +/-50% for realistic irregularity.
+    const double jitter = 0.5 + rng_.uniform();
+    entry.non_mem_insts = static_cast<std::uint32_t>(
+        std::max(0.0, insts_per_access_ * jitter - 1.0));
+    entry.is_write = rng_.uniform() < write_frac_;
+    entry.addr = mapper_->compose(cur_);
+
+    // Next access within the row: walk columns to dodge the caches
+    // (each line is touched once per row visit).
+    cur_.column = (cur_.column + 1) % columns_;
+    return entry;
+}
+
+std::vector<TraceEntry>
+generateTrace(const AppSpec &app, const dram::MappingFunction &mapper,
+              std::uint32_t records)
+{
+    AppTraceStream stream(app, mapper);
+    std::vector<TraceEntry> trace;
+    trace.reserve(records);
+    while (trace.size() < records)
+        trace.push_back(stream.next());
     return trace;
 }
 

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "dram/mapping.hh"
+#include "sim/rng.hh"
 #include "sys/core.hh"
 
 namespace leaky::workload {
@@ -57,11 +58,46 @@ std::vector<AppSpec> specLikeCatalog();
 /** Applications of one intensity class from the catalogue. */
 std::vector<AppSpec> appsWithIntensity(Intensity level);
 
+/** Records a SPEC-like core replays before it loops back to its
+ *  first record (see sys::TraceCore). */
+inline constexpr std::uint32_t kAppTracePeriod = 40'000;
+
 /**
- * Generate a trace of @p records records for @p app. Addresses are
- * composed through @p mapper so the trace hits the intended rows/banks
- * regardless of the mapping configuration.
+ * The record stream of @p app: each next() call yields the following
+ * trace record. Addresses are composed through the mapper so the trace
+ * hits the intended rows/banks regardless of the mapping configuration.
+ * Cores pull records on demand, so records past the point a run stops
+ * are never generated. The stream references @p mapper, which must
+ * outlive it.
  */
+class AppTraceStream
+{
+  public:
+    AppTraceStream(const AppSpec &app, const dram::MappingFunction &mapper);
+
+    TraceEntry next();
+
+  private:
+    const dram::MappingFunction *mapper_;
+    sim::Rng rng_;
+    std::uint32_t footprint_;
+    std::uint32_t columns_;
+    double insts_per_access_; ///< Mean non-memory insts per access.
+    double hits_per_miss_;    ///< Open-row accesses per row switch.
+    double write_frac_;
+    double stream_frac_;
+    double hot_frac_;
+    dram::Address cur_;
+    double hit_budget_ = 0.0;
+    /** Hot same-bank row pairs, their next column, and which row of
+     *  each pair the next visit opens. */
+    std::vector<dram::Address> hot_a_;
+    std::vector<dram::Address> hot_b_;
+    std::vector<std::uint32_t> hot_next_col_;
+    std::vector<bool> hot_toggle_;
+};
+
+/** The first @p records records of AppTraceStream(@p app, @p mapper). */
 std::vector<TraceEntry> generateTrace(const AppSpec &app,
                                       const dram::MappingFunction &mapper,
                                       std::uint32_t records);

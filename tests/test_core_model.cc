@@ -1,10 +1,12 @@
-/** @file TraceCore tests: IPC behaviour, MSHR limits, budgets. */
+/** @file TraceCore tests: IPC behaviour, MSHR limits and coalescing,
+ *  budgets, on-demand record sources. */
 
 #include <gtest/gtest.h>
 
 #include "defense/factory.hh"
 #include "sys/core.hh"
 #include "sys/system.hh"
+#include "workload/synthetic.hh"
 
 namespace {
 
@@ -142,6 +144,93 @@ TEST_F(TraceCoreTest, WritesArePosted)
     ASSERT_TRUE(core.budgetDone());
     // Stores never block: near-peak IPC despite missing every access.
     EXPECT_GT(core.measuredIpc(), 3.0);
+}
+
+/** Two loads to one line while its fill is in flight share one MSHR:
+ *  one DRAM read, and both loads retire when it returns. */
+TEST_F(TraceCoreTest, LoadsToAPendingLineCoalesce)
+{
+    CoreConfig cfg;
+    cfg.inst_budget = 2;
+    cfg.mshrs = 2;
+    std::vector<TraceEntry> trace(2);
+    trace[0].addr = 0x4000;
+    trace[1].addr = 0x4008; // Same 64-byte line.
+    TraceCore core(system_, cfg, trace, 0);
+    core.start();
+    // Both loads dispatch at once; the fill is still in flight.
+    system_.run(10 * leaky::sim::kNs);
+    EXPECT_EQ(core.memReads(), 1u);
+    EXPECT_EQ(core.instsRetired(), 0u);
+    system_.run(2 * leaky::sim::kUs);
+    EXPECT_EQ(core.memReads(), 1u);
+    ASSERT_TRUE(core.budgetDone());
+    EXPECT_GT(core.instsRetired(), 2u); // Both retired, then hits.
+}
+
+/** More distinct-line misses than MSHRs: dispatch stops at the MSHR
+ *  limit and each returning fill lets exactly one more load issue. */
+TEST_F(TraceCoreTest, MissBurstStallsAtTheMshrLimit)
+{
+    CoreConfig cfg;
+    cfg.mshrs = 4;
+    const auto trace = computeTrace(0, 8); // 8 distinct lines.
+    TraceCore core(system_, cfg, trace, 0);
+    core.start();
+    system_.run(10 * leaky::sim::kNs);
+    EXPECT_EQ(core.memReads(), 4u);
+    EXPECT_EQ(core.instsRetired(), 0u);
+    while (core.instsRetired() == 0)
+        system_.run(leaky::sim::kNs);
+    ASSERT_LE(core.instsRetired(), 4u);
+    EXPECT_EQ(core.memReads(), 4u + core.instsRetired());
+}
+
+/** A core pulling records on demand with a short period replays the
+ *  same instruction stream as one given the first `period` records up
+ *  front: wrapping re-reads its own memo, never the source. */
+TEST(TraceCoreSource, OnDemandRecordsMatchAnUpFrontTrace)
+{
+    constexpr std::size_t kPeriod = 50;
+    const auto catalog = leaky::workload::specLikeCatalog();
+    for (const auto &app : catalog) {
+        CoreConfig cfg;
+        // About five passes: a record averages 1000 / MPKI insts.
+        cfg.inst_budget =
+            static_cast<std::uint64_t>(5 * kPeriod * 1000.0 / app.mpki);
+        cfg.mshrs = app.mlp;
+        System eager_sys(SystemConfig::paper(DefenseKind::kPrac, 128));
+        System lazy_sys(SystemConfig::paper(DefenseKind::kPrac, 128));
+        const auto trace =
+            leaky::workload::generateTrace(app, eager_sys.mapper(), kPeriod);
+        std::uint64_t pass_insts = 0;
+        for (const auto &e : trace)
+            pass_insts += e.non_mem_insts + 1;
+        TraceCore eager(eager_sys, cfg, trace, 0);
+        std::size_t pulled = 0;
+        TraceCore lazy(
+            lazy_sys, cfg,
+            [&pulled, stream = leaky::workload::AppTraceStream(
+                          app, lazy_sys.mapper())]() mutable {
+                pulled += 1;
+                return stream.next();
+            },
+            kPeriod, 0);
+        eager.start();
+        lazy.start();
+        for (int step = 0; step < 1000 && !eager.budgetDone(); ++step) {
+            eager_sys.run(20 * leaky::sim::kUs);
+            lazy_sys.run(20 * leaky::sim::kUs);
+        }
+        ASSERT_TRUE(eager.budgetDone()) << app.name;
+        EXPECT_GT(lazy.instsRetired(), 2 * pass_insts) << app.name;
+        EXPECT_EQ(pulled, kPeriod) << app.name;
+        EXPECT_EQ(lazy.instsRetired(), eager.instsRetired()) << app.name;
+        EXPECT_EQ(lazy.memReads(), eager.memReads()) << app.name;
+        EXPECT_EQ(lazy.memWrites(), eager.memWrites()) << app.name;
+        EXPECT_EQ(lazy.finishTick(), eager.finishTick()) << app.name;
+        EXPECT_TRUE(lazy_sys.stats(0) == eager_sys.stats(0)) << app.name;
+    }
 }
 
 } // namespace

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -14,6 +15,7 @@
 namespace {
 
 using leaky::dram::Address;
+using leaky::dram::Field;
 using leaky::dram::kNumFields;
 using leaky::dram::mappingPresets;
 using leaky::dram::MappingFunction;
@@ -283,6 +285,153 @@ TEST(MappingFunction, RandomInvertibleMatricesRoundTrip)
     }
 }
 
+// ------------------------------------------- compose of permutations
+
+constexpr Field kFields[kNumFields] = {
+    Field::kColumn, Field::kBankGroup,
+    Field::kBank,   Field::kRank,
+    Field::kRow,    Field::kChannel};
+
+std::uint32_t &
+digitOf(Address &addr, Field f)
+{
+    switch (f) {
+      case Field::kColumn: return addr.column;
+      case Field::kBankGroup: return addr.bankgroup;
+      case Field::kBank: return addr.bank;
+      case Field::kRank: return addr.rank;
+      case Field::kRow: return addr.row;
+      case Field::kChannel: break;
+    }
+    return addr.channel;
+}
+
+/** Coordinates drawn uniformly from @p fn's field ranges. */
+Address
+randomAddress(const MappingFunction &fn, leaky::sim::Rng &rng)
+{
+    Address addr;
+    for (Field f : kFields)
+        digitOf(addr, f) =
+            static_cast<std::uint32_t>(rng.below(fn.fieldSize(f)));
+    return addr;
+}
+
+/** composeLine of a bit permutation, read straight off masks(): each
+ *  mask is one-hot, so digit bit j of field f lands on line bit
+ *  ctz(masks()[f][j]) - 6. */
+std::uint64_t
+permutationOracle(const MappingFunction &fn, Address addr)
+{
+    const auto masks = fn.masks();
+    std::uint64_t line = 0;
+    for (Field f : kFields) {
+        const auto &field_masks = masks[static_cast<std::size_t>(f)];
+        const std::uint32_t digit = digitOf(addr, f);
+        for (std::size_t j = 0; j < field_masks.size(); ++j) {
+            EXPECT_EQ(__builtin_popcountll(field_masks[j]), 1);
+            line |= std::uint64_t{(digit >> j) & 1u}
+                    << (__builtin_ctzll(field_masks[j]) -
+                        MappingFunction::kLineShift);
+        }
+    }
+    return line;
+}
+
+std::string
+orderText(const std::vector<Field> &order)
+{
+    std::string text = "order:";
+    for (std::size_t i = 0; i < order.size(); ++i)
+        text += std::string(i ? "," : "") + leaky::dram::fieldName(order[i]);
+    return text;
+}
+
+/** The `order:` spelling of a permutation @p fn: fields sorted by the
+ *  physical bit their lowest output bit copies (zero-width fields,
+ *  which copy nothing, go last). */
+std::string
+orderSpelling(const MappingFunction &fn)
+{
+    const auto masks = fn.masks();
+    std::vector<Field> order(std::begin(kFields),
+                                          std::end(kFields));
+    const auto low_bit = [&masks](Field f) {
+        const auto &m = masks[static_cast<std::size_t>(f)];
+        return m.empty() ? 64 : __builtin_ctzll(m.front());
+    };
+    std::stable_sort(order.begin(), order.end(),
+                     [&low_bit](Field a,
+                                Field b) {
+                         return low_bit(a) < low_bit(b);
+                     });
+    return orderText(order);
+}
+
+/** Every permutation mapping composes by shifting digits into place;
+ *  the result must equal the mask-derived oracle bit for bit. */
+TEST(MappingFunction, PermutationComposeMatchesMaskOracle)
+{
+    Organization org;
+    leaky::sim::Rng rng(404);
+    for (std::uint32_t channels : {1u, 2u}) {
+        std::vector<std::string> specs;
+        for (const std::string &preset : mappingPresets()) {
+            const MappingFunction fn(org, channels,
+                                     MappingSpec::parse(preset));
+            specs.push_back(preset);
+            specs.push_back(orderSpelling(fn));
+            specs.push_back(MappingSpec::fromMasks(fn.masks()).str());
+        }
+        for (int trial = 0; trial < 8; ++trial) {
+            std::vector<Field> order(std::begin(kFields),
+                                                  std::end(kFields));
+            for (std::size_t i = order.size() - 1; i > 0; --i)
+                std::swap(order[i], order[rng.below(i + 1)]);
+            specs.push_back(orderText(order));
+        }
+        for (const std::string &text : specs) {
+            const MappingFunction fn(org, channels,
+                                     MappingSpec::parse(text));
+            for (int i = 0; i < 300; ++i) {
+                const Address addr = randomAddress(fn, rng);
+                const std::uint64_t line = fn.composeLine(addr);
+                ASSERT_EQ(line, permutationOracle(fn, addr))
+                    << text << " @ " << channels << " channels";
+                const Address back = fn.decodeLine(line);
+                EXPECT_TRUE(back.sameRow(addr)) << text;
+                EXPECT_EQ(back.column, addr.column) << text;
+                EXPECT_EQ(back.channel, addr.channel) << text;
+            }
+        }
+    }
+}
+
+/** The recovery figure's XOR mappings are not permutations and keep
+ *  the general compose: it must still invert decodeLine. */
+TEST(MappingFunction, XorRecoveryMappingsComposeRoundTrips)
+{
+    Organization org;
+    leaky::sim::Rng rng(405);
+    int xor_cases = 0;
+    for (const auto &c : leaky::core::recoveryMappings()) {
+        if (c.name.rfind("xor-", 0) != 0)
+            continue;
+        xor_cases += 1;
+        const MappingFunction fn(org, 1, c.spec);
+        for (int i = 0; i < 300; ++i) {
+            const Address addr = randomAddress(fn, rng);
+            const Address back = fn.decodeLine(fn.composeLine(addr));
+            EXPECT_TRUE(back.sameRow(addr)) << c.name;
+            EXPECT_EQ(back.column, addr.column) << c.name;
+            const std::uint64_t line =
+                rng.below(std::uint64_t{1} << fn.totalBits());
+            EXPECT_EQ(fn.composeLine(fn.decodeLine(line)), line) << c.name;
+        }
+    }
+    EXPECT_EQ(xor_cases, 3); // xor-near, xor-mid, xor-far.
+}
+
 TEST(MappingFunctionDeath, RejectsNonInvertibleSpecs)
 {
     Organization org;
@@ -316,6 +465,26 @@ TEST(MappingFunctionDeath, RejectsInputBitsOutsideTheMappedRange)
             MappingSpec::parse(
                 "xor:col=6:12;bg=13,14,40;ba=16,17;ra=18;row=19:35")),
         "outside the mapped range");
+}
+
+TEST(MappingFunctionDeath, ComposeRangeCheckCoversBothPaths)
+{
+    Organization org;
+    Address addr;
+    addr.row = org.rows; // One past the end.
+    // A permutation (shift-only compose)...
+    EXPECT_DEATH(MappingFunction(org, 1,
+                                 MappingSpec::parse(
+                                     "order:ra,col,bg,ba,row,ch"))
+                     .composeLine(addr),
+                 "out of range");
+    // ...and an XOR matrix (GF(2) compose).
+    for (const auto &c : leaky::core::recoveryMappings()) {
+        if (c.name == "xor-far") {
+            EXPECT_DEATH(MappingFunction(org, 1, c.spec).composeLine(addr),
+                         "out of range");
+        }
+    }
 }
 
 } // namespace

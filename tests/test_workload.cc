@@ -37,6 +37,26 @@ TEST_F(WorkloadTest, TraceGenerationIsDeterministic)
     }
 }
 
+/** generateTrace is the first N records of the on-demand stream. */
+TEST_F(WorkloadTest, TraceIsThePrefixOfTheStream)
+{
+    constexpr std::uint32_t kRecords = 3000;
+    for (const auto &app : leaky::workload::specLikeCatalog()) {
+        const auto trace =
+            leaky::workload::generateTrace(app, mapper_, kRecords);
+        ASSERT_EQ(trace.size(), kRecords);
+        leaky::workload::AppTraceStream stream(app, mapper_);
+        for (std::uint32_t i = 0; i < kRecords; ++i) {
+            const auto entry = stream.next();
+            ASSERT_EQ(entry.addr, trace[i].addr) << app.name << " #" << i;
+            ASSERT_EQ(entry.non_mem_insts, trace[i].non_mem_insts)
+                << app.name << " #" << i;
+            ASSERT_EQ(entry.is_write, trace[i].is_write)
+                << app.name << " #" << i;
+        }
+    }
+}
+
 TEST_F(WorkloadTest, MpkiControlsComputeDensity)
 {
     AppSpec sparse;
