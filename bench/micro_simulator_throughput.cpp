@@ -8,7 +8,9 @@
  * Besides the console output, a run always writes a JSON report
  * (items/sec per bench) to BENCH_kernel.json -- override the path with
  * the LEAKY_BENCH_OUT environment variable -- so perf changes can be
- * tracked across commits. Smoke mode for CI:
+ * tracked across commits. The report's context records the build type
+ * and whether LEAKY_DCHECKs were compiled in (leaky_build_type,
+ * leaky_dchecks). Smoke mode for CI:
  *
  *   micro_simulator_throughput --benchmark_min_time=0.01
  */
@@ -247,6 +249,15 @@ main(int argc, char **argv)
     }
     int args_count = static_cast<int>(args.size());
     args.push_back(nullptr);
+
+    // The build flavour decides the numbers (a DCHECK build runs ~40%
+    // slower), so the report says which one produced it.
+    benchmark::AddCustomContext("leaky_build_type", LEAKY_BUILD_TYPE);
+#ifdef LEAKY_DCHECKS_ENABLED
+    benchmark::AddCustomContext("leaky_dchecks", "on");
+#else
+    benchmark::AddCustomContext("leaky_dchecks", "off");
+#endif
 
     benchmark::Initialize(&args_count, args.data());
     if (benchmark::ReportUnrecognizedArguments(args_count, args.data()))

@@ -8,8 +8,10 @@
 #   BUILD_VARIANT=tsan      ThreadSanitizer over the work-stealing
 #                           SweepPool: ctest + the 4-thread figure
 #                           smoke, halt on any data-race report
-#   BUILD_VARIANT=release   Release -DLEAKY_DCHECKS=OFF + the
-#                           bench-regression guard (tools/check_bench.py)
+#   BUILD_VARIANT=release   Release -DLEAKY_DCHECKS=OFF + default-scale
+#                           mitigation and capacity runs against their
+#                           SHA-256 pins + the bench-regression guard
+#                           (tools/check_bench.py)
 #   BUILD_VARIANT=lint      static passes only, no build: leaky-lint
 #                           (tools/lint/leaky_lint.py; exit 2 = lint
 #                           violations, 3 = lint tool error) + advisory
@@ -166,6 +168,21 @@ if [ "$BUILD_VARIANT" = release ]; then
     "$BUILD_DIR/leakyhammer" repro --fig mitigation --seed 11 --threads 4 \
         --out "$BUILD_DIR/mitigation-seed11"
     (cd "$BUILD_DIR/mitigation-seed11" && sha256sum -c "$expected")
+fi
+
+# Default-scale covert capacity (release variant only): back-offs
+# repeat at default scale, so this run covers the FR-FCFS scan and the
+# PRAC top counter over long hammering, against the capacity line of
+# the SHA-256 pins bench/e2e checks at figure seed 11.
+if [ "$BUILD_VARIANT" = release ]; then
+    rm -rf "$BUILD_DIR/capacity-seed11"
+    "$BUILD_DIR/leakyhammer" repro --fig capacity --seed 11 --threads 4 \
+        --out "$BUILD_DIR/capacity-seed11"
+    grep ' fig_capacity_vs_noise\.csv$' \
+        bench/e2e/expected/covert.seed11.sha256 \
+        > "$BUILD_DIR/capacity-seed11.sha256"
+    (cd "$BUILD_DIR/capacity-seed11" &&
+        sha256sum -c "../capacity-seed11.sha256")
 fi
 
 # Perf harness: run every benchmark to completion and guard against

@@ -61,7 +61,6 @@ MemoryController::enqueue(Request &&req)
 
     QueueEntry entry;
     entry.arrival = eq_.now();
-    entry.order = next_order_++;
     entry.req = std::move(req); // push() annotates the address.
 
     if (!is_read && entry.req.on_complete) {

@@ -182,7 +182,6 @@ class MemoryController final : public dram::AlertSink
 
     RequestQueue read_q_;
     RequestQueue write_q_;
-    std::uint64_t next_order_ = 0;
     bool draining_writes_ = false;
 
     /**

@@ -11,8 +11,7 @@ using dram::RowStatus;
 
 FrFcfsScheduler::FrFcfsScheduler(const dram::Organization &org,
                                  std::uint32_t column_cap)
-    : org_(org), cap_(column_cap), hit_streak_(org.totalBanks(), 0),
-      oldest_nonhit_(org.totalBanks(), ~std::uint64_t{0})
+    : org_(org), cap_(column_cap), hit_streak_(org.totalBanks(), 0)
 {
 }
 
@@ -36,84 +35,62 @@ FrFcfsScheduler::pick(const RequestQueue &queue,
                       const dram::DramChannel &chan,
                       const BankFilter &blocked, Tick now) const
 {
-    const std::size_t n = queue.size();
-    if (n == 0)
-        return std::nullopt;
-
-    // Pass 1: classify every entry once (row status is cached in
-    // status_ for the second pass) and track, per bank, the oldest
-    // non-hit entry -- the column cap needs it. A "blocked" bank
-    // (pending RFM / bank back-off) may still serve column accesses to
-    // its open row -- only new activations must wait, mirroring DDR5
-    // RAA semantics where the open row remains usable until the RFM is
-    // slotted in.
+    // One forward scan in age order (queue position = age) over the
+    // queue's packed (flat bank, row) mirrors against the channel's
+    // packed open-row array; the full 130-byte entries stay cold until
+    // a decision is made.
     //
-    // The scan walks the queue's packed (flat bank, row, order)
-    // mirrors against the channel's packed open-row array; the full
-    // 130-byte entries stay cold until a decision is made.
-    constexpr std::uint8_t kUnusable = 0xff;
-    status_.resize(n);
-    std::fill(oldest_nonhit_.begin(), oldest_nonhit_.end(),
-              ~std::uint64_t{0});
-
+    // A "blocked" bank (pending RFM / bank back-off) may still serve
+    // column accesses to its open row -- only new activations must
+    // wait, mirroring DDR5 RAA semantics where the open row remains
+    // usable until the RFM is slotted in. So a hit is always usable and
+    // a non-hit only when its bank is not blocked. BankFilter depends
+    // on the flat bank alone, so one check per bank decides it exactly.
+    const std::size_t n = queue.size();
     const std::int32_t *open_rows = chan.openRows();
     const std::uint32_t *fbs = queue.flatBanks();
     const std::uint32_t *rows = queue.rows();
-    const std::uint64_t *orders = queue.orders();
     const bool any_blocked = blocked.fn != nullptr;
 
-    std::optional<std::size_t> best_hit;
-    std::optional<std::size_t> oldest_any;
-
+    std::size_t oldest = n; // Oldest usable entry, n = none yet.
+    std::size_t choice = n;
     for (std::size_t i = 0; i < n; ++i) {
-        const std::int32_t open = open_rows[fbs[i]];
-        const RowStatus st =
-            open == dram::DramChannel::kNoRow
-                ? RowStatus::kEmpty
-                : (open == static_cast<std::int32_t>(rows[i])
-                       ? RowStatus::kHit
-                       : RowStatus::kConflict);
-        if (st != RowStatus::kHit && any_blocked &&
-            blocked(queue[i].req.addr)) {
-            status_[i] = kUnusable;
-            continue;
-        }
-        status_[i] = static_cast<std::uint8_t>(st);
-        if (!oldest_any || orders[*oldest_any] > orders[i])
-            oldest_any = i;
-        if (st != RowStatus::kHit) {
-            oldest_nonhit_[fbs[i]] =
-                std::min(oldest_nonhit_[fbs[i]], orders[i]);
-        }
-    }
-
-    // Pass 2: oldest row-hit whose bank's streak is under the cap,
-    // unless an older non-hit request waits on the same bank past the
-    // cap.
-    for (std::size_t i = 0; i < n; ++i) {
-        if (status_[i] != static_cast<std::uint8_t>(RowStatus::kHit))
-            continue;
         const auto fb = fbs[i];
-        const bool capped = hit_streak_[fb] >= cap_ &&
-                            oldest_nonhit_[fb] < orders[i];
-        if (capped)
+        if (open_rows[fb] != static_cast<std::int32_t>(rows[i])) {
+            if (oldest == n &&
+                !(any_blocked && blocked(queue[i].req.addr)))
+                oldest = i;
             continue;
-        if (!best_hit || orders[*best_hit] > orders[i])
-            best_hit = i;
+        }
+        // The oldest row hit wins unless its bank has served `cap_`
+        // consecutive hits while an older usable non-hit waits on the
+        // same bank: an earlier entry on this bank with another row.
+        if (hit_streak_[fb] >= cap_ &&
+            !(any_blocked && blocked(queue[i].req.addr))) {
+            bool older_nonhit = false;
+            for (std::size_t j = i; j-- > 0;) {
+                if (fbs[j] == fb && rows[j] != rows[i]) {
+                    older_nonhit = true;
+                    break;
+                }
+            }
+            if (older_nonhit)
+                continue; // That older non-hit already set `oldest`.
+        }
+        choice = i;
+        break;
     }
-
-    const std::optional<std::size_t> choice =
-        best_hit ? best_hit : oldest_any;
-    if (!choice)
+    if (choice == n)
+        choice = oldest;
+    if (choice == n)
         return std::nullopt;
 
-    const auto &entry = queue[*choice];
-    const Command cmd = nextCommandFor(
-        entry.req, static_cast<RowStatus>(status_[*choice]));
+    const auto &entry = queue[choice];
     SchedDecision d;
-    d.index = *choice;
-    d.cmd = cmd;
-    d.earliest = std::max(now, chan.earliestIssue(cmd, entry.req.addr));
+    d.index = choice;
+    d.cmd = nextCommandFor(entry.req,
+                           chan.rowStatusFlat(fbs[choice], rows[choice]));
+    d.earliest = std::max(now, chan.earliestIssue(d.cmd, entry.req.addr));
     return d;
 }
 

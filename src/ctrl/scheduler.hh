@@ -23,17 +23,18 @@ namespace leaky::ctrl {
 struct QueueEntry {
     Request req;
     Tick arrival = 0;
-    std::uint64_t order = 0; ///< Global FCFS sequence number.
     bool classified = false; ///< Hit/miss/conflict stat recorded yet?
 };
 
 /**
- * Controller request queue with compact scan mirrors. Entries carry a
- * ~130-byte Request (address, completion std::function, stats fields),
- * so an FR-FCFS scan over full entries touches two cache lines per
- * element. The queue therefore mirrors exactly the fields the scan
- * reads -- order, flat bank, row -- into packed side arrays kept in
- * lockstep with the entry storage: a 64-entry scan reads ~1 KiB of
+ * Controller request queue with compact scan mirrors, ordered by age:
+ * entries are only appended and erase() keeps the order, so position 0
+ * is the oldest entry and the position is the FCFS age. Entries carry
+ * a ~130-byte Request (address, completion std::function, stats
+ * fields), so an FR-FCFS scan over full entries touches two cache
+ * lines per element. The queue therefore mirrors exactly the fields
+ * the scan reads -- flat bank, row -- into packed side arrays kept in
+ * lockstep with the entry storage: a 64-entry scan reads 512 bytes of
  * contiguous data instead of ~8 KiB of scattered entries. push()
  * annotates the address (fills the flat-index caches) so the mirrors
  * are always valid.
@@ -46,7 +47,6 @@ class RequestQueue
         : org_(&org)
     {
         entries_.reserve(reserve_depth);
-        order_.reserve(reserve_depth);
         flat_bank_.reserve(reserve_depth);
         row_.reserve(reserve_depth);
     }
@@ -55,7 +55,6 @@ class RequestQueue
     push(QueueEntry &&e)
     {
         org_->annotate(e.req.addr);
-        order_.push_back(e.order);
         flat_bank_.push_back(e.req.addr.flat_bank);
         row_.push_back(e.req.addr.row);
         entries_.push_back(std::move(e));
@@ -66,7 +65,6 @@ class RequestQueue
     {
         entries_.erase(entries_.begin() +
                        static_cast<std::ptrdiff_t>(idx));
-        order_.erase(order_.begin() + static_cast<std::ptrdiff_t>(idx));
         flat_bank_.erase(flat_bank_.begin() +
                          static_cast<std::ptrdiff_t>(idx));
         row_.erase(row_.begin() + static_cast<std::ptrdiff_t>(idx));
@@ -79,14 +77,12 @@ class RequestQueue
     bool empty() const { return entries_.empty(); }
 
     // Packed scan views, one element per entry (same index space).
-    const std::uint64_t *orders() const { return order_.data(); }
     const std::uint32_t *flatBanks() const { return flat_bank_.data(); }
     const std::uint32_t *rows() const { return row_.data(); }
 
   private:
     const dram::Organization *org_;
     std::vector<QueueEntry> entries_;
-    std::vector<std::uint64_t> order_;
     std::vector<std::uint32_t> flat_bank_;
     std::vector<std::uint32_t> row_;
 };
@@ -120,7 +116,11 @@ struct SchedDecision {
     Tick earliest = 0;          ///< When the command may issue.
 };
 
-/** FR-FCFS with a per-bank consecutive-row-hit cap. */
+/**
+ * FR-FCFS with a per-bank consecutive-row-hit cap. pick() is one
+ * forward scan over the queue's age-ordered mirrors: the first row hit
+ * that is not capped wins at once, else the oldest usable entry.
+ */
 class FrFcfsScheduler
 {
   public:
@@ -151,12 +151,6 @@ class FrFcfsScheduler
     dram::Organization org_;
     std::uint32_t cap_;
     std::vector<std::uint32_t> hit_streak_; ///< Per flat bank.
-
-    // Per-pick scratch, reused across calls to keep the hot path free
-    // of heap allocation (pick() runs at least twice per controller
-    // tick: once to serve, once to compute the next wake-up).
-    mutable std::vector<std::uint64_t> oldest_nonhit_; ///< Per flat bank.
-    mutable std::vector<std::uint8_t> status_;         ///< Per queue slot.
 };
 
 } // namespace leaky::ctrl

@@ -37,20 +37,19 @@ PracDefense::initValue()
     return 0;
 }
 
-std::uint32_t &
-PracDefense::counter(const Address &a)
+PracDefense::BankCounters::Table::value_type &
+PracDefense::counter(BankCounters &bank, std::uint32_t row)
 {
-    auto &rows = banks_[flatBank(a)].rows;
-    auto it = rows.find(a.row);
-    if (it == rows.end()) {
+    auto it = bank.rows.find(row);
+    if (it == bank.rows.end()) {
         // First touch: warm-started counters model mid-lifetime state.
         const std::uint32_t first =
             cfg_.warm_start && !cfg_.riac
                 ? static_cast<std::uint32_t>(rng_.below(cfg_.nbo))
                 : initValue();
-        it = rows.emplace(a.row, first).first;
+        it = bank.rows.emplace(row, first).first;
     }
-    return it->second;
+    return *it;
 }
 
 std::uint32_t
@@ -67,10 +66,8 @@ std::uint32_t
 PracDefense::maxCounter() const
 {
     std::uint32_t best = 0;
-    for (const auto &bank : banks_) {
-        for (const auto &entry : bank.rows)
-            best = std::max(best, entry.second);
-    }
+    for (const auto &bank : banks_)
+        best = std::max(best, bank.top_count);
     return best;
 }
 
@@ -92,9 +89,11 @@ PracDefense::onActivate(const Address &, Tick)
 void
 PracDefense::onPrecharge(const Address &addr, Tick now)
 {
-    auto &count = counter(addr);
-    count += 1;
-    if (count >= cfg_.nbo)
+    auto &bank = banks_[flatBank(addr)];
+    auto &entry = counter(bank, addr.row);
+    entry.second += 1;
+    bank.offer(entry);
+    if (entry.second >= cfg_.nbo)
         tryRaise(addr, now);
 }
 
@@ -136,36 +135,25 @@ PracDefense::tryRaise(const Address &addr, Tick now)
 }
 
 void
-PracDefense::resetTopCounter(const std::vector<std::uint32_t> &flat_banks)
+PracDefense::resetTopCounter(std::uint32_t first, std::uint32_t count,
+                             std::uint32_t stride)
 {
-    std::uint32_t *top = nullptr;
-    std::uint32_t top_count = 0;
-    for (auto fb : flat_banks) {
-        // Within a bank, pick the hottest row with the lowest row id
-        // on ties — an explicit total order, so the serviced row never
-        // depends on unordered_map iteration order (which is not part
-        // of the bit-identical reproduction contract). Cross-bank ties
-        // keep the earliest bank in the command's scope order.
-        std::uint32_t *best = nullptr;
-        std::uint32_t best_count = 0;
-        std::uint32_t best_row = 0;
-        for (auto &entry : banks_[fb].rows) {
-            if (!best || entry.second > best_count ||
-                (entry.second == best_count && entry.first < best_row)) {
-                best = &entry.second;
-                best_count = entry.second;
-                best_row = entry.first;
-            }
-        }
-        if (best && (!top || best_count > top_count)) {
-            top = best;
-            top_count = best_count;
-        }
+    BankCounters *winner = nullptr;
+    for (std::uint32_t i = 0; i < count; ++i) {
+        BankCounters &bank = banks_[first + i * stride];
+        if (bank.top != nullptr &&
+            (winner == nullptr || bank.top_count > winner->top_count))
+            winner = &bank;
     }
+    if (winner == nullptr)
+        return;
     // Refreshing the victims of the top aggressor resets its counter;
-    // RIAC re-randomises instead (§11.2).
-    if (top)
-        *top = initValue();
+    // RIAC re-randomises instead (§11.2). Only the winner's bank lost
+    // its top, so only it is rescanned.
+    winner->top->second = initValue();
+    winner->top = nullptr;
+    for (auto &entry : winner->rows)
+        winner->offer(entry);
 }
 
 void
@@ -175,22 +163,17 @@ PracDefense::onRfm(Command kind, const Address &addr, bool during_backoff,
     // Each RFM window services ONE aggressor row: the device refreshes
     // the victims of the highest activation counter reachable by the
     // command's scope (§6.1: a 4-RFM back-off covers four aggressors).
-    std::vector<std::uint32_t> scope;
+    // The scope is walked in place, so an RFM never allocates.
+    const auto &org = dram_cfg_.org;
     if (kind == Command::kRfmAll) {
-        for (std::uint32_t bg = 0; bg < dram_cfg_.org.bankgroups; ++bg) {
-            for (std::uint32_t b = 0; b < dram_cfg_.org.banks_per_group;
-                 ++b) {
-                scope.push_back(dram_cfg_.org.flatBank(addr.rank, bg, b));
-            }
-        }
+        resetTopCounter(org.flatBank(addr.rank, 0, 0), org.banksPerRank(),
+                        1);
     } else if (kind == Command::kRfmSameBank) {
-        for (std::uint32_t bg = 0; bg < dram_cfg_.org.bankgroups; ++bg)
-            scope.push_back(dram_cfg_.org.flatBank(addr.rank, bg,
-                                                   addr.bank));
+        resetTopCounter(org.flatBank(addr.rank, 0, addr.bank),
+                        org.bankgroups, org.banks_per_group);
     } else if (kind == Command::kRfmOneBank) {
-        scope.push_back(flatBank(addr));
+        resetTopCounter(flatBank(addr), 1, 1);
     }
-    resetTopCounter(scope);
 
     if (!during_backoff)
         return;

@@ -7,8 +7,10 @@
  *    closed; when a counter reaches NBO the device asserts the ABO
  *    (alert back-off) signal and the controller runs the back-off
  *    protocol (tABOACT of normal traffic + N recovery RFMs). Each
- *    recovery RFM refreshes the victims of the highest-count row in
- *    every bank and resets that counter.
+ *    recovery RFM refreshes the victims of the highest-count row among
+ *    the banks in its scope and resets that counter. Every bank caches
+ *    its hottest row, so an RFM compares one top per bank in scope and
+ *    rescans only the bank it serviced.
  *  - PRAC-RIAC (§11.2): counters are initialised to random values at
  *    boot and re-randomised after each preventive action, injecting
  *    unintentional back-offs that reduce the covert channel's capacity.
@@ -80,18 +82,46 @@ class PracDefense final : public dram::DeviceHooks
     const PracConfig &config() const { return cfg_; }
 
   private:
-    /** Per-bank activation-counter table. */
+    /**
+     * Per-bank activation-counter table plus a cached pointer to its
+     * hottest row under the service order: highest count first, lowest
+     * row id on ties -- an explicit total order, so the serviced row
+     * never depends on unordered_map iteration order (which is not part
+     * of the bit-identical reproduction contract). Counters are never
+     * erased and node pointers survive rehash, so `top` stays valid.
+     */
     struct BankCounters {
-        std::unordered_map<std::uint32_t, std::uint32_t> rows;
+        using Table = std::unordered_map<std::uint32_t, std::uint32_t>;
+
+        Table rows;
+        Table::value_type *top = nullptr; ///< Null while `rows` is empty.
+        std::uint32_t top_count = 0;
+        std::uint32_t top_row = 0;
+
+        /** Make @p e the top if it outranks the cached one. */
+        void
+        offer(Table::value_type &e)
+        {
+            if (top == nullptr || e.second > top_count ||
+                (e.second == top_count && e.first < top_row)) {
+                top = &e;
+                top_count = e.second;
+                top_row = e.first;
+            }
+        }
     };
 
     std::uint32_t flatBank(const Address &a) const;
-    std::uint32_t &counter(const Address &a);
+    BankCounters::Table::value_type &counter(BankCounters &bank,
+                                             std::uint32_t row);
     std::uint32_t initValue();
-    /** Refresh the victims of the hottest row among @p flat_banks:
-     *  one aggressor serviced per RFM window (paper §6.1: a back-off's
-     *  four RFMs refresh four aggressor rows' victims). */
-    void resetTopCounter(const std::vector<std::uint32_t> &flat_banks);
+    /** Refresh the victims of the hottest row among the @p count banks
+     *  first, first + stride, ...: one aggressor serviced per RFM
+     *  window (paper §6.1: a back-off's four RFMs refresh four
+     *  aggressor rows' victims). Cross-bank ties keep the earliest
+     *  bank in that scope order. */
+    void resetTopCounter(std::uint32_t first, std::uint32_t count,
+                         std::uint32_t stride);
     void tryRaise(const Address &addr, Tick now);
 
     dram::DramConfig dram_cfg_;

@@ -18,8 +18,14 @@ Headline metrics carry their own stricter ceiling (PER_BENCH_TOLERANCE):
 the effective tolerance for those is min(blanket, per-bench), so a noisy
 runner's widened blanket never loosens the tracked hot-loop guarantee.
 
+Only like is compared with like: both reports must carry the same
+num_cpus, leaky_build_type and leaky_dchecks context values (the bench
+harness records the last two). A mismatch, or a missing value, prints
+both sides and exits 2 without comparing anything.
+
 Exit status: 0 = no regressions, 1 = at least one regression (or a
-baseline benchmark missing from the current run), 2 = bad invocation.
+baseline benchmark missing from the current run), 2 = bad invocation
+or runs that are not comparable.
 """
 
 import argparse
@@ -35,8 +41,12 @@ PER_BENCH_TOLERANCE = {
 }
 
 
-def load_benchmarks(path):
-    """Map benchmark name -> record for per-iteration runs."""
+# Context keys that must match before two runs are comparable.
+COMPARABLE_CONTEXT = ("num_cpus", "leaky_build_type", "leaky_dchecks")
+
+
+def load_report(path):
+    """(context, benchmark name -> record for per-iteration runs)."""
     with open(path) as fh:
         data = json.load(fh)
     out = {}
@@ -44,7 +54,20 @@ def load_benchmarks(path):
         if record.get("run_type", "iteration") != "iteration":
             continue  # Skip aggregate rows (mean/median/stddev).
         out[record["name"]] = record
-    return out
+    return data.get("context", {}), out
+
+
+def context_mismatches(baseline, current):
+    """Lines naming every comparability key that differs or is missing."""
+    lines = []
+    for key in COMPARABLE_CONTEXT:
+        base = baseline.get(key)
+        cur = current.get(key)
+        if base is None or cur is None or base != cur:
+            lines.append("  %s: baseline %s, current %s" %
+                         (key, "missing" if base is None else base,
+                          "missing" if cur is None else cur))
+    return lines
 
 
 def metric_of(record):
@@ -75,10 +98,17 @@ def main(argv):
         parser.error("--tolerance must be in [0, 1)")
 
     try:
-        baseline = load_benchmarks(args.baseline)
-        current = load_benchmarks(args.current)
+        base_context, baseline = load_report(args.baseline)
+        cur_context, current = load_report(args.current)
     except (OSError, ValueError) as err:
         print("check_bench: %s" % err, file=sys.stderr)
+        return 2
+
+    mismatches = context_mismatches(base_context, cur_context)
+    if mismatches:
+        print("check_bench: runs are not comparable; regenerate the "
+              "baseline on this host and build:\n" + "\n".join(mismatches),
+              file=sys.stderr)
         return 2
 
     failures = []
