@@ -2,8 +2,9 @@
  * @file
  * google-benchmark microbenchmarks of the simulation substrate itself:
  * event-queue throughput (one-shot and member-bound reusable events),
- * schedule/cancel churn, DRAM command issue, controller request
- * service, and end-to-end covert-channel window simulation speed.
+ * schedule/cancel churn, figure-shaped traffic with few live events,
+ * DRAM command issue, controller request service, and end-to-end
+ * covert-channel window simulation speed.
  *
  * Besides the console output, a run always writes a JSON report
  * (items/sec per bench) to BENCH_kernel.json -- override the path with
@@ -28,6 +29,7 @@
 #include "runner/pool.hh"
 #include "runner/runner.hh"
 #include "runner/sweep.hh"
+#include "sim/rng.hh"
 
 namespace {
 
@@ -101,17 +103,66 @@ BM_EventQueueCancelReschedule(benchmark::State &state)
                                          static_cast<sim::Tick>(i));
             moves += 1;
         }
+        // Cancel unlinks at once, so the churn leaves nothing behind
+        // to drain and every iteration starts from an empty queue.
         eq.deschedule(ticker.ev);
-        // Drain the stale heap entries the churn left behind, outside
-        // the timed region, so iterations measure steady-state cost
-        // rather than an ever-growing heap.
-        state.PauseTiming();
-        eq.run();
-        state.ResumeTiming();
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(moves));
 }
 BENCHMARK(BM_EventQueueCancelReschedule);
+
+/** One of a few self-clocking components, each tick also scheduling a
+ *  one-shot completion that lands before its next tick. */
+struct FewLiveClock {
+    void
+    tick()
+    {
+        fired += 1;
+        if (fired >= target)
+            return;
+        const sim::Tick delta = rng.range(1'000, 100'000);
+        eq->scheduleAfter(ev, delta);
+        eq->scheduleAfter(delta / 2, [this] { completions += 1; });
+    }
+
+    sim::EventQueue *eq = nullptr;
+    sim::Event ev;
+    sim::Rng rng;
+    std::uint64_t fired = 0;
+    std::uint64_t target = 0;
+    std::uint64_t completions = 0;
+};
+
+/** Figure-shaped traffic: about eight pending events (four bound
+ *  self-clocks and their one-shots) at deltas of 1 000 to 100 000
+ *  ticks, the live count the figure registry measures. */
+void
+BM_EventQueueFewLive(benchmark::State &state)
+{
+    sim::EventQueue eq;
+    std::vector<FewLiveClock> clocks(4);
+    for (std::size_t i = 0; i < clocks.size(); ++i) {
+        FewLiveClock &c = clocks[i];
+        c.eq = &eq;
+        c.rng = sim::Rng(i + 1);
+        c.ev.bind(&c, [](void *ctx) {
+            static_cast<FewLiveClock *>(ctx)->tick();
+        });
+    }
+    for (auto _ : state) {
+        for (FewLiveClock &c : clocks) {
+            c.target += 250;
+            eq.schedule(c.ev, eq.now());
+        }
+        eq.run();
+    }
+    std::uint64_t events = 0;
+    for (const FewLiveClock &c : clocks)
+        events += c.fired + c.completions;
+    benchmark::DoNotOptimize(events);
+    state.SetItemsProcessed(static_cast<std::int64_t>(events));
+}
+BENCHMARK(BM_EventQueueFewLive);
 
 void
 BM_DramCommandIssue(benchmark::State &state)

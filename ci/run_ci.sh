@@ -9,8 +9,9 @@
 #                           SweepPool: ctest + the 4-thread figure
 #                           smoke, halt on any data-race report
 #   BUILD_VARIANT=release   Release -DLEAKY_DCHECKS=OFF + default-scale
-#                           mitigation and capacity runs against their
-#                           SHA-256 pins + the bench-regression guard
+#                           mitigation, capacity and fingerprint runs
+#                           against their SHA-256 pins + the
+#                           bench-regression guard
 #                           (tools/check_bench.py)
 #   BUILD_VARIANT=lint      static passes only, no build: leaky-lint
 #                           (tools/lint/leaky_lint.py; exit 2 = lint
@@ -183,6 +184,21 @@ if [ "$BUILD_VARIANT" = release ]; then
         > "$BUILD_DIR/capacity-seed11.sha256"
     (cd "$BUILD_DIR/capacity-seed11" &&
         sha256sum -c "../capacity-seed11.sha256")
+fi
+
+# Default-scale website fingerprinting (release variant only): sparse
+# browser traces over long windows keep only a few events pending, so
+# this run covers the event kernel's run heap at full length, against
+# the SHA-256 pin bench/e2e checks at figure seed 11.
+if [ "$BUILD_VARIANT" = release ]; then
+    rm -rf "$BUILD_DIR/fingerprint-seed11"
+    "$BUILD_DIR/leakyhammer" repro --fig fingerprint --seed 11 --threads 4 \
+        --out "$BUILD_DIR/fingerprint-seed11"
+    grep ' fig_website_fingerprint\.csv$' \
+        bench/e2e/expected/fingerprint.seed11.sha256 \
+        > "$BUILD_DIR/fingerprint-seed11.sha256"
+    (cd "$BUILD_DIR/fingerprint-seed11" &&
+        sha256sum -c "../fingerprint-seed11.sha256")
 fi
 
 # Perf harness: run every benchmark to completion and guard against

@@ -5,37 +5,29 @@
  * order so simulations are fully deterministic.
  *
  * The kernel is intrusive and slab-allocated: every scheduled occurrence
- * lives in a pooled Record (chunked slab, stable addresses, free-list
- * reuse) identified by a generation-counted handle, and a binary heap of
- * record indices orders execution. Steady-state scheduling performs no
- * heap allocation:
+ * lives in a pooled Record (chunked slab, free-list reuse) identified by
+ * a generation-counted handle. Steady-state scheduling performs no heap
+ * allocation:
  *
  *  - reusable, member-bound Events (see sim::Event) carry only an
  *    object pointer and a function-pointer thunk;
  *  - one-shot callables are stored in a small-buffer SmallFn; only
  *    captures larger than SmallFn::kInlineBytes spill to the heap
  *    (counted in KernelStats::one_shot_spills);
- *  - cancellation bumps the record's generation instead of erasing from
- *    a map; stale heap entries are skipped lazily at pop time.
+ *  - cancellation unlinks the record eagerly and bumps its generation,
+ *    so stale handles are rejected without a lookup.
  *
- * Ordering is maintained by two structures that agree on one global
- * (tick, seq) total order:
- *
- *  - a hierarchical timing wheel (6 levels x 256 slots of 8 bits each,
- *    covering any deadline within 2^48 ticks of the wheel's reference
- *    time) gives O(1) schedule and cancel for the overwhelming
- *    majority of events — controller self-clocks, refresh and ABO
- *    timers, request retries;
- *  - the binary heap remains as the fallback for deadlines outside
- *    the wheel's range, and for events scheduled below the wheel's
- *    reference time after it has been advanced ahead of now().
- *
- * The pop path merges both sources exactly: a level-0 wheel slot holds
- * events of one identical tick in ascending seq order (appends and
- * cascades both preserve insertion order), so comparing the slot head
- * against the heap top by (tick, seq) reproduces the single-heap
- * execution order bit for bit. See docs/ARCHITECTURE.md ("Controller
- * hot loop") for the invariant argument.
+ * Ordering is one binary min-heap of *runs*. A run is a FIFO of
+ * same-tick records in schedule (seq) order, linked through the
+ * records; only run heads sit in the heap, keyed by (tick, seq). A
+ * small table caches the tail of the newest run per tick (indexed by
+ * the tick's low bits), and a schedule whose tick matches the cached
+ * tail appends to that run instead of sifting. Because appends only go
+ * to a tick's newest run, the runs of one tick hold disjoint seq
+ * ranges, so a popped or cancelled head's successor takes over the
+ * head's heap slot in place. The resulting fire order is the exact
+ * global (tick, seq) order. See docs/ARCHITECTURE.md ("Run heap: event
+ * ordering") for the invariant argument.
  */
 
 #ifndef LEAKY_SIM_EVENT_QUEUE_HH
@@ -227,8 +219,8 @@ memberEvent(T *obj)
 /**
  * Deterministic discrete-event queue.
  *
- * Events with equal ticks run in schedule order. Cancellation bumps the
- * slot's generation; stale heap entries are skipped when popped.
+ * Events with equal ticks run in schedule order. Cancellation unlinks
+ * the record at once and bumps the slot's generation.
  */
 class EventQueue
 {
@@ -238,9 +230,12 @@ class EventQueue
         std::uint64_t events_run = 0;      ///< Callbacks executed.
         std::uint64_t one_shot_spills = 0; ///< Captures too big for SBO.
         std::uint64_t pool_chunks = 0;     ///< Slab chunks allocated.
-        std::uint64_t wheel_events = 0;    ///< Scheduled via the wheel.
-        std::uint64_t heap_events = 0;     ///< Heap-fallback schedules.
-        std::uint64_t wheel_cascades = 0;  ///< Entries moved by cascades.
+        std::uint64_t heap_events = 0;     ///< Every schedule.
+        std::uint64_t run_appends = 0;     ///< Joined a same-tick run.
+        // Always 0: the end-to-end benchmark still reads these two
+        // names; its next revision drops them.
+        std::uint64_t wheel_events = 0;
+        std::uint64_t wheel_cascades = 0;
     };
 
     EventQueue() = default;
@@ -322,7 +317,11 @@ class EventQueue
     void run() { runUntil(kTickMax); }
 
     /** Tick of the next live event, or kTickMax when empty. */
-    Tick nextEventTick() const;
+    Tick
+    nextEventTick() const
+    {
+        return heap_.empty() ? kTickMax : heap_.front().when;
+    }
 
     const KernelStats &kernelStats() const { return stats_; }
 
@@ -334,38 +333,38 @@ class EventQueue
     static constexpr std::uint32_t kNoFreeSlot = ~std::uint32_t{0};
     /** next_free value marking a live (allocated) record. */
     static constexpr std::uint32_t kLiveMark = kNoFreeSlot - 1;
+    /** Size of the newest-run tail table (a power of two). Collisions
+     *  only open extra runs, so it affects speed, never order. */
+    static constexpr std::uint32_t kTailSlots = 256;
 
     /**
-     * One pooled occurrence. For heap-routed events the ordering keys
-     * (tick, seq) live only in the heap entry; wheel-routed events
-     * carry them here, together with the intrusive doubly-linked slot
-     * list the wheel threads through the slab.
+     * One pooled occurrence: its ordering keys, its links within its
+     * same-tick run and, for a run head, its heap position.
      *
      * The record is exactly one cache line; a one-shot's SmallFn
      * payload lives in the parallel fn_slab_ (same index) and is only
-     * touched when has_fn says so. A member-bound event's whole
-     * schedule/cancel/run cycle therefore stays within this line — at
-     * thousands of pending timers (request-retry storms) that halves
-     * the slab working set versus embedding the 56-byte SmallFn.
+     * touched when has_fn says so, so a member-bound event's whole
+     * schedule/cancel/run cycle stays within this line.
      */
     struct alignas(64) Record {
         std::uint32_t gen = 1;  ///< Bumped on free; validates handles.
         std::uint32_t next_free = kNoFreeSlot;
-        Tick when = 0;          ///< Wheel entries: the deadline.
-        std::uint64_t seq = 0;  ///< Wheel entries: global tie-break.
-        std::uint32_t wheel_next = kNoFreeSlot; ///< Slot list links.
-        std::uint32_t wheel_prev = kNoFreeSlot;
-        bool in_wheel = false;  ///< Eagerly cleared on cancel/run.
+        Tick when = 0;
+        std::uint64_t seq = 0;  ///< Global schedule order (tie-break).
+        std::uint32_t run_prev = kNoFreeSlot; ///< Same-tick run links.
+        std::uint32_t run_next = kNoFreeSlot;
+        std::uint32_t heap_pos = kNoFreeSlot; ///< Set for run heads only.
         bool has_fn = false;    ///< fn_slab_[idx] holds a payload.
         Event *bound = nullptr; ///< Non-null for member-bound events.
     };
     static_assert(sizeof(Record) == 64, "Record must stay one line");
 
+    /** A run head's heap entry. The keys are copied here so sift
+     *  compares never read the records. */
     struct HeapEntry {
         Tick when;
         std::uint64_t seq;
         std::uint32_t idx;
-        std::uint32_t gen;
 
         bool
         before(const HeapEntry &o) const
@@ -395,10 +394,11 @@ class EventQueue
     [[noreturn]] void failPast(Tick when) const;
 
     /** Pop a free slot off the free list (growing the pool first if
-     *  needed) and mark it live. No heap entry exists yet. */
+     *  needed) and mark it live. It is not yet ordered. */
     std::uint32_t claimSlot();
 
-    /** Publish a claimed slot: push its (when, seq) heap entry. */
+    /** Publish a claimed slot at @p when: append it to the tick's
+     *  newest run, or open a new run in the heap. */
     void commitSlot(std::uint32_t idx, Tick when);
 
     /** Return a claimed-but-unpublished slot to the free list. */
@@ -408,100 +408,38 @@ class EventQueue
     void freeSlot(std::uint32_t idx);
 
     void growPool();
-    void pushHeap(Tick when, std::uint64_t seq, std::uint32_t idx,
-                  std::uint32_t gen);
-    void popHeap() const;
-    /** Drop stale heap entries. @return false when the heap is empty. */
-    bool skipDead() const;
-    /** Execute the heap top (which must be live). */
-    void runTop();
 
-    // ---------------------------------------------------- timing wheel
-    // 8-bit levels: the paper-scale deltas that dominate the hot loop
-    // (retry intervals, CAS latencies, both in the tens of thousands of
-    // femtosecond-scale ticks) then sit one level up (256..65535) and
-    // cascade exactly once, instead of twice with 6-bit levels.
-    static constexpr int kWheelBits = 8;
-    static constexpr int kWheelLevels = 6;
-    static constexpr std::uint32_t kWheelSlots = 1u << kWheelBits;
-    static constexpr int kWheelWords = kWheelSlots / 64;
-    /** Per-level slot-occupancy bitmap (kWheelSlots bits). */
-    using OccMask = std::array<std::uint64_t, kWheelWords>;
-
-    struct WheelSlot {
-        std::uint32_t head = kNoFreeSlot;
-        std::uint32_t tail = kNoFreeSlot;
-    };
-
-    /** The wheel level an entry @p diff ticks of XOR distance away
-     *  belongs to: the highest differing 8-bit group vs wheel_now_.
-     *  kWheelLevels and up means "outside the wheel" (heap). */
-    static int
-    wheelLevel(Tick diff)
+    static constexpr std::array<std::uint32_t, kTailSlots>
+    emptyTails()
     {
-        return diff == 0 ? 0 : (63 - __builtin_clzll(diff)) / kWheelBits;
+        std::array<std::uint32_t, kTailSlots> t{};
+        for (std::uint32_t &v : t)
+            v = kNoFreeSlot;
+        return t;
     }
 
-    /** Lowest set slot in @p m, or -1 when the level is empty. */
-    static int
-    lowestSlot(const OccMask &m)
+    /** Remove live record @p idx from its run, the heap and the tail
+     *  table. A head's successor inherits its heap slot in place. */
+    void unlink(std::uint32_t idx);
+
+    /** Move @p e up from @p hole to its place, tracking heap_pos. */
+    void siftUp(std::size_t hole, const HeapEntry &e);
+    /** Move @p e down from @p hole to its place, tracking heap_pos. */
+    void siftDown(std::size_t hole, const HeapEntry &e);
+    /** Store @p e at heap index @p pos and record the position. */
+    void
+    place(std::size_t pos, const HeapEntry &e)
     {
-        for (int w = 0; w < kWheelWords; ++w)
-            if (m[w] != 0)
-                return w * 64 + __builtin_ctzll(m[w]);
-        return -1;
+        heap_[pos] = e;
+        record(e.idx).heap_pos = static_cast<std::uint32_t>(pos);
     }
 
-    static void
-    setOcc(OccMask &m, std::uint32_t slot)
-    {
-        m[slot >> 6] |= std::uint64_t{1} << (slot & 63);
-    }
-
-    static void
-    clearOcc(OccMask &m, std::uint32_t slot)
-    {
-        m[slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
-    }
-
-    /** Link @p idx at the tail of its slot under the current
-     *  wheel_now_ (record(idx).when must be >= wheel_now_). */
-    void wheelInsert(std::uint32_t idx);
-    /** Same with the level already computed by the caller. */
-    void wheelInsertAt(std::uint32_t idx, int level);
-    /** Eagerly unlink @p idx from its slot (O(1)). */
-    void wheelRemove(std::uint32_t idx);
-    /** Move the wheel's reference time forward to @p t, cascading the
-     *  one newly-current slot so every entry's (level, slot) placement
-     *  is again a pure function of (when, wheel_now_). All slots this
-     *  skips over are provably empty: no live entry's deadline may lie
-     *  below @p t when the caller advances. */
-    void advanceWheel(Tick t);
-    /**
-     * Index of the earliest wheel entry, cascading higher-level slots
-     * down until it sits in a level-0 slot (where list head == lowest
-     * seq of the earliest tick). Returns kNoFreeSlot when the wheel is
-     * empty or when its lower bound alone proves no wheel entry can
-     * run at or before @p cap (the heap top's tick) — in that case no
-     * cascade work is done.
-     */
-    std::uint32_t wheelHead(Tick cap, std::uint32_t *slot_out);
-    /** Exact earliest wheel tick without mutating (scans the first
-     *  occupied slot of the lowest non-empty level). */
-    Tick wheelMinTick() const;
-    /** Unlink the level-0 slot-@p slot head @p idx and execute it. */
-    void runWheelHead(std::uint32_t idx, std::uint32_t slot);
     /** Execute record @p idx (slot is freed before invocation so the
      *  callback can reschedule the same bound event). */
     void runRecord(std::uint32_t idx);
-    /** Run the earliest of (wheel, heap) if its tick is <= @p limit.
+    /** Run the earliest event if its tick is <= @p limit.
      *  @return false when nothing ran. */
     bool runNext(Tick limit);
-
-    Tick wheel_now_ = 0; ///< Wheel reference time (may lead now_).
-    std::size_t wheel_live_ = 0;
-    std::array<OccMask, kWheelLevels> wheel_occupied_{};
-    std::array<std::array<WheelSlot, kWheelSlots>, kWheelLevels> wheel_{};
 
     Tick now_ = 0;
     std::uint64_t next_seq_ = 1;
@@ -516,7 +454,10 @@ class EventQueue
     /** One-shot payloads, parallel to slab_ (same index). Kept out of
      *  Record so bound events never touch these lines (see Record). */
     std::vector<SmallFn> fn_slab_;
-    mutable std::vector<HeapEntry> heap_;
+    /** Run heads, a binary min-heap by (when, seq). */
+    std::vector<HeapEntry> heap_;
+    /** Tail of the newest run of each tick, at [when % kTailSlots]. */
+    std::array<std::uint32_t, kTailSlots> tails_ = emptyTails();
     KernelStats stats_;
 };
 

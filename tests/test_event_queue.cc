@@ -336,23 +336,54 @@ TEST(EventQueue, BoundEventDestructorDeschedules)
 // ---------------------------------------------------------------------
 // Zero-allocation steady state.
 
+/** One request of a retry storm: it retries every 20 ns until done. */
+struct Retrier {
+    void
+    retry()
+    {
+        if (--left > 0)
+            eq->scheduleAfter(ev, 20'000);
+    }
+
+    EventQueue *eq = nullptr;
+    Event ev;
+    int left = 0;
+};
+
 TEST(EventQueue, SteadyStateSchedulingDoesNotAllocate)
 {
     EventQueue eq;
     SelfTicker ticker(eq);
     std::uint64_t counter = 0;
+    // A saturated controller: 2000 requests in flight, all retrying on
+    // identical ticks, so every retry joins one long same-tick run.
+    std::vector<Retrier> storm(2000);
+    for (Retrier &r : storm) {
+        r.eq = &eq;
+        r.ev.bind(&r, [](void *ctx) { static_cast<Retrier *>(ctx)->retry(); });
+    }
+    const auto runStorm = [&](int retries) {
+        for (Retrier &r : storm) {
+            r.left = retries;
+            eq.schedule(r.ev, eq.now());
+        }
+        eq.run();
+    };
 
     // Warm-up: grow the slab and the heap past the steady-state
-    // high-water mark (1001 simultaneously live events below).
+    // high-water mark (1001 simultaneously live events below, then
+    // the 2000-event storm).
     for (int i = 0; i < 1200; ++i)
         eq.scheduleAfter(static_cast<Tick>(i % 31), [&counter] {
             counter += 1;
         });
     eq.run();
+    runStorm(2);
 
     // Steady state: a self-rescheduling bound event plus one-shot
     // lambdas with small captures, mirroring the controller's tick /
-    // completion pattern. None of this may touch the heap.
+    // completion pattern, then the retry storm. None of this may touch
+    // the heap.
     ticker.limit = 1000;
     const std::uint64_t allocs_before = leaky_test_heap_allocs.load();
     eq.schedule(ticker.ev, eq.now());
@@ -361,109 +392,254 @@ TEST(EventQueue, SteadyStateSchedulingDoesNotAllocate)
             counter += 1;
         });
     eq.run();
+    const Tick storm_start = eq.now();
+    runStorm(20);
     const std::uint64_t allocs_after = leaky_test_heap_allocs.load();
 
     EXPECT_EQ(allocs_after, allocs_before);
     EXPECT_EQ(ticker.ticks, 1000);
     EXPECT_EQ(counter, 2200u);
+    EXPECT_EQ(eq.now(), storm_start + 19 * 20'000);
     EXPECT_EQ(eq.kernelStats().one_shot_spills, 0u);
 }
 
 // ---------------------------------------------------------------------
-// Property-based differential test: the production kernel (timing wheel
-// + heap fallback) against a naive reference model that simply sorts
-// pending events by (tick, schedule-seq). Random schedules spanning
-// every wheel level (including the beyond-horizon heap route), random
+// Property-based differential tests: the production kernel (a heap of
+// same-tick runs) against a naive reference model that simply sorts
+// pending events by (tick, schedule-seq). Random schedules, random
 // cancellations, and partial runUntil() slices must all reproduce the
 // reference fire order exactly — same-tick ties included.
 
-TEST(EventQueueProperty, WheelMatchesReferenceHeapOrder)
+/** Drives one EventQueue and the reference model in lockstep. */
+class Differential
+{
+  public:
+    /** Schedule a one-shot at @p when in both. A @p spawn event
+     *  schedules one more (plain) event at now() when it fires.
+     *  @return the event's id. */
+    int
+    add(Tick when, bool spawn = false)
+    {
+        const int id = next_id_++;
+        const auto h =
+            eq.schedule(when, [this, id, spawn] { fire(id, spawn); });
+        model_.push_back({when, seq_++, id, h});
+        return id;
+    }
+
+    /** Cancel the pending event at model index @p k in both. */
+    void
+    cancelAt(std::size_t k)
+    {
+        EXPECT_TRUE(eq.cancel(model_[k].handle));
+        model_.erase(model_.begin() + static_cast<std::ptrdiff_t>(k));
+    }
+
+    /** Cancel pending event @p id in both. */
+    void
+    cancelId(int id)
+    {
+        const auto it = std::find_if(
+            model_.begin(), model_.end(),
+            [id](const Pending &p) { return p.id == id; });
+        ASSERT_NE(it, model_.end()) << "event " << id << " not pending";
+        cancelAt(static_cast<std::size_t>(it - model_.begin()));
+    }
+
+    /** Run both up to @p limit (inclusive). */
+    void
+    runUntil(Tick limit)
+    {
+        eq.runUntil(limit);
+        std::vector<Pending> due;
+        for (std::size_t i = 0; i < model_.size();) {
+            if (model_[i].when <= limit) {
+                due.push_back(model_[i]);
+                model_.erase(model_.begin() +
+                             static_cast<std::ptrdiff_t>(i));
+            } else {
+                ++i;
+            }
+        }
+        std::sort(due.begin(), due.end(),
+                  [](const Pending &a, const Pending &b) {
+                      return a.when != b.when ? a.when < b.when
+                                              : a.seq < b.seq;
+                  });
+        for (const Pending &p : due)
+            expected.push_back(p.id);
+    }
+
+    std::size_t pending() const { return model_.size(); }
+    Tick pendingWhen(std::size_t k) const { return model_[k].when; }
+
+    EventQueue eq;
+    std::vector<int> fired;
+    std::vector<int> expected;
+
+  private:
+    struct Pending {
+        Tick when;
+        std::uint64_t seq; ///< Global schedule order (tie-break).
+        int id;
+        leaky::sim::EventHandle handle;
+    };
+
+    void
+    fire(int id, bool spawn)
+    {
+        fired.push_back(id);
+        // The child joins the model mid-run; it fires inside the same
+        // runUntil() slice, after every pending event of this tick.
+        if (spawn)
+            add(eq.now());
+    }
+
+    std::vector<Pending> model_;
+    std::uint64_t seq_ = 0;
+    int next_id_ = 0;
+};
+
+TEST(EventQueueProperty, MatchesReferenceOrder)
 {
     leaky::sim::Rng rng(0xC0FFEE);
     const auto rnd = [&rng](std::uint64_t bound) {
         return rng.below(bound);
     };
-    // Delta magnitudes chosen to hit wheel levels 0..5 and the heap
-    // fallback (one full horizon past wheel_now_).
+    // Delta magnitudes from one tick to one past 2^48, so runs open at
+    // near and far ticks alike.
     static constexpr Tick kSpans[] = {
         1, 7, 60, 250, 3000, 70'000, Tick{1} << 20, Tick{1} << 49,
     };
 
-    std::uint64_t wheel_total = 0;
-    std::uint64_t heap_total = 0;
+    std::uint64_t run_appends = 0;
+    std::uint64_t heap_events = 0;
     for (int round = 0; round < 10; ++round) {
-        EventQueue eq;
-        struct Pending {
-            Tick when;
-            std::uint64_t seq; ///< Global schedule order (tie-break).
-            int id;
-            leaky::sim::EventHandle handle;
-        };
-        std::vector<Pending> model;
-        std::vector<int> fired;
-        std::vector<int> expected;
-        std::uint64_t seq = 0;
-        int next_id = 0;
-
-        const auto byOrder = [](const Pending &a, const Pending &b) {
-            return a.when != b.when ? a.when < b.when : a.seq < b.seq;
-        };
-        const auto drainModel = [&](Tick limit) {
-            std::vector<Pending> due;
-            for (std::size_t i = 0; i < model.size();) {
-                if (model[i].when <= limit) {
-                    due.push_back(model[i]);
-                    model.erase(model.begin() +
-                                static_cast<std::ptrdiff_t>(i));
-                } else {
-                    ++i;
-                }
-            }
-            std::sort(due.begin(), due.end(), byOrder);
-            for (const Pending &p : due)
-                expected.push_back(p.id);
-        };
-
+        Differential d;
         for (int step = 0; step < 300; ++step) {
             const std::uint64_t op = rnd(100);
-            if (op < 60 || model.empty()) {
+            if (op < 60 || d.pending() == 0) {
                 // Burst of one-shots; small spans collide on one tick
                 // often, exercising the same-tick seq order.
                 const int burst = 1 + static_cast<int>(rnd(8));
                 for (int b = 0; b < burst; ++b) {
                     const Tick span = kSpans[rnd(std::size(kSpans))];
-                    const Tick when = eq.now() + rnd(span + 1);
-                    const int id = next_id++;
-                    const auto h = eq.schedule(
-                        when, [&fired, id] { fired.push_back(id); });
-                    model.push_back({when, seq++, id, h});
+                    d.add(d.eq.now() + rnd(span + 1));
                 }
             } else if (op < 80) {
-                const std::size_t k = rnd(model.size());
-                EXPECT_TRUE(eq.cancel(model[k].handle));
-                model.erase(model.begin() +
-                            static_cast<std::ptrdiff_t>(k));
+                d.cancelAt(rnd(d.pending()));
             } else {
                 // Run a slice ending at a pending deadline plus random
                 // slack, so limits land both on and between events.
-                const std::size_t k = rnd(model.size());
-                const Tick limit = model[k].when + rnd(64);
-                eq.runUntil(limit);
-                drainModel(limit);
-                ASSERT_EQ(fired, expected) << "round " << round
-                                           << " step " << step;
+                const std::size_t k = rnd(d.pending());
+                d.runUntil(d.pendingWhen(k) + rnd(64));
+                ASSERT_EQ(d.fired, d.expected) << "round " << round
+                                               << " step " << step;
             }
         }
-        eq.run();
-        drainModel(kTickMax);
-        ASSERT_EQ(fired, expected) << "round " << round;
-        EXPECT_TRUE(eq.empty());
-        wheel_total += eq.kernelStats().wheel_events;
-        heap_total += eq.kernelStats().heap_events;
+        d.runUntil(kTickMax);
+        ASSERT_EQ(d.fired, d.expected) << "round " << round;
+        EXPECT_TRUE(d.eq.empty());
+        run_appends += d.eq.kernelStats().run_appends;
+        heap_events += d.eq.kernelStats().heap_events;
     }
-    // The generator must have exercised both routing paths.
-    EXPECT_GT(wheel_total, 0u);
-    EXPECT_GT(heap_total, 0u);
+    // The generator must have both joined runs and opened new ones.
+    EXPECT_GT(run_appends, 0u);
+    EXPECT_GT(heap_events, run_appends);
+}
+
+TEST(EventQueueProperty, SameTickStormsWithCancelsMatchReferenceOrder)
+{
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+        leaky::sim::Rng rng(seed);
+        Differential d;
+        const Tick t = 1000 + rng.below(1000);
+        // Events at neighbouring ticks, and one that takes the storm
+        // tick's tail-table entry, so the storm opens its own run.
+        for (int i = 0; i < 10; ++i) {
+            d.add(t + 1 + rng.below(5));
+            d.add(t - 1 - rng.below(5));
+        }
+        d.add(t + 256);
+        std::vector<int> storm;
+        for (int i = 0; i < 1200; ++i)
+            storm.push_back(d.add(t));
+        // Cancel the storm run's head, a middle record and its tail;
+        // the tail cache must fall back to the new tail, so later
+        // appends still join the same (newest) run.
+        d.cancelId(storm.front());
+        d.cancelId(storm[storm.size() / 2]);
+        d.cancelId(storm.back());
+        for (int i = 0; i < 300; ++i) {
+            const int id = d.add(t);
+            if (rng.below(4) == 0)
+                d.cancelId(id);
+        }
+        // Then a spread of distinct records from the run's first half.
+        const std::size_t stride = 2 + rng.below(2);
+        for (std::size_t i = 0; i < 200; ++i)
+            d.cancelId(storm[1 + stride * i]);
+        d.runUntil(t - 1);
+        ASSERT_EQ(d.fired, d.expected) << "seed " << seed;
+        d.runUntil(kTickMax);
+        ASSERT_EQ(d.fired, d.expected) << "seed " << seed;
+        EXPECT_GT(d.eq.kernelStats().run_appends, 1000u);
+    }
+}
+
+TEST(EventQueueProperty, TailTableCollisionsMatchReferenceOrder)
+{
+    // Ticks T and T + 256 share a tail-table entry, so interleaving
+    // them keeps opening new runs of the same tick: their heap order
+    // and in-place promotion must still follow (tick, seq).
+    for (const std::uint64_t seed : {4u, 5u, 6u}) {
+        leaky::sim::Rng rng(seed);
+        Differential d;
+        const Tick t = 256 * (1 + rng.below(16)) + rng.below(256);
+        std::vector<int> ids;
+        for (int burst = 0; burst < 200; ++burst) {
+            const Tick when = (burst % 2 == 0) ? t : t + 256;
+            const int n = 1 + static_cast<int>(rng.below(6));
+            for (int i = 0; i < n; ++i)
+                ids.push_back(d.add(when));
+            if (rng.below(3) == 0 && d.pending() > 0)
+                d.cancelAt(rng.below(d.pending()));
+        }
+        d.runUntil(t);
+        ASSERT_EQ(d.fired, d.expected) << "seed " << seed;
+        // The clock now sits at T: the next bursts land at T + 256 and
+        // at the colliding T + 512.
+        for (int burst = 0; burst < 50; ++burst) {
+            const Tick when = (burst % 2 == 0) ? t + 256 : t + 512;
+            for (int i = 0; i < 3; ++i)
+                d.add(when);
+            if (rng.below(2) == 0)
+                d.cancelAt(rng.below(d.pending()));
+        }
+        d.runUntil(kTickMax);
+        ASSERT_EQ(d.fired, d.expected) << "seed " << seed;
+    }
+}
+
+TEST(EventQueueProperty, SchedulesAtNowFromCallbacksMatchReferenceOrder)
+{
+    for (const std::uint64_t seed : {7u, 8u, 9u}) {
+        leaky::sim::Rng rng(seed);
+        Differential d;
+        // Spawners and plain events over a few ticks (two of which
+        // collide in the tail table); every spawner's child is
+        // scheduled at now() from inside its callback and must run
+        // after all events already pending at that tick.
+        for (int i = 0; i < 400; ++i) {
+            const Tick when = 10 + 256 * rng.below(2) + rng.below(4);
+            d.add(when, rng.below(2) == 0);
+        }
+        d.runUntil(11);
+        ASSERT_EQ(d.fired, d.expected) << "seed " << seed;
+        d.runUntil(kTickMax);
+        ASSERT_EQ(d.fired, d.expected) << "seed " << seed;
+        EXPECT_TRUE(d.eq.empty());
+    }
 }
 
 TEST(EventQueue, OversizedCapturesSpillAndAreCounted)
