@@ -3,8 +3,9 @@
  * google-benchmark microbenchmarks of the simulation substrate itself:
  * event-queue throughput (one-shot and member-bound reusable events),
  * schedule/cancel churn, figure-shaped traffic with few live events,
- * DRAM command issue, controller request service, and end-to-end
- * covert-channel window simulation speed.
+ * DRAM command issue, controller request service, cache-hierarchy
+ * replay of an application trace, and end-to-end covert-channel window
+ * simulation speed.
  *
  * Besides the console output, a run always writes a JSON report
  * (items/sec per bench) to BENCH_kernel.json -- override the path with
@@ -221,6 +222,46 @@ BM_ControllerRequests(benchmark::State &state)
     }
 }
 BENCHMARK(BM_ControllerRequests)->Unit(benchmark::kMillisecond);
+
+/**
+ * Cache layer: a fixed 200k-record SPEC-like trace (lbm-like: streaming
+ * with 45% stores) replayed through a cold private hierarchy, probing
+ * and filling on each miss as a trace core does. Arg 0 = the paper's
+ * L1 + 4 MB LLC, arg 1 = the 3-level 6 MB hierarchy of §10.3.
+ */
+void
+BM_CacheHierarchy(benchmark::State &state)
+{
+    const sys::CacheHierarchyConfig cfg =
+        state.range(0) == 0 ? sys::CacheHierarchyConfig::paperDefault()
+                            : sys::CacheHierarchyConfig::largeHierarchy();
+    const dram::MappingFunction mapper(
+        dram::DramConfig::ddr5Paper().org, 1, dram::MappingSpec{});
+    workload::AppSpec app;
+    for (const auto &candidate : workload::specLikeCatalog()) {
+        if (candidate.name == "lbm-like")
+            app = candidate;
+    }
+    const auto trace = workload::generateTrace(app, mapper, 200'000);
+
+    std::uint64_t accesses = 0, writebacks = 0;
+    for (auto _ : state) {
+        state.PauseTiming();
+        sys::CacheHierarchy caches(cfg);
+        state.ResumeTiming();
+        for (const auto &e : trace) {
+            auto result = caches.access(e.addr, e.is_write);
+            if (!result.hit)
+                caches.fill(e.addr, e.is_write, result);
+            writebacks += result.writebacks.size();
+        }
+        accesses += trace.size();
+    }
+    benchmark::DoNotOptimize(writebacks);
+    state.SetItemsProcessed(static_cast<std::int64_t>(accesses));
+    state.SetLabel(state.range(0) == 0 ? "paper" : "large");
+}
+BENCHMARK(BM_CacheHierarchy)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void
 BM_CovertWindow(benchmark::State &state)

@@ -19,7 +19,7 @@ ParaDefense::onActivate(const ctrl::Address &addr, Tick)
     req.action = ctrl::PreventiveActionKind::kVictimRefresh;
     req.target = addr;
     req.latency_override = cfg_.refresh_latency;
-    pending_.push_back(req);
+    pending_.push(req);
 }
 
 std::optional<RfmRequest>
@@ -27,8 +27,7 @@ ParaDefense::pendingRfm(Tick)
 {
     if (pending_.empty())
         return std::nullopt;
-    RfmRequest req = pending_.front();
-    pending_.pop_front();
+    RfmRequest req = pending_.pop();
     refreshes_ += 1;
     return req;
 }

@@ -12,9 +12,9 @@
 #define LEAKY_DEFENSE_PARA_HH
 
 #include <cstdint>
-#include <deque>
 
 #include "ctrl/defense_iface.hh"
+#include "defense/request_queue.hh"
 #include "dram/config.hh"
 #include "sim/rng.hh"
 
@@ -45,7 +45,7 @@ class ParaDefense final : public ctrl::ControllerDefense
   private:
     ParaConfig cfg_;
     sim::Rng rng_;
-    std::deque<ctrl::RfmRequest> pending_;
+    RequestQueue pending_;
     std::uint64_t refreshes_ = 0;
 };
 

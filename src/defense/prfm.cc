@@ -40,7 +40,7 @@ PrfmDefense::onActivate(const Address &addr, Tick)
         req.target.channel = addr.channel;
         req.target.rank = addr.rank;
         req.target.bank = addr.bank;
-        pending_.push_back(req);
+        pending_.push(req);
     }
 }
 
@@ -49,8 +49,7 @@ PrfmDefense::pendingRfm(Tick)
 {
     if (pending_.empty())
         return std::nullopt;
-    RfmRequest req = pending_.front();
-    pending_.pop_front();
+    RfmRequest req = pending_.pop();
     rfms_ += 1;
     return req;
 }

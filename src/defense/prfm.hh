@@ -11,10 +11,10 @@
 #define LEAKY_DEFENSE_PRFM_HH
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "ctrl/defense_iface.hh"
+#include "defense/request_queue.hh"
 #include "dram/config.hh"
 
 namespace leaky::defense {
@@ -51,7 +51,7 @@ class PrfmDefense final : public ctrl::ControllerDefense
     PrfmConfig cfg_;
     std::vector<std::uint32_t> raa_;      ///< Per flat bank.
     std::vector<bool> inflight_;          ///< Per (rank, bank) pair.
-    std::deque<ctrl::RfmRequest> pending_;
+    RequestQueue pending_;
     std::uint64_t rfms_ = 0;
 };
 

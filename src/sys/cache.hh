@@ -10,10 +10,13 @@
 #ifndef LEAKY_SYS_CACHE_HH
 #define LEAKY_SYS_CACHE_HH
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "sim/logging.hh"
 #include "sim/tick.hh"
 
 namespace leaky::sys {
@@ -58,30 +61,32 @@ class CacheLevel
     std::uint64_t misses() const { return misses_; }
 
   private:
-    /** 16 bytes: `lru` is the recency stamp in the low 63 bits, 0 for
-     *  an invalid way, and the dirty flag in the top bit. */
-    struct Line {
-        std::uint64_t tag = 0;
-        std::uint64_t lru = 0;
-
-        bool valid() const { return lru != 0; }
-        bool dirty() const { return (lru & kDirty) != 0; }
-        std::uint64_t stamp() const { return lru & ~kDirty; }
-    };
+    /** Recency stamp bit marking a dirty line; the low 63 bits order
+     *  the set's ways for LRU. */
     static constexpr std::uint64_t kDirty = std::uint64_t{1} << 63;
 
     std::size_t setIndex(std::uint64_t line_addr) const;
-    std::uint64_t tagOf(std::uint64_t line_addr) const;
+    /** The tag as stored: tag + 1, so that 0 marks an invalid way. */
+    std::uint32_t storedTag(std::uint64_t line_addr) const;
 
     CacheLevelConfig cfg_;
     std::uint32_t sets_;
-    std::vector<Line> lines_; ///< sets_ x ways, flattened.
+    /** log2(sets_) when sets_ is a power of two (shift/mask indexing),
+     *  0 otherwise (division). */
+    std::uint32_t set_shift_ = 0;
+    bool pow2_sets_ = false;
+    /** Way w of set s is entry s * ways + w of both arrays. A probe
+     *  compares only the dense 32-bit tags; the stamps are touched on
+     *  a hit and when picking a victim. */
+    std::vector<std::uint32_t> tags_;   ///< Stored tag, 0 when invalid.
+    std::vector<std::uint64_t> stamps_; ///< LRU stamp | kDirty.
     std::uint64_t lru_clock_ = 0;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
 };
 
-/** Configuration of a full (1-3 level) hierarchy. */
+/** Configuration of a full (1 to CacheHierarchy::kMaxLevels level)
+ *  hierarchy. */
 struct CacheHierarchyConfig {
     std::vector<CacheLevelConfig> levels;
 
@@ -96,12 +101,40 @@ struct CacheHierarchyConfig {
 class CacheHierarchy
 {
   public:
+    static constexpr std::size_t kMaxLevels = 3;
+
+    /**
+     * Byte addresses of dirty lines pushed out to memory, stored
+     * inline so a probe never allocates. A fill installs the line once
+     * per level and each install sends at most one dirty line toward
+     * memory, so kMaxLevels entries always suffice.
+     */
+    class Writebacks
+    {
+      public:
+        void
+        push_back(std::uint64_t addr)
+        {
+            LEAKY_ASSERT(size_ < kMaxLevels, "writeback list overflow");
+            addrs_[size_++] = addr;
+        }
+        std::size_t size() const { return size_; }
+        bool empty() const { return size_ == 0; }
+        std::uint64_t operator[](std::size_t i) const { return addrs_[i]; }
+        const std::uint64_t *begin() const { return addrs_.data(); }
+        const std::uint64_t *end() const { return addrs_.data() + size_; }
+
+      private:
+        std::array<std::uint64_t, kMaxLevels> addrs_{};
+        std::size_t size_ = 0;
+    };
+
     /** Outcome of a load/store probe. */
     struct Result {
         bool hit = false;
         Tick latency = 0; ///< Lookup latency (all probed levels).
         /** Dirty lines pushed out to memory by fills. */
-        std::vector<std::uint64_t> writebacks;
+        Writebacks writebacks;
     };
 
     explicit CacheHierarchy(const CacheHierarchyConfig &cfg);
@@ -127,7 +160,7 @@ class CacheHierarchy
     std::uint64_t lineOf(std::uint64_t addr) const;
 
     std::vector<CacheLevel> levels_;
-    std::uint32_t line_bytes_;
+    std::uint32_t line_shift_ = 0; ///< log2 of the line size.
 };
 
 } // namespace leaky::sys

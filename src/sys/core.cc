@@ -12,9 +12,15 @@ TraceCore::TraceCore(MemoryPort &port, const CoreConfig &cfg,
                      std::int32_t source_id)
     : port_(port), cfg_(cfg), next_record_(std::move(source)),
       period_(period), source_(source_id), caches_(cfg.caches),
-      outstanding_(cfg.mshrs), mshrs_(cfg.mshrs)
+      ticks_per_inst_(1000.0 / (cfg.issue_ipc * cfg.freq_ghz)),
+      outstanding_(cfg.mshrs), mshrs_(cfg.mshrs),
+      wake_(sim::memberEvent<&TraceCore::dispatch>(this))
 {
     LEAKY_ASSERT(period_ > 0, "core %d has an empty trace", source_id);
+    // The records read on demand never outgrow one period: reserve it
+    // so reading them never reallocates.
+    if (next_record_)
+        trace_.reserve(period_);
 }
 
 TraceCore::TraceCore(MemoryPort &port, const CoreConfig &cfg,
@@ -27,9 +33,7 @@ TraceCore::TraceCore(MemoryPort &port, const CoreConfig &cfg,
 Tick
 TraceCore::instTicks(std::uint64_t insts) const
 {
-    const double ticks_per_inst =
-        1000.0 / (cfg_.issue_ipc * cfg_.freq_ghz);
-    return static_cast<Tick>(static_cast<double>(insts) * ticks_per_inst);
+    return static_cast<Tick>(static_cast<double>(insts) * ticks_per_inst_);
 }
 
 void
@@ -86,7 +90,11 @@ TraceCore::issuePrefetch(std::uint64_t line_addr)
 TraceCore::Outstanding &
 TraceCore::outstandingAt(std::size_t i)
 {
-    return outstanding_[(outstanding_head_ + i) % outstanding_.size()];
+    // i <= outstanding_count_ <= mshrs, so one wrap suffices.
+    std::size_t k = outstanding_head_ + i;
+    if (k >= outstanding_.size())
+        k -= outstanding_.size();
+    return outstanding_[k];
 }
 
 void
@@ -94,7 +102,8 @@ TraceCore::completeLoad(std::size_t i)
 {
     // Loads complete out of order: close the gap behind the oldest.
     if (i == 0) {
-        outstanding_head_ = (outstanding_head_ + 1) % outstanding_.size();
+        if (++outstanding_head_ == outstanding_.size())
+            outstanding_head_ = 0;
     } else {
         for (std::size_t k = i; k + 1 < outstanding_count_; ++k)
             outstandingAt(k) = outstandingAt(k + 1);
@@ -115,8 +124,23 @@ TraceCore::onLoadHit(std::uint64_t inst_index)
 }
 
 void
+TraceCore::issueFill(std::uint32_t mshr)
+{
+    port_.issueRead(mshrs_[mshr].addr, source_,
+                    [this, mshr](Tick) { onFill(mshr); });
+}
+
+void
 TraceCore::onFill(std::uint32_t mshr)
 {
+    const std::uint64_t addr = mshrs_[mshr].addr;
+    CacheHierarchy::Result fill;
+    caches_.fill(addr, false, fill);
+    for (auto wb : fill.writebacks)
+        port_.issueWrite(wb, source_);
+    if (cfg_.enable_prefetcher)
+        prefetcher_.onFill(addr / 64);
+
     // Free the MSHR before waking anyone: a load dispatched below that
     // misses on this line again starts a fill of its own. Such a load
     // may take this entry, but it queues behind every old waiter, so
@@ -140,17 +164,12 @@ TraceCore::dispatch()
 
     while (true) {
         // One event per trace record: once the dispatch clock moves past
-        // "now", yield and resume via a scheduled wake-up. The pending
-        // flag stays set until that wake fires, so dispatch() calls
-        // from load completions do not schedule duplicates.
+        // "now", yield and resume via the bound wake-up event. It stays
+        // pending until it fires, so dispatch() calls from load
+        // completions do not schedule duplicates.
         if (ready_time_ > now) {
-            if (!wake_pending_) {
-                wake_pending_ = true;
-                port_.schedule(ready_time_ - now, [this] {
-                    wake_pending_ = false;
-                    dispatch();
-                });
-            }
+            if (!wake_.scheduled())
+                port_.schedule(ready_time_ - now, wake_);
             return;
         }
 
@@ -191,7 +210,7 @@ TraceCore::dispatch()
                     if (mshrs_[m].waiters == 0) {
                         if (free_mshr == kNoMshr)
                             free_mshr = m;
-                    } else if (mshrs_[m].line == line) {
+                    } else if (mshrs_[m].addr / 64 == line) {
                         load.mshr = m; // Coalesce onto the fill.
                         break;
                     }
@@ -203,23 +222,13 @@ TraceCore::dispatch()
                     // load passed the MSHR limit, so one is free.
                     LEAKY_ASSERT(free_mshr != kNoMshr, "no free MSHR");
                     const std::uint32_t mshr = free_mshr;
-                    mshrs_[mshr] = {line, 1};
+                    mshrs_[mshr] = {addr, 1};
                     load.mshr = mshr;
                     mem_reads_ += 1;
                     const Tick issue_delay =
                         (ready_time_ - now) + result.latency;
-                    port_.schedule(issue_delay, [this, addr, line, mshr] {
-                        port_.issueRead(addr, source_,
-                                        [this, addr, line, mshr](Tick) {
-                            CacheHierarchy::Result fill;
-                            caches_.fill(addr, false, fill);
-                            for (auto wb : fill.writebacks)
-                                port_.issueWrite(wb, source_);
-                            if (cfg_.enable_prefetcher)
-                                prefetcher_.onFill(line);
-                            onFill(mshr);
-                        });
-                    });
+                    port_.schedule(issue_delay,
+                                   [this, mshr] { issueFill(mshr); });
                 }
                 if (cfg_.enable_prefetcher) {
                     if (auto pf = prefetcher_.onDemandMiss(addr / 64)) {
@@ -241,7 +250,8 @@ TraceCore::dispatch()
         }
 
         insts_dispatched_ = last_inst;
-        trace_pos_ = (trace_pos_ + 1) % period_;
+        if (++trace_pos_ == period_)
+            trace_pos_ = 0;
     }
 }
 

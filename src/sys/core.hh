@@ -20,6 +20,7 @@
 #include <functional>
 #include <vector>
 
+#include "sim/event_queue.hh"
 #include "sys/cache.hh"
 #include "sys/port.hh"
 #include "sys/prefetcher.hh"
@@ -96,16 +97,21 @@ class TraceCore
         std::uint32_t mshr = kNoMshr; ///< Fill it waits on (none: a hit).
     };
     /** A line fill in flight and the number of loads waiting on it;
-     *  an entry with no waiters is free. */
+     *  an entry with no waiters is free. The fill's closures carry
+     *  only the entry's index, so they fit std::function's inline
+     *  buffer and a read never allocates. */
     struct Mshr {
-        std::uint64_t line = 0;
+        std::uint64_t addr = 0; ///< Byte address of the missing load.
         std::uint32_t waiters = 0;
     };
 
     void dispatch();
+    /** Send MSHR @p mshr's read to memory. */
+    void issueFill(std::uint32_t mshr);
     /** Retire the @p i-th oldest outstanding load and dispatch on. */
     void completeLoad(std::size_t i);
     void onLoadHit(std::uint64_t inst_index);
+    /** Install MSHR @p mshr's line and wake the loads waiting on it. */
     void onFill(std::uint32_t mshr);
     Outstanding &outstandingAt(std::size_t i);
     void retire(std::uint64_t insts);
@@ -120,6 +126,7 @@ class TraceCore
     std::int32_t source_;
     CacheHierarchy caches_;
     BestOffsetPrefetcher prefetcher_;
+    double ticks_per_inst_; ///< Compute-burst ticks per instruction.
 
     std::size_t trace_pos_ = 0;
     std::uint64_t insts_dispatched_ = 0;
@@ -131,7 +138,7 @@ class TraceCore
     std::size_t outstanding_count_ = 0;
     /** MSHR coalescing: one entry per line with a fill in flight. */
     std::vector<Mshr> mshrs_;
-    bool wake_pending_ = false;
+    sim::Event wake_; ///< Resumes dispatch() at the dispatch clock.
     Tick start_tick_ = 0;
     Tick finish_tick_ = 0;
     std::uint64_t mem_reads_ = 0;

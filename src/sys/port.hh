@@ -15,6 +15,10 @@
 #include "dram/mapping.hh"
 #include "sim/tick.hh"
 
+namespace leaky::sim {
+class Event;
+} // namespace leaky::sim
+
 namespace leaky::sys {
 
 using sim::Tick;
@@ -32,6 +36,11 @@ class MemoryPort
 
     /** Run @p fn after @p delay ticks (models compute/sleep phases). */
     virtual void schedule(Tick delay, std::function<void()> fn) = 0;
+
+    /** Run bound event @p ev after @p delay ticks; it must not be
+     *  pending. A component's own recurring timer schedules this way
+     *  without building a callable each time. */
+    virtual void schedule(Tick delay, sim::Event &ev) = 0;
 
     /**
      * Issue a cache-bypassing read (the attacks clflush first, so their

@@ -136,6 +136,31 @@ System::dispatchPending(PendingSlot &slot)
     pending_free_ = slot.self;
 }
 
+std::uint32_t
+System::parkCallback(ReadCallback &&cb)
+{
+    if (reads_free_ == kNoSlot) {
+        reads_free_ = static_cast<std::uint32_t>(reads_.size());
+        reads_.emplace_back();
+    }
+    const std::uint32_t slot = reads_free_;
+    reads_free_ = reads_[slot].next_free;
+    reads_[slot].cb = std::move(cb);
+    return slot;
+}
+
+void
+System::deliverRead(std::uint32_t slot, Tick done)
+{
+    // Move the callback out first: it may issue reads that reuse the
+    // slot or grow the slab.
+    ReadCallback cb = std::move(reads_[slot].cb);
+    reads_[slot].cb = nullptr;
+    reads_[slot].next_free = reads_free_;
+    reads_free_ = slot;
+    cb(done + cfg_.frontend_latency);
+}
+
 void
 System::issueRead(std::uint64_t phys_addr, std::int32_t source,
                   ReadCallback cb)
@@ -145,17 +170,15 @@ System::issueRead(std::uint64_t phys_addr, std::int32_t source,
     req.phys_addr = phys_addr;
     req.addr = mapper_.decode(phys_addr);
     req.source = source;
-    const Tick frontend = cfg_.frontend_latency;
-    req.on_complete = [this, cb = std::move(cb),
-                       frontend](Tick done) mutable {
+    const std::uint32_t id = parkCallback(std::move(cb));
+    req.on_complete = [this, id](Tick done) {
         // Data still has to travel back to the requestor.
-        eq_.schedule(done + frontend > eq_.now() ? done + frontend
-                                                 : eq_.now(),
-                     [cb = std::move(cb), done,
-                      frontend] { cb(done + frontend); });
+        const Tick back = done + cfg_.frontend_latency;
+        eq_.schedule(back > eq_.now() ? back : eq_.now(),
+                     [this, id, done] { deliverRead(id, done); });
     };
     PendingSlot &slot = stashRequest(std::move(req));
-    eq_.scheduleAfter(slot.retry, frontend);
+    eq_.scheduleAfter(slot.retry, cfg_.frontend_latency);
 }
 
 void

@@ -81,6 +81,11 @@ class System final : public MemoryPort
     // MemoryPort
     Tick now() const override { return eq_.now(); }
     void schedule(Tick delay, std::function<void()> fn) override;
+    void
+    schedule(Tick delay, sim::Event &ev) override
+    {
+        eq_.scheduleAfter(ev, delay);
+    }
     void issueRead(std::uint64_t phys_addr, std::int32_t source,
                    ReadCallback cb) override;
     void issueWrite(std::uint64_t phys_addr, std::int32_t source) override;
@@ -115,6 +120,23 @@ class System final : public MemoryPort
      *  enqueue lands. */
     void dispatchPending(PendingSlot &slot);
 
+    /**
+     * A read's requestor callback waits here, in a second free-listed
+     * slab, rather than inside the controller's completion closure.
+     * The closures then carry only (this, slot index) and fit the
+     * inline buffers of std::function and the kernel's SmallFn, so a
+     * read allocates nothing once the slabs have grown.
+     */
+    struct ReadSlot {
+        ReadCallback cb;
+        std::uint32_t next_free = kNoSlot;
+    };
+
+    /** Park @p cb in a free ReadSlot; @return the slot's index. */
+    std::uint32_t parkCallback(ReadCallback &&cb);
+    /** Free read slot @p slot and run its callback with @p done. */
+    void deliverRead(std::uint32_t slot, Tick done);
+
     SystemConfig cfg_;
     sim::EventQueue eq_;
     dram::MappingFunction mapper_;
@@ -122,6 +144,8 @@ class System final : public MemoryPort
     std::vector<defense::DefenseBundle> bundles_;
     std::deque<PendingSlot> pending_;
     std::uint32_t pending_free_ = kNoSlot;
+    std::vector<ReadSlot> reads_;
+    std::uint32_t reads_free_ = kNoSlot;
 };
 
 } // namespace leaky::sys

@@ -1,7 +1,11 @@
-/** @file Cache level and hierarchy tests: LRU, dirtiness, clflush. */
+/** @file Cache level and hierarchy tests: LRU, dirtiness, clflush, and
+ *  a differential check of CacheLevel against a naive reference. */
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "sim/rng.hh"
 #include "sys/cache.hh"
 
 namespace {
@@ -125,6 +129,199 @@ TEST(CacheHierarchy, ConfigsMatchPaper)
     ASSERT_EQ(large.levels.size(), 3u);
     EXPECT_EQ(large.levels[1].size_bytes, 256u * 1024);
     EXPECT_EQ(large.levels[2].size_bytes, 6ull * 1024 * 1024);
+}
+
+// ---------------------------------------------------------------------
+// Differential check: CacheLevel against the naive layout it replaced,
+// 16-byte lines (tag, plus one word holding the recency stamp, 0 for
+// an invalid way, and the dirty flag in the top bit), a hit scan and a
+// separate victim scan, and division indexing for every set count.
+
+class ReferenceLevel
+{
+  public:
+    explicit ReferenceLevel(const CacheLevelConfig &cfg)
+        : ways_(cfg.ways),
+          sets_(static_cast<std::uint32_t>(cfg.size_bytes /
+                                           (cfg.ways * cfg.line_bytes))),
+          lines_(static_cast<std::size_t>(sets_) * ways_)
+    {
+    }
+
+    bool
+    access(std::uint64_t line_addr, bool is_write)
+    {
+        if (Line *line = find(line_addr)) {
+            line->lru = ++clock_ | (line->lru & kDirty) |
+                        (is_write ? kDirty : 0);
+            hits_ += 1;
+            return true;
+        }
+        misses_ += 1;
+        return false;
+    }
+
+    CacheLevel::Eviction
+    insert(std::uint64_t line_addr, bool dirty)
+    {
+        if (Line *line = find(line_addr)) {
+            line->lru = ++clock_ | (line->lru & kDirty) |
+                        (dirty ? kDirty : 0);
+            return {};
+        }
+        const std::size_t set = line_addr % sets_;
+        Line *victim = nullptr;
+        for (std::uint32_t w = 0; w < ways_; ++w) {
+            Line &line = lines_[set * ways_ + w];
+            if (line.lru == 0) {
+                victim = &line;
+                break;
+            }
+            if (!victim || (line.lru & ~kDirty) < (victim->lru & ~kDirty))
+                victim = &line;
+        }
+        CacheLevel::Eviction ev;
+        if (victim->lru != 0) {
+            ev.valid = true;
+            ev.dirty = (victim->lru & kDirty) != 0;
+            ev.line_addr = victim->tag * sets_ + set;
+        }
+        victim->tag = line_addr / sets_;
+        victim->lru = ++clock_ | (dirty ? kDirty : 0);
+        return ev;
+    }
+
+    bool
+    flush(std::uint64_t line_addr)
+    {
+        Line *line = find(line_addr);
+        if (!line)
+            return false;
+        const bool dirty = (line->lru & kDirty) != 0;
+        line->lru = 0;
+        return dirty;
+    }
+
+    bool contains(std::uint64_t line_addr) { return find(line_addr); }
+    std::uint64_t hits() const { return hits_; }
+    std::uint64_t misses() const { return misses_; }
+
+  private:
+    struct Line {
+        std::uint64_t tag = 0;
+        std::uint64_t lru = 0;
+    };
+    static constexpr std::uint64_t kDirty = std::uint64_t{1} << 63;
+
+    Line *
+    find(std::uint64_t line_addr)
+    {
+        const std::size_t set = line_addr % sets_;
+        for (std::uint32_t w = 0; w < ways_; ++w) {
+            Line &line = lines_[set * ways_ + w];
+            if (line.lru != 0 && line.tag == line_addr / sets_)
+                return &line;
+        }
+        return nullptr;
+    }
+
+    std::uint32_t ways_;
+    std::uint32_t sets_;
+    std::vector<Line> lines_;
+    std::uint64_t clock_ = 0;
+    std::uint64_t hits_ = 0;
+    std::uint64_t misses_ = 0;
+};
+
+/** A geometry of @p sets sets with @p ways 64-byte ways. */
+CacheLevelConfig
+geometry(std::uint32_t sets, std::uint32_t ways)
+{
+    CacheLevelConfig cfg;
+    cfg.name = "diff";
+    cfg.ways = ways;
+    cfg.size_bytes = std::uint64_t{sets} * ways * 64;
+    return cfg;
+}
+
+/**
+ * Seeded random access/insert/flush/contains sequence. Most lines fall
+ * into a few hot sets, each with twice as many tags as ways, so LRU
+ * victims, dirty evictions and refreshes of present lines are frequent;
+ * the rest spread over the whole level or carry tags far past it.
+ */
+void
+expectSameAsReference(std::uint32_t sets, std::uint32_t ways,
+                      std::uint64_t seed)
+{
+    const CacheLevelConfig cfg = geometry(sets, ways);
+    CacheLevel cache(cfg);
+    ReferenceLevel ref(cfg);
+    leaky::sim::Rng rng(seed);
+    std::vector<std::uint64_t> hot_sets(6);
+    for (auto &set : hot_sets)
+        set = rng.below(sets);
+
+    std::uint64_t evictions = 0, dirty_evictions = 0, flushed_dirty = 0;
+    for (int op = 0; op < 60'000; ++op) {
+        std::uint64_t line;
+        const auto kind = rng.below(10);
+        if (kind < 7) {
+            line = hot_sets[rng.below(hot_sets.size())] +
+                   std::uint64_t{sets} * rng.below(2 * ways);
+        } else if (kind < 9) {
+            line = rng.below(std::uint64_t{4} * sets * ways);
+        } else {
+            line = rng.below(std::uint64_t{1} << 34);
+        }
+        const bool flag = rng.chance(0.3);
+        const auto what = rng.below(20);
+        if (what < 10) {
+            ASSERT_EQ(cache.access(line, flag), ref.access(line, flag))
+                << "access of line " << line << " at op " << op;
+        } else if (what < 15) {
+            const auto got = cache.insert(line, flag);
+            const auto want = ref.insert(line, flag);
+            ASSERT_EQ(got.valid, want.valid) << "insert at op " << op;
+            ASSERT_EQ(got.dirty, want.dirty) << "insert at op " << op;
+            ASSERT_EQ(got.line_addr, want.line_addr)
+                << "insert at op " << op;
+            evictions += got.valid;
+            dirty_evictions += got.valid && got.dirty;
+        } else if (what < 18) {
+            const bool dirty = cache.flush(line);
+            ASSERT_EQ(dirty, ref.flush(line)) << "flush at op " << op;
+            flushed_dirty += dirty;
+        } else {
+            ASSERT_EQ(cache.contains(line), ref.contains(line))
+                << "contains at op " << op;
+        }
+    }
+    EXPECT_EQ(cache.hits(), ref.hits());
+    EXPECT_EQ(cache.misses(), ref.misses());
+    // The sequence must reach the paths it is meant to compare.
+    EXPECT_GT(cache.hits(), 1'000u);
+    EXPECT_GT(evictions, 1'000u);
+    EXPECT_GT(dirty_evictions, 100u);
+    EXPECT_GT(flushed_dirty, 100u);
+}
+
+TEST(CacheLevelDifferential, L1Geometry64Sets)
+{
+    for (std::uint64_t seed : {1, 2, 3})
+        expectSameAsReference(64, 8, seed);
+}
+
+TEST(CacheLevelDifferential, PaperLlc4096Sets)
+{
+    for (std::uint64_t seed : {4, 5})
+        expectSameAsReference(4096, 16, seed);
+}
+
+TEST(CacheLevelDifferential, LargeLlc6144Sets)
+{
+    for (std::uint64_t seed : {6, 7})
+        expectSameAsReference(6144, 16, seed);
 }
 
 } // namespace

@@ -1,11 +1,19 @@
 /** @file TraceCore tests: IPC behaviour, MSHR limits and coalescing,
- *  budgets, on-demand record sources. */
+ *  budgets, on-demand record sources, and an allocation-free replay
+ *  steady state. */
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <optional>
+#include <string>
+#include <utility>
+
+#include "attack/dram_addr.hh"
 #include "defense/factory.hh"
 #include "sys/core.hh"
 #include "sys/system.hh"
+#include "testing_alloc_counter.hh"
 #include "workload/synthetic.hh"
 
 namespace {
@@ -231,6 +239,133 @@ TEST(TraceCoreSource, OnDemandRecordsMatchAnUpFrontTrace)
         EXPECT_EQ(lazy.finishTick(), eager.finishTick()) << app.name;
         EXPECT_TRUE(lazy_sys.stats(0) == eager_sys.stats(0)) << app.name;
     }
+}
+
+// ---------------------------------------------------------------------
+// Zero-allocation steady state for the application path: four trace
+// cores on the paper hierarchy plus an attacker's read loop. Once every
+// slab and queue has grown to its high-water mark, more simulated time
+// must not touch the heap: not the reads and their completions, the
+// writebacks, MSHR coalescing, or prefetch fills.
+
+/** An attacker agent: one read in flight at a time, alternating two
+ *  rows of one bank, each issued from the previous read's callback. */
+struct ReadLoop {
+    System &system;
+    std::uint64_t rows[2];
+    std::uint64_t reads = 0;
+
+    void
+    issue()
+    {
+        system.issueRead(rows[reads % 2], 99, [this](Tick) {
+            reads += 1;
+            issue();
+        });
+    }
+};
+
+const leaky::workload::AppSpec &
+appNamed(const std::vector<leaky::workload::AppSpec> &catalog,
+         const std::string &name)
+{
+    for (const auto &app : catalog) {
+        if (app.name == name)
+            return app;
+    }
+    ADD_FAILURE() << "no app " << name;
+    return catalog.front();
+}
+
+TEST(TraceCoreSteadyState, ReplayDoesNotAllocate)
+{
+    // A period past what the run reads keeps every record a first
+    // read, so the cores keep missing; on a replayed period the
+    // private LLCs would hold nearly all of it.
+    constexpr std::size_t kPeriod = 200'000;
+    System system(SystemConfig::paper(DefenseKind::kPrfm, 128));
+    const auto catalog = leaky::workload::specLikeCatalog();
+    std::vector<std::unique_ptr<TraceCore>> cores;
+    const auto addCore = [&](const char *app_name, bool prefetch,
+                             TraceCore::RecordSource source) {
+        CoreConfig cfg;
+        cfg.inst_budget = ~std::uint64_t{0} >> 1; // Run forever.
+        cfg.mshrs = appNamed(catalog, app_name).mlp;
+        cfg.enable_prefetcher = prefetch;
+        cores.push_back(std::make_unique<TraceCore>(
+            system, cfg, std::move(source), kPeriod,
+            static_cast<std::int32_t>(cores.size())));
+    };
+    const auto stream = [&](const char *app_name) {
+        return leaky::workload::AppTraceStream(appNamed(catalog, app_name),
+                                               system.mapper());
+    };
+    addCore("mcf-like", false,
+            [s = stream("mcf-like")]() mutable { return s.next(); });
+    addCore("lbm-like", false,
+            [s = stream("lbm-like")]() mutable { return s.next(); });
+    addCore("libquantum-like", true,
+            [s = stream("libquantum-like")]() mutable { return s.next(); });
+    // Every load is followed at once by a load of the same line, so a
+    // miss always has a second load to coalesce onto its fill.
+    addCore("milc-like", false,
+            [s = stream("milc-like"),
+             twin = std::optional<TraceEntry>()]() mutable {
+                if (twin)
+                    return *std::exchange(twin, std::nullopt);
+                const TraceEntry e = s.next();
+                if (!e.is_write)
+                    twin = TraceEntry{0, e.addr ^ 8, false};
+                return e;
+            });
+    ReadLoop attacker{system,
+                      {leaky::attack::rowAddress(system.mapper(), 0, 0, 1,
+                                                 2, 100),
+                       leaky::attack::rowAddress(system.mapper(), 0, 0, 1,
+                                                 2, 102)}};
+    for (auto &core : cores)
+        core->start();
+    attacker.issue();
+
+    // Warm-up: grow every slab and queue to its high-water mark.
+    system.run(2 * leaky::sim::kMs);
+
+    const auto &coalescer = *cores[3];
+    const auto coalesced = [&] {
+        // Full misses (they reach the last level) by loads that did
+        // not start a fill of their own.
+        const auto &caches = coalescer.caches();
+        return caches.level(caches.numLevels() - 1).misses() -
+               coalescer.memWrites() - coalescer.memReads();
+    };
+    const auto prefetches = [&] {
+        // Reads served beyond the demand fills and the attacker's,
+        // up to the few still in flight.
+        std::uint64_t demand = attacker.reads;
+        for (const auto &core : cores)
+            demand += core->memReads();
+        return static_cast<std::int64_t>(system.stats(0).reads_served) -
+               static_cast<std::int64_t>(demand);
+    };
+    const auto reads_before = system.stats(0).reads_served;
+    const auto writes_before = system.stats(0).writes_served;
+    const auto prefetches_before = prefetches();
+    const auto coalesced_before = coalesced();
+    const auto attacker_before = attacker.reads;
+    const auto rfms_before = system.stats(0).rfms;
+
+    const std::uint64_t allocs_before = leaky_test_heap_allocs.load();
+    system.run(leaky::sim::kMs);
+    const std::uint64_t allocs_after = leaky_test_heap_allocs.load();
+
+    EXPECT_EQ(allocs_after, allocs_before);
+    // The window exercised every path it claims to cover.
+    EXPECT_GT(system.stats(0).reads_served, reads_before + 1'000);
+    EXPECT_GT(system.stats(0).writes_served, writes_before + 100);
+    EXPECT_GT(prefetches(), prefetches_before + 200);
+    EXPECT_GT(coalesced(), coalesced_before + 100);
+    EXPECT_GT(attacker.reads, attacker_before + 10);
+    EXPECT_GT(system.stats(0).rfms, rfms_before);
 }
 
 } // namespace
