@@ -31,36 +31,6 @@ constexpr int kInterrupted = 3;
 constexpr const char *kFullHelp =
     "paper scale (about 3.5 min for every figure on 4 CPUs)";
 
-void
-printTopUsage()
-{
-    std::printf(
-        "usage: leakyhammer <command> [flags]\n"
-        "\n"
-        "commands:\n"
-        "  list                list reproducible figures and demos\n"
-        "  repro --fig <name>  reproduce a paper figure (CSV artifact)\n"
-        "  campaign [flags]    sharded, resumable, kill-safe sweeps\n"
-        "  run <demo> [flags]  run one narrated scenario demo\n"
-        "  fuzz [flags]        search the aggressor-pattern space\n"
-        "  bench [flags]       measure sweep-runner throughput\n"
-        "  help                this text\n"
-        "\n"
-        "run `leakyhammer help <command>` for per-command flags.\n");
-}
-
-int
-usageError(const std::string &message, const char *command = nullptr)
-{
-    std::fprintf(stderr, "leakyhammer: %s\n", message.c_str());
-    if (command != nullptr)
-        std::fprintf(stderr,
-                     "run `leakyhammer help %s` for usage\n", command);
-    else
-        printTopUsage();
-    return kUsageError;
-}
-
 // --------------------------------------------------------------- list
 
 /** Jobs the figure expands to at smoke / default / full scale. */
@@ -80,15 +50,14 @@ scaleSetOf(const Figure &figure)
 }
 
 int
-cmdList(int argc, char **argv)
+cmdList(int argc, char **argv, bool help)
 {
     bool names_only = false;
     FlagParser parser;
     parser.addBool("names", &names_only,
                    "print just the figure names, one per line");
-    std::string error;
-    if (!parser.parse(argc, argv, &error))
-        return usageError(error, "list");
+    if (parser.parseOrPrintHelp(argc, argv, help))
+        return kOk;
 
     if (names_only) {
         for (const auto &figure : figures())
@@ -108,43 +77,15 @@ cmdList(int argc, char **argv)
     std::printf("figures (leakyhammer repro --fig <name>):\n%s\n",
                 figs.str().c_str());
 
-    core::Table demos({"demo", "flags", "scenario"});
-    demos.addRow({"quickstart", "-",
-                  "Listing-1 latency probe, Fig. 2 bands"});
-    demos.addRow({"covert", "--message <s> --mapping <spec>",
-                  "transmit text over both covert channels"});
-    demos.addRow({"fingerprint", "--sites <n> --loads <n>",
-                  "website fingerprinting + classifier"});
-    demos.addRow({"mitigation", "--nrh <n>",
-                  "security/performance trade-off per defense"});
+    core::Table demo_table({"demo", "flags", "scenario"});
+    for (const Demo &demo : demos())
+        demo_table.addRow({demo.name, demo.flags, demo.scenario});
     std::printf("demos (leakyhammer run <demo>):\n%s",
-                demos.str().c_str());
+                demo_table.str().c_str());
     return kOk;
 }
 
 // -------------------------------------------------------------- repro
-
-void
-addReproFlags(FlagParser &parser, std::string *fig, unsigned *threads,
-              bool *smoke, bool *full, std::uint64_t *seed,
-              std::string *out_dir, bool *update_golden,
-              std::string *golden_dir)
-{
-    parser.addString("fig", fig,
-                     "figure to reproduce, or 'all' (see `list`)");
-    parser.addUint("threads", threads,
-                   "pool workers (0 = hardware concurrency)");
-    parser.addBool("smoke", smoke, "CI scale: tiny but complete sweep");
-    parser.addBool("full", full, kFullHelp);
-    parser.addUint64("seed", seed, "base seed (0 = figure default)");
-    parser.addString("out", out_dir, "output directory for CSVs");
-    parser.addBool("update-golden", update_golden,
-                   "regenerate the smoke-scale golden CSVs the "
-                   "differential test compares against (forces "
-                   "--smoke, default seed)");
-    parser.addString("golden-dir", golden_dir,
-                     "where golden CSVs live (with --update-golden)");
-}
 
 // Regenerate `<golden_dir>/<name>.csv` for the selected figures and
 // delete stale goldens that no longer name a registered figure, so
@@ -162,8 +103,7 @@ updateGoldens(const std::string &fig_name, const RunOptions &opts,
     } else {
         const Figure *figure = findFigure(fig_name);
         if (figure == nullptr)
-            return usageError("unknown figure '" + fig_name + "'",
-                              "repro");
+            throw UsageError("unknown figure '" + fig_name + "'");
         selected.push_back(figure);
     }
 
@@ -211,24 +151,34 @@ reproduceOne(const Figure &figure, const RunOptions &opts)
 }
 
 int
-cmdRepro(int argc, char **argv)
+cmdRepro(int argc, char **argv, bool help)
 {
     std::string fig_name;
     RunOptions opts;
     bool update_golden = false;
     std::string golden_dir = "tests/golden";
     FlagParser parser;
-    addReproFlags(parser, &fig_name, &opts.threads, &opts.smoke,
-                  &opts.full, &opts.seed, &opts.out_dir,
-                  &update_golden, &golden_dir);
-    std::string error;
-    if (!parser.parse(argc, argv, &error))
-        return usageError(error, "repro");
+    parser.addString("fig", &fig_name,
+                     "figure to reproduce, or 'all' (see `list`)");
+    parser.addUint("threads", &opts.threads,
+                   "pool workers (0 = hardware concurrency)");
+    parser.addBool("smoke", &opts.smoke,
+                   "CI scale: tiny but complete sweep");
+    parser.addBool("full", &opts.full, kFullHelp);
+    parser.addUint64("seed", &opts.seed, "base seed (0 = figure default)");
+    parser.addString("out", &opts.out_dir, "output directory for CSVs");
+    parser.addBool("update-golden", &update_golden,
+                   "regenerate the smoke-scale golden CSVs the "
+                   "differential test compares against (forces "
+                   "--smoke, default seed)");
+    parser.addString("golden-dir", &golden_dir,
+                     "where golden CSVs live (with --update-golden)");
+    if (parser.parseOrPrintHelp(argc, argv, help))
+        return kOk;
     if (update_golden)
         return updateGoldens(fig_name, opts, golden_dir);
     if (fig_name.empty())
-        return usageError("repro needs --fig <name> (or --fig all)",
-                          "repro");
+        throw UsageError("repro needs --fig <name> (or --fig all)");
 
     if (fig_name == "all") {
         for (const auto &figure : figures())
@@ -237,51 +187,13 @@ cmdRepro(int argc, char **argv)
     }
     const Figure *figure = findFigure(fig_name);
     if (figure == nullptr)
-        return usageError("unknown figure '" + fig_name + "'", "repro");
+        throw UsageError("unknown figure '" + fig_name + "'");
     return reproduceOne(*figure, opts);
 }
 
 // ----------------------------------------------------------- campaign
 
 constexpr std::uint32_t kAllShards = 0xffffffffu;
-
-void
-addCampaignFlags(FlagParser &parser, std::string *fig, std::string *dir,
-                 std::uint32_t *shards, std::uint32_t *shard,
-                 unsigned *threads, bool *smoke, bool *full,
-                 std::uint64_t *seed, std::uint32_t *retries,
-                 std::uint32_t *deadline_ms, std::string *fault,
-                 std::string *status_dir, std::string *merge_dir)
-{
-    parser.addString("fig", fig, "figure to run as a campaign");
-    parser.addString("dir", dir,
-                     "campaign state directory (manifests, shard CSVs, "
-                     "merged artifact)");
-    parser.addUint("shards", shards,
-                   "number of job-range shards (default 1)");
-    parser.addUint("shard", shard,
-                   "run only this shard, 0-based (default: all shards "
-                   "in this process)");
-    parser.addUint("threads", threads,
-                   "pool workers per shard (0 = hardware concurrency)");
-    parser.addBool("smoke", smoke, "CI scale: tiny but complete sweep");
-    parser.addBool("full", full, kFullHelp);
-    parser.addUint64("seed", seed, "base seed (0 = figure default)");
-    parser.addUint("retries", retries,
-                   "deterministic re-attempts after a job throws "
-                   "(default 2)");
-    parser.addUint("deadline-ms", deadline_ms,
-                   "per-job soft deadline in ms; exceeding it counts "
-                   "as a failure (0 = none)");
-    parser.addString("fault", fault,
-                     "inject a fault: crash|throw|hang@<n>[:ms] "
-                     "(also via LEAKY_CAMPAIGN_FAULT)");
-    parser.addString("status", status_dir,
-                     "print campaign health for <dir> and exit "
-                     "(non-zero if any job failed)");
-    parser.addString("merge", merge_dir,
-                     "merge the completed campaign in <dir> and exit");
-}
 
 int
 campaignStatusMain(const std::string &dir)
@@ -327,20 +239,53 @@ campaignMergeMain(const std::string &dir)
 }
 
 int
-cmdCampaign(int argc, char **argv)
+cmdCampaign(int argc, char **argv, bool help)
 {
     std::string fig_name, dir, fault_spec, status_dir, merge_dir;
     RunOptions opts;
     std::uint32_t shards = 1, shard = kAllShards;
     std::uint32_t retries = 2, deadline_ms = 0;
     FlagParser parser;
-    addCampaignFlags(parser, &fig_name, &dir, &shards, &shard,
-                     &opts.threads, &opts.smoke, &opts.full, &opts.seed,
-                     &retries, &deadline_ms, &fault_spec, &status_dir,
-                     &merge_dir);
-    std::string error;
-    if (!parser.parse(argc, argv, &error))
-        return usageError(error, "campaign");
+    parser.addString("fig", &fig_name, "figure to run as a campaign");
+    parser.addString("dir", &dir,
+                     "campaign state directory (manifests, shard CSVs, "
+                     "merged artifact)");
+    parser.addUint("shards", &shards,
+                   "number of job-range shards (default 1)");
+    parser.addUint("shard", &shard,
+                   "run only this shard, 0-based (default: all shards "
+                   "in this process)");
+    parser.addUint("threads", &opts.threads,
+                   "pool workers per shard (0 = hardware concurrency)");
+    parser.addBool("smoke", &opts.smoke,
+                   "CI scale: tiny but complete sweep");
+    parser.addBool("full", &opts.full, kFullHelp);
+    parser.addUint64("seed", &opts.seed, "base seed (0 = figure default)");
+    parser.addUint("retries", &retries,
+                   "deterministic re-attempts after a job throws "
+                   "(default 2)");
+    parser.addUint("deadline-ms", &deadline_ms,
+                   "per-job soft deadline in ms; exceeding it counts "
+                   "as a failure (0 = none)");
+    parser.addString("fault", &fault_spec,
+                     "inject a fault: crash|throw|hang@<n>[:ms] "
+                     "(also via LEAKY_CAMPAIGN_FAULT)");
+    parser.addString("status", &status_dir,
+                     "print campaign health for <dir> and exit "
+                     "(non-zero if any job failed)");
+    parser.addString("merge", &merge_dir,
+                     "merge the completed campaign in <dir> and exit");
+    const char *about =
+        "\nA campaign shards a figure's sweep by job-index range,\n"
+        "checkpoints every completed job to an append-only\n"
+        "manifest, and resumes after a kill by running only the\n"
+        "missing jobs. The merged CSV is byte-identical to a\n"
+        "single-process `repro` run for any shard count and any\n"
+        "kill/resume schedule.\n"
+        "exit codes: 0 ok, 1 failed jobs, 2 usage, 3 interrupted "
+        "(resumable), 42 injected crash\n";
+    if (parser.parseOrPrintHelp(argc, argv, help, about))
+        return kOk;
 
     if (!status_dir.empty())
         return campaignStatusMain(status_dir);
@@ -348,17 +293,15 @@ cmdCampaign(int argc, char **argv)
         return campaignMergeMain(merge_dir);
 
     if (fig_name.empty() || dir.empty())
-        return usageError("campaign needs --fig <name> and --dir <dir> "
-                          "(or --status/--merge <dir>)",
-                          "campaign");
+        throw UsageError("campaign needs --fig <name> and --dir <dir> "
+                         "(or --status/--merge <dir>)");
     const Figure *figure = findFigure(fig_name);
     if (figure == nullptr)
-        return usageError("unknown figure '" + fig_name + "'",
-                          "campaign");
+        throw UsageError("unknown figure '" + fig_name + "'");
     if (shards == 0)
-        return usageError("--shards must be positive", "campaign");
+        throw UsageError("--shards must be positive");
     if (shard != kAllShards && shard >= shards)
-        return usageError("--shard must be < --shards", "campaign");
+        throw UsageError("--shard must be < --shards");
 
     campaign::CampaignConfig config;
     config.dir = dir;
@@ -368,9 +311,10 @@ cmdCampaign(int argc, char **argv)
     if (fault_spec.empty())
         if (const char *env = std::getenv(campaign::kFaultEnvVar))
             fault_spec = env;
+    std::string error;
     if (!fault_spec.empty() &&
         !campaign::FaultPlan::parse(fault_spec, &config.fault, &error))
-        return usageError(error, "campaign");
+        throw UsageError(error);
 
     const SweepSpec spec = figure->make(opts);
     const std::string scale =
@@ -435,54 +379,53 @@ cmdCampaign(int argc, char **argv)
 // ---------------------------------------------------------------- run
 
 int
-cmdRun(int argc, char **argv)
+cmdRun(int argc, char **argv, bool help)
 {
-    if (argc < 1 || std::string(argv[0]).rfind("--", 0) == 0)
-        return usageError(
-            "run needs a demo name (quickstart, covert, fingerprint, "
-            "mitigation)",
-            "run");
-    // Flag parsing and validation are shared with the example
-    // binaries (runner/demos.cc), so defaults and bounds live once.
-    const std::string demo = argv[0];
-    const std::string prog = "leakyhammer run " + demo;
-    if (demo == "quickstart")
-        return quickstartMain(argc - 1, argv + 1, prog.c_str());
-    if (demo == "covert")
-        return covertMain(argc - 1, argv + 1, prog.c_str());
-    if (demo == "fingerprint")
-        return fingerprintMain(argc - 1, argv + 1, prog.c_str());
-    if (demo == "mitigation")
-        return mitigationMain(argc - 1, argv + 1, prog.c_str());
-    return usageError("unknown demo '" + demo + "'", "run");
+    if (help) {
+        for (const Demo &demo : demos()) {
+            std::printf("\n%s: %s\n", demo.name, demo.scenario);
+            demo.main(0, nullptr, true);
+        }
+        return kOk;
+    }
+    if (argc < 1 || std::string(argv[0]).rfind("--", 0) == 0) {
+        std::string names;
+        for (const Demo &demo : demos())
+            names += (names.empty() ? "" : ", ") + std::string(demo.name);
+        throw UsageError("run needs a demo name (" + names + ")");
+    }
+    // Flags, defaults and bounds live with each demo (runner/demos.cc).
+    const Demo *demo = findDemo(argv[0]);
+    if (demo == nullptr)
+        throw UsageError("unknown demo '" + std::string(argv[0]) + "'");
+    return demo->main(argc - 1, argv + 1, false);
 }
 
 // --------------------------------------------------------------- fuzz
 
-void
-addFuzzFlags(FlagParser &parser, unsigned *threads, bool *smoke,
-             bool *full, std::uint64_t *seed, std::string *out_dir)
-{
-    parser.addUint("threads", threads,
-                   "pool workers (0 = hardware concurrency)");
-    parser.addBool("smoke", smoke, "CI scale: tiny search budget");
-    parser.addBool("full", full, kFullHelp);
-    parser.addUint64("seed", seed,
-                     "search seed (0 = default 1); drives both the "
-                     "pattern stream and the defense seeds");
-    parser.addString("out", out_dir, "output directory for artifacts");
-}
-
 int
-cmdFuzz(int argc, char **argv)
+cmdFuzz(int argc, char **argv, bool help)
 {
     RunOptions opts;
     FlagParser parser;
-    addFuzzFlags(parser, &opts.threads, &opts.smoke, &opts.full,
-                 &opts.seed, &opts.out_dir);
-    std::string error;
-    if (!parser.parse(argc, argv, &error))
-        return usageError(error, "fuzz");
+    parser.addUint("threads", &opts.threads,
+                   "pool workers (0 = hardware concurrency)");
+    parser.addBool("smoke", &opts.smoke, "CI scale: tiny search budget");
+    parser.addBool("full", &opts.full, kFullHelp);
+    parser.addUint64("seed", &opts.seed,
+                     "search seed (0 = default 1); drives both the "
+                     "pattern stream and the defense seeds");
+    parser.addString("out", &opts.out_dir,
+                     "output directory for artifacts");
+    const char *about =
+        "\nRuns one evolutionary pattern campaign per defense on\n"
+        "the sweep pool and writes fig_fuzz_search.csv plus\n"
+        "fuzz_best.txt (the best discovered pattern per defense,\n"
+        "serialized — feed it back through the fuzz-replay\n"
+        "catalogue or parse it in code). Identical --seed gives\n"
+        "byte-identical artifacts for any --threads.\n";
+    if (parser.parseOrPrintHelp(argc, argv, help, about))
+        return kOk;
 
     // One sweep job per defense = one complete sequential campaign, so
     // both artifacts are byte-identical for any --threads value: the
@@ -532,87 +475,92 @@ cmdFuzz(int argc, char **argv)
     return kOk;
 }
 
-// --------------------------------------------------------------- help
+// ----------------------------------------------------------- dispatch
+
+int cmdHelp(int argc, char **argv, bool help);
+
+/** One subcommand. `fn(argc, argv, help)` binds its flags once: with
+ *  @p help set it prints their help text and returns 0 without
+ *  parsing; otherwise it runs, throwing UsageError on a bad command
+ *  line. */
+struct Command {
+    const char *name;
+    const char *args;    ///< Synopsis after the name, for usage lines.
+    const char *summary; ///< One line in `leakyhammer help`.
+    int (*fn)(int argc, char **argv, bool help);
+};
+
+/** The only place a command is named: the top usage, `help <name>` and
+ *  dispatch all read it. */
+constexpr Command kCommands[] = {
+    {"list", "", "list reproducible figures and demos", cmdList},
+    {"repro", "--fig <name>", "reproduce a paper figure (CSV artifact)",
+     cmdRepro},
+    {"campaign", "[flags]", "sharded, resumable, kill-safe sweeps",
+     cmdCampaign},
+    {"run", "<demo> [flags]", "run one narrated scenario demo", cmdRun},
+    {"fuzz", "[flags]", "search the aggressor-pattern space", cmdFuzz},
+    {"help", "", "this text", cmdHelp},
+};
+
+const Command *
+findCommand(const std::string &name)
+{
+    for (const Command &command : kCommands)
+        if (name == command.name)
+            return &command;
+    return nullptr;
+}
+
+std::string
+synopsis(const Command &command)
+{
+    return *command.args == '\0'
+               ? std::string(command.name)
+               : std::string(command.name) + " " + command.args;
+}
+
+void
+printTopUsage()
+{
+    std::printf("usage: leakyhammer <command> [flags]\n\ncommands:\n");
+    for (const Command &command : kCommands)
+        std::printf("  %-18s  %s\n", synopsis(command).c_str(),
+                    command.summary);
+    std::printf("\nrun `leakyhammer help <command>` for per-command "
+                "flags.\n");
+}
 
 int
-cmdHelp(int argc, char **argv)
+usageError(const std::string &message, const char *command = nullptr)
 {
-    const std::string topic = argc > 0 ? argv[0] : "";
-    if (topic.empty()) {
+    std::fprintf(stderr, "leakyhammer: %s\n", message.c_str());
+    if (command != nullptr)
+        std::fprintf(stderr,
+                     "run `leakyhammer help %s` for usage\n", command);
+    else
+        printTopUsage();
+    return kUsageError;
+}
+
+int
+cmdHelp(int argc, char **argv, bool help)
+{
+    if (help) {
+        std::printf("  <command>              print that command's usage "
+                    "and flags\n");
+        return kOk;
+    }
+    if (argc == 0) {
         printTopUsage();
         return kOk;
     }
-    FlagParser parser;
-    if (topic == "repro") {
-        std::string s1, s2, s3;
-        unsigned u = 0;
-        bool b1 = false, b2 = false, b3 = false;
-        std::uint64_t seed = 0;
-        addReproFlags(parser, &s1, &u, &b1, &b2, &seed, &s2, &b3, &s3);
-        std::printf("usage: leakyhammer repro --fig <name> [flags]\n%s",
-                    parser.helpText().c_str());
-        return kOk;
-    }
-    if (topic == "campaign") {
-        std::string s1, s2, s3, s4, s5;
-        unsigned threads = 0;
-        std::uint32_t shards = 0, shard = 0, retries = 0, deadline = 0;
-        bool smoke = false, full = false;
-        std::uint64_t seed = 0;
-        addCampaignFlags(parser, &s1, &s2, &shards, &shard, &threads,
-                         &smoke, &full, &seed, &retries, &deadline,
-                         &s3, &s4, &s5);
-        std::printf(
-            "usage: leakyhammer campaign --fig <name> --dir <dir> "
-            "[flags]\n"
-            "       leakyhammer campaign --status <dir>\n"
-            "       leakyhammer campaign --merge <dir>\n%s"
-            "\nA campaign shards a figure's sweep by job-index range,\n"
-            "checkpoints every completed job to an append-only\n"
-            "manifest, and resumes after a kill by running only the\n"
-            "missing jobs. The merged CSV is byte-identical to a\n"
-            "single-process `repro` run for any shard count and any\n"
-            "kill/resume schedule.\n"
-            "exit codes: 0 ok, 1 failed jobs, 2 usage, 3 interrupted "
-            "(resumable), 42 injected crash\n",
-            parser.helpText().c_str());
-        return kOk;
-    }
-    if (topic == "run") {
-        std::printf(
-            "usage: leakyhammer run <demo> [flags]\n"
-            "  quickstart                 no flags\n"
-            "  covert [--message <s>]     default MICRO\n"
-            "         [--mapping <spec>]  default row-interleaved\n"
-            "                             (preset|order:...|xor:...)\n"
-            "  fingerprint [--sites <n>] [--loads <n>]\n"
-            "  mitigation [--nrh <n>]     default 256\n");
-        return kOk;
-    }
-    if (topic == "fuzz") {
-        unsigned threads = 0;
-        bool smoke = false, full = false;
-        std::uint64_t seed = 0;
-        std::string out_dir;
-        addFuzzFlags(parser, &threads, &smoke, &full, &seed, &out_dir);
-        std::printf(
-            "usage: leakyhammer fuzz [flags]\n%s"
-            "\nRuns one evolutionary pattern campaign per defense on\n"
-            "the sweep pool and writes fig_fuzz_search.csv plus\n"
-            "fuzz_best.txt (the best discovered pattern per defense,\n"
-            "serialized — feed it back through the fuzz-replay\n"
-            "catalogue or parse it in code). Identical --seed gives\n"
-            "byte-identical artifacts for any --threads.\n",
-            parser.helpText().c_str());
-        return kOk;
-    }
-    if (topic == "list") {
-        std::printf("usage: leakyhammer list [--names]\n"
-                    "  --names   print just the figure names, one per "
-                    "line (for scripts)\n");
-        return kOk;
-    }
-    return usageError("unknown help topic '" + topic + "'");
+    const Command *command = findCommand(argv[0]);
+    if (command == nullptr)
+        return usageError("unknown help topic '" + std::string(argv[0]) +
+                          "'");
+    std::printf("usage: leakyhammer %s\n", synopsis(*command).c_str());
+    return command->fn(0, nullptr, true);
 }
 
 } // namespace
@@ -624,25 +572,20 @@ cliMain(int argc, char **argv)
         printTopUsage();
         return kUsageError;
     }
-    const std::string command = argv[1];
+    const std::string name = argv[1];
+    if (name == "--help" || name == "-h")
+        return cmdHelp(argc - 2, argv + 2, false);
+    const Command *command = findCommand(name);
+    if (command == nullptr)
+        return usageError("unknown command '" + name + "'");
     try {
-        if (command == "list")
-            return cmdList(argc - 2, argv + 2);
-        if (command == "repro")
-            return cmdRepro(argc - 2, argv + 2);
-        if (command == "campaign")
-            return cmdCampaign(argc - 2, argv + 2);
-        if (command == "run")
-            return cmdRun(argc - 2, argv + 2);
-        if (command == "fuzz")
-            return cmdFuzz(argc - 2, argv + 2);
-        if (command == "help" || command == "--help" || command == "-h")
-            return cmdHelp(argc - 2, argv + 2);
+        return command->fn(argc - 2, argv + 2, false);
+    } catch (const UsageError &e) {
+        return usageError(e.what(), command->name);
     } catch (const std::exception &e) {
         std::fprintf(stderr, "leakyhammer: %s\n", e.what());
         return kRuntimeError;
     }
-    return usageError("unknown command '" + command + "'");
 }
 
 } // namespace leaky::runner

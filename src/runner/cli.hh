@@ -1,16 +1,15 @@
 /**
  * @file
  * The `leakyhammer` command-line interface: one entry point for every
- * scenario in the repo.
- *
- *   leakyhammer list                 figures + demos catalogue
- *   leakyhammer repro --fig <name>   parallel figure reproduction
- *   leakyhammer run <demo> [flags]   narrated single-scenario demos
- *   leakyhammer fuzz [flags]         aggressor-pattern space search
- *   leakyhammer help [command]
+ * scenario in the repo. Each command is declared once, in the command
+ * table in cli.cc, and each demo once, in the demo table in demos.cc;
+ * usage, `help`, `list`, dispatch and errors are derived from them.
+ * `leakyhammer help` prints the commands.
  *
  * Exit codes: 0 success, 1 runtime failure, 2 usage error (unknown
- * command, unknown flag, malformed value).
+ * command, unknown flag, malformed value), 3 campaign interrupted by
+ * a stop signal (rerun the same command to resume), 42 injected
+ * campaign crash (`campaign --fault crash@<n>`).
  */
 
 #ifndef LEAKY_RUNNER_CLI_HH

@@ -44,11 +44,13 @@ covertOneChannel(attack::ChannelKind kind, const std::string &message,
     std::printf("bit errors:    %zu / %zu\n", errors, result.sent.size());
 }
 
-} // namespace
-
 int
-runQuickstartDemo()
+runQuickstartDemo(int argc, char **argv, bool help)
 {
+    FlagParser parser;
+    if (parser.parseOrPrintHelp(argc, argv, help))
+        return 0;
+
     // 1. A DDR5 system (paper Table 1) protected by PRAC with the
     //    attack-study operating point NBO = 128.
     sys::SystemConfig cfg = core::pracAttackSystem();
@@ -100,8 +102,25 @@ runQuickstartDemo()
 }
 
 int
-runCovertDemo(const std::string &message, const dram::MappingSpec &mapping)
+runCovertDemo(int argc, char **argv, bool help)
 {
+    std::string message = "MICRO";
+    std::string mapping_text = "row-interleaved";
+    FlagParser parser;
+    parser.addString("message", &message,
+                     "text to transmit (default MICRO)");
+    parser.addString("mapping", &mapping_text,
+                     "address mapping, preset|order:...|xor:... "
+                     "(default row-interleaved)");
+    if (parser.parseOrPrintHelp(argc, argv, help))
+        return 0;
+    if (message.empty())
+        throw UsageError("--message must be non-empty");
+    dram::MappingSpec mapping;
+    std::string error;
+    if (!dram::MappingSpec::tryParse(mapping_text, &mapping, &error))
+        throw UsageError("bad --mapping: " + error);
+
     std::printf("address mapping: %s\n", mapping.str().c_str());
     covertOneChannel(attack::ChannelKind::kPrac, message, mapping);
     covertOneChannel(attack::ChannelKind::kRfm, message, mapping);
@@ -109,8 +128,24 @@ runCovertDemo(const std::string &message, const dram::MappingSpec &mapping)
 }
 
 int
-runFingerprintDemo(std::uint32_t sites, std::uint32_t loads)
+runFingerprintDemo(int argc, char **argv, bool help)
 {
+    const auto max_sites =
+        static_cast<std::uint32_t>(workload::websiteNames().size());
+    std::uint32_t sites = 6, loads = 8;
+    FlagParser parser;
+    parser.addUint("sites", &sites,
+                   "number of websites, 2.." + std::to_string(max_sites) +
+                       " (default 6)");
+    parser.addUint("loads", &loads, "loads per site, >= 2 (default 8)");
+    if (parser.parseOrPrintHelp(argc, argv, help))
+        return 0;
+    if (sites < 2 || sites > max_sites)
+        throw UsageError("--sites must be in [2, " +
+                         std::to_string(max_sites) + "]");
+    if (loads < 2)
+        throw UsageError("--loads must be >= 2");
+
     core::banner("Website fingerprinting via PRAC back-offs");
 
     core::FingerprintSpec spec;
@@ -154,8 +189,17 @@ runFingerprintDemo(std::uint32_t sites, std::uint32_t loads)
 }
 
 int
-runMitigationDemo(std::uint32_t nrh)
+runMitigationDemo(int argc, char **argv, bool help)
 {
+    std::uint32_t nrh = 256;
+    FlagParser parser;
+    parser.addUint("nrh", &nrh,
+                   "RowHammer threshold, 16..65536 (default 256)");
+    if (parser.parseOrPrintHelp(argc, argv, help))
+        return 0;
+    if (nrh < 16 || nrh > 65536)
+        throw UsageError("--nrh must be in [16, 65536]");
+
     core::banner("Defense comparison at NRH = " + std::to_string(nrh));
 
     const auto mixes = workload::makeMixes(3, 4, 7);
@@ -198,88 +242,31 @@ runMitigationDemo(std::uint32_t nrh)
     return 0;
 }
 
-// ------------------------------------------------- argv entry points
-
-namespace {
-
-int
-usageError(const char *prog, const std::string &error,
-           const char *flag_usage)
-{
-    std::fprintf(stderr, "%s: %s\nusage: %s %s\n", prog, error.c_str(),
-                 prog, flag_usage);
-    return 2;
-}
-
 } // namespace
 
-int
-quickstartMain(int argc, char **argv, const char *prog)
+const std::vector<Demo> &
+demos()
 {
-    FlagParser parser;
-    std::string error;
-    if (!parser.parse(argc, argv, &error))
-        return usageError(prog, error, "");
-    return runQuickstartDemo();
+    static const std::vector<Demo> kDemos = {
+        {"quickstart", "-", "Listing-1 latency probe, Fig. 2 bands",
+         runQuickstartDemo},
+        {"covert", "--message <s> --mapping <spec>",
+         "transmit text over both covert channels", runCovertDemo},
+        {"fingerprint", "--sites <n> --loads <n>",
+         "website fingerprinting + classifier", runFingerprintDemo},
+        {"mitigation", "--nrh <n>",
+         "security/performance trade-off per defense", runMitigationDemo},
+    };
+    return kDemos;
 }
 
-int
-covertMain(int argc, char **argv, const char *prog)
+const Demo *
+findDemo(const std::string &name)
 {
-    const char *usage = "[--message <text>] [--mapping <spec>]";
-    std::string message = "MICRO";
-    std::string mapping = "row-interleaved";
-    FlagParser parser;
-    parser.addString("message", &message, "text to transmit");
-    parser.addString("mapping", &mapping,
-                     "address mapping (preset|order:...|xor:...)");
-    std::string error;
-    if (!parser.parse(argc, argv, &error))
-        return usageError(prog, error, usage);
-    if (message.empty())
-        return usageError(prog, "--message must be non-empty", usage);
-    dram::MappingSpec spec;
-    if (!dram::MappingSpec::tryParse(mapping, &spec, &error))
-        return usageError(prog, "bad --mapping: " + error, usage);
-    return runCovertDemo(message, spec);
-}
-
-int
-fingerprintMain(int argc, char **argv, const char *prog)
-{
-    const char *usage = "[--sites <n>] [--loads <n>]";
-    std::uint32_t sites = 6, loads = 8;
-    FlagParser parser;
-    parser.addUint("sites", &sites, "number of websites");
-    parser.addUint("loads", &loads, "loads per site");
-    std::string error;
-    if (!parser.parse(argc, argv, &error))
-        return usageError(prog, error, usage);
-    const auto max_sites =
-        static_cast<std::uint32_t>(workload::websiteNames().size());
-    if (sites < 2 || sites > max_sites)
-        return usageError(prog,
-                          "--sites must be in [2, " +
-                              std::to_string(max_sites) + "]",
-                          usage);
-    if (loads < 2)
-        return usageError(prog, "--loads must be >= 2", usage);
-    return runFingerprintDemo(sites, loads);
-}
-
-int
-mitigationMain(int argc, char **argv, const char *prog)
-{
-    std::uint32_t nrh = 256;
-    FlagParser parser;
-    parser.addUint("nrh", &nrh, "RowHammer threshold");
-    std::string error;
-    if (!parser.parse(argc, argv, &error))
-        return usageError(prog, error, "[--nrh <n>]");
-    if (nrh < 16 || nrh > 65536)
-        return usageError(prog, "--nrh must be in [16, 65536]",
-                          "[--nrh <n>]");
-    return runMitigationDemo(nrh);
+    for (const auto &demo : demos())
+        if (name == demo.name)
+            return &demo;
+    return nullptr;
 }
 
 } // namespace leaky::runner

@@ -1,46 +1,38 @@
 /**
  * @file
- * Interactive scenario demos, shared between `leakyhammer run <demo>`
- * and the thin example binaries in examples/. Each demo prints a
- * narrated walk-through of one paper scenario and returns a process
- * exit code (0 on success), so wrappers can forward it from main().
+ * The narrated scenario demos behind `leakyhammer run <demo>`. Each
+ * prints a walk-through of one paper scenario. The table below is the
+ * only place a demo is named: `list`, `help run` and `run`'s dispatch
+ * all read it.
  */
 
 #ifndef LEAKY_RUNNER_DEMOS_HH
 #define LEAKY_RUNNER_DEMOS_HH
 
-#include <cstdint>
 #include <string>
-
-#include "dram/mapping.hh"
+#include <vector>
 
 namespace leaky::runner {
 
-/** Listing-1 latency probe against PRAC; the Fig. 2 bands. */
-int runQuickstartDemo();
+struct Demo {
+    const char *name;     ///< `leakyhammer run <name>`.
+    const char *flags;    ///< Flag synopsis for `list` ("-" = none).
+    const char *scenario; ///< One line for `list` and `help run`.
+    /**
+     * Binds the demo's flags once. With @p help set, prints their help
+     * text and returns 0 without parsing; otherwise parses argv (which
+     * excludes the demo name) strictly, throwing UsageError on any bad
+     * flag or out-of-range value, then runs the demo and returns its
+     * exit code.
+     */
+    int (*main)(int argc, char **argv, bool help);
+};
 
-/** Transmit @p message over the PRAC and RFM covert channels, with
- *  the system decoding through @p mapping (preset, order:, or xor:
- *  form; see docs/EXPERIMENTS.md). */
-int runCovertDemo(const std::string &message,
-                  const dram::MappingSpec &mapping);
+/** Every demo, in `list` order. */
+const std::vector<Demo> &demos();
 
-/** Collect fingerprints, train the classifier, report accuracy. */
-int runFingerprintDemo(std::uint32_t sites, std::uint32_t loads);
-
-/** Security/performance trade-off of every defense at one NRH. */
-int runMitigationDemo(std::uint32_t nrh);
-
-/**
- * argv-style entry points shared by `leakyhammer run <demo>` and the
- * example binaries: strict flag parsing (exit code 2 on any unknown
- * flag, malformed value, or out-of-range setting), then the demo.
- * @p argv excludes the program/demo name; @p prog labels errors.
- */
-int quickstartMain(int argc, char **argv, const char *prog);
-int covertMain(int argc, char **argv, const char *prog);
-int fingerprintMain(int argc, char **argv, const char *prog);
-int mitigationMain(int argc, char **argv, const char *prog);
+/** Look up by name; nullptr when unknown. */
+const Demo *findDemo(const std::string &name);
 
 } // namespace leaky::runner
 

@@ -1,6 +1,7 @@
 #include "runner/flags.hh"
 
 #include <cerrno>
+#include <cstdio>
 #include <cstdlib>
 #include <limits>
 
@@ -31,20 +32,6 @@ parseUint32(const std::string &text, std::uint32_t *value)
     return true;
 }
 
-bool
-parseDouble(const std::string &text, double *value)
-{
-    if (text.empty())
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    const double parsed = std::strtod(text.c_str(), &end);
-    if (errno != 0 || end != text.c_str() + text.size())
-        return false;
-    *value = parsed;
-    return true;
-}
-
 void
 FlagParser::addBool(const std::string &name, bool *target,
                     const std::string &help)
@@ -64,13 +51,6 @@ FlagParser::addUint64(const std::string &name, std::uint64_t *target,
                       const std::string &help)
 {
     flags_.push_back({name, Type::kUint64, target, help});
-}
-
-void
-FlagParser::addDouble(const std::string &name, double *target,
-                      const std::string &help)
-{
-    flags_.push_back({name, Type::kDouble, target, help});
 }
 
 void
@@ -99,8 +79,6 @@ FlagParser::setValue(const Flag &flag, const std::string &text)
         return parseUint32(text, static_cast<std::uint32_t *>(flag.target));
       case Type::kUint64:
         return parseUint64(text, static_cast<std::uint64_t *>(flag.target));
-      case Type::kDouble:
-        return parseDouble(text, static_cast<double *>(flag.target));
       case Type::kString:
         *static_cast<std::string *>(flag.target) = text;
         return true;
@@ -111,16 +89,11 @@ FlagParser::setValue(const Flag &flag, const std::string &text)
 bool
 FlagParser::parse(int argc, char **argv, std::string *error)
 {
-    positionals_.clear();
     for (int i = 0; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg.rfind("--", 0) != 0) {
-            positionals_.push_back(arg);
-            if (positionals_.size() > max_positionals_) {
-                *error = "unexpected argument '" + arg + "'";
-                return false;
-            }
-            continue;
+            *error = "unexpected argument '" + arg + "'";
+            return false;
         }
 
         std::string name = arg.substr(2);
@@ -164,11 +137,24 @@ FlagParser::parse(int argc, char **argv, std::string *error)
     return true;
 }
 
+bool
+FlagParser::parseOrPrintHelp(int argc, char **argv, bool help,
+                             const char *epilogue)
+{
+    if (help) {
+        std::printf("%s%s", helpText().c_str(), epilogue);
+        return true;
+    }
+    std::string error;
+    if (!parse(argc, argv, &error))
+        throw UsageError(error);
+    return false;
+}
+
 std::string
 FlagParser::helpText() const
 {
-    static const char *kTypeNames[] = {"", " <n>", " <n>", " <x>",
-                                       " <s>"};
+    static const char *kTypeNames[] = {"", " <n>", " <n>", " <s>"};
     std::string out;
     for (const auto &flag : flags_) {
         std::string head =

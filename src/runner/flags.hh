@@ -1,16 +1,17 @@
 /**
  * @file
  * Tiny dependency-free command-line flag parser for the leakyhammer
- * CLI and the example binaries. Flags are `--name value` or
- * `--name=value`; bools take no value. Parsing is strict: an unknown
- * flag, a missing value, or a malformed number is an error — callers
- * must exit non-zero instead of silently falling back to defaults.
+ * CLI. Flags are `--name value` or `--name=value`; bools take no
+ * value. Parsing is strict: an unknown flag, a missing value, a
+ * malformed number or a bare argument is an error — callers must exit
+ * non-zero instead of silently falling back to defaults.
  */
 
 #ifndef LEAKY_RUNNER_FLAGS_HH
 #define LEAKY_RUNNER_FLAGS_HH
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -26,32 +27,31 @@ class FlagParser
                  const std::string &help);
     void addUint64(const std::string &name, std::uint64_t *target,
                    const std::string &help);
-    void addDouble(const std::string &name, double *target,
-                   const std::string &help);
     void addString(const std::string &name, std::string *target,
                    const std::string &help);
-
-    /** Cap on bare (non-flag) arguments; default none allowed. */
-    void allowPositionals(std::size_t max) { max_positionals_ = max; }
 
     /**
      * Parse argv[0..argc); on failure fills @p error and returns
      * false. Bound targets keep their pre-set values as defaults but
      * are only *kept* when the flag is absent — a present-but-bad
-     * value always fails.
+     * value always fails, and so does any bare (non-flag) argument.
      */
     bool parse(int argc, char **argv, std::string *error);
 
-    const std::vector<std::string> &positionals() const
-    {
-        return positionals_;
-    }
+    /**
+     * A CLI command's flag step. With @p help set, prints helpText()
+     * and @p epilogue and returns true: the command then returns 0
+     * without running. Otherwise parses argv, throwing UsageError on
+     * failure, and returns false.
+     */
+    bool parseOrPrintHelp(int argc, char **argv, bool help,
+                          const char *epilogue = "");
 
     /** One "  --name <type>  help" line per flag. */
     std::string helpText() const;
 
   private:
-    enum class Type { kBool, kUint, kUint64, kDouble, kString };
+    enum class Type { kBool, kUint, kUint64, kString };
     struct Flag {
         std::string name;
         Type type;
@@ -63,14 +63,17 @@ class FlagParser
     static bool setValue(const Flag &flag, const std::string &text);
 
     std::vector<Flag> flags_;
-    std::vector<std::string> positionals_;
-    std::size_t max_positionals_ = 0;
+};
+
+/** A bad command line: the CLI reports it against the command that
+ *  was running and exits 2. */
+struct UsageError : std::runtime_error {
+    using std::runtime_error::runtime_error;
 };
 
 /** Strict numeric parses (whole string must convert; no fallback). */
 bool parseUint32(const std::string &text, std::uint32_t *value);
 bool parseUint64(const std::string &text, std::uint64_t *value);
-bool parseDouble(const std::string &text, double *value);
 
 } // namespace leaky::runner
 

@@ -328,20 +328,17 @@ TEST(Figures, RegistryExposesHeadlineFigures)
 TEST(Flags, ParsesTypedFlagsAndEqualsSyntax)
 {
     std::uint32_t n = 1;
-    double x = 0;
     bool flag = false;
     std::string s;
     runner::FlagParser parser;
     parser.addUint("n", &n, "");
-    parser.addDouble("x", &x, "");
     parser.addBool("b", &flag, "");
     parser.addString("s", &s, "");
-    const char *argv[] = {"--n", "42", "--x=2.5", "--b", "--s", "hi"};
+    const char *argv[] = {"--n=42", "--b", "--s", "hi"};
     std::string error;
-    ASSERT_TRUE(parser.parse(6, const_cast<char **>(argv), &error))
+    ASSERT_TRUE(parser.parse(4, const_cast<char **>(argv), &error))
         << error;
     EXPECT_EQ(n, 42u);
-    EXPECT_EQ(x, 2.5);
     EXPECT_TRUE(flag);
     EXPECT_EQ(s, "hi");
 }
