@@ -8,9 +8,10 @@
 #   BUILD_VARIANT=tsan      ThreadSanitizer over the work-stealing
 #                           SweepPool: ctest + the 4-thread figure
 #                           smoke, halt on any data-race report
-#   BUILD_VARIANT=release   Release -DLEAKY_DCHECKS=OFF + default-scale
-#                           mitigation, capacity and fingerprint runs
-#                           against their SHA-256 pins + the
+#   BUILD_VARIANT=release   Release -DLEAKY_DCHECKS=OFF + every
+#                           figure of the bench/e2e workloads (covert,
+#                           mitigation, fingerprint) at default scale
+#                           against its seed-11 SHA-256 pin + the
 #                           bench-regression guard
 #                           (tools/check_bench.py)
 #   BUILD_VARIANT=lint      static passes only, no build: leaky-lint
@@ -158,47 +159,29 @@ if [ "$BUILD_VARIANT" = default ]; then
     ci/smoke_campaign.sh "$BUILD_DIR/leakyhammer" "$BUILD_DIR/campaign-smoke"
 fi
 
-# Default-scale Fig. 13 (release variant only): the smoke golden runs
-# one short mix whose traces never wrap, so this run covers the
-# workload -> cache -> core path at full length (cores loop their
-# traces) and on 4 threads, against the same SHA-256 pin bench/e2e
-# checks at figure seed 11.
+# Default-scale SHA-256 pins (release variant only): every figure of
+# the bench/e2e workloads at figure seed 11 on 4 threads, checked
+# against the pins bench/e2e checks. Default scale reaches what the
+# smoke goldens cannot: repeated back-offs, postponed double REFs and
+# FR-RFM's scheduled REF/RFM drains over long hammering (covert),
+# four cores looping their traces through the caches (mitigation), and
+# sparse website traces over long windows (fingerprint).
 if [ "$BUILD_VARIANT" = release ]; then
-    expected="$PWD/bench/e2e/expected/mitigation.seed11.sha256"
-    rm -rf "$BUILD_DIR/mitigation-seed11"
-    "$BUILD_DIR/leakyhammer" repro --fig mitigation --seed 11 --threads 4 \
-        --out "$BUILD_DIR/mitigation-seed11"
-    (cd "$BUILD_DIR/mitigation-seed11" && sha256sum -c "$expected")
-fi
-
-# Default-scale covert capacity (release variant only): back-offs
-# repeat at default scale, so this run covers the FR-FCFS scan and the
-# PRAC top counter over long hammering, against the capacity line of
-# the SHA-256 pins bench/e2e checks at figure seed 11.
-if [ "$BUILD_VARIANT" = release ]; then
-    rm -rf "$BUILD_DIR/capacity-seed11"
-    "$BUILD_DIR/leakyhammer" repro --fig capacity --seed 11 --threads 4 \
-        --out "$BUILD_DIR/capacity-seed11"
-    grep ' fig_capacity_vs_noise\.csv$' \
-        bench/e2e/expected/covert.seed11.sha256 \
-        > "$BUILD_DIR/capacity-seed11.sha256"
-    (cd "$BUILD_DIR/capacity-seed11" &&
-        sha256sum -c "../capacity-seed11.sha256")
-fi
-
-# Default-scale website fingerprinting (release variant only): sparse
-# browser traces over long windows keep only a few events pending, so
-# this run covers the event kernel's run heap at full length, against
-# the SHA-256 pin bench/e2e checks at figure seed 11.
-if [ "$BUILD_VARIANT" = release ]; then
-    rm -rf "$BUILD_DIR/fingerprint-seed11"
-    "$BUILD_DIR/leakyhammer" repro --fig fingerprint --seed 11 --threads 4 \
-        --out "$BUILD_DIR/fingerprint-seed11"
-    grep ' fig_website_fingerprint\.csv$' \
-        bench/e2e/expected/fingerprint.seed11.sha256 \
-        > "$BUILD_DIR/fingerprint-seed11.sha256"
-    (cd "$BUILD_DIR/fingerprint-seed11" &&
-        sha256sum -c "../fingerprint-seed11.sha256")
+    # "<workload>:<figures>", mirroring kWorkloads in bench/e2e/main.cc.
+    for entry in \
+        "covert:capacity bitrate action-latency threshold cross-defense tracker-threshold channel-scaling fuzz-replay" \
+        "mitigation:mitigation" \
+        "fingerprint:fingerprint"; do
+        workload="${entry%%:*}"
+        expected="$PWD/bench/e2e/expected/$workload.seed11.sha256"
+        out="$BUILD_DIR/$workload-seed11"
+        rm -rf "$out"
+        for fig in ${entry#*:}; do
+            "$BUILD_DIR/leakyhammer" repro --fig "$fig" --seed 11 \
+                --threads 4 --out "$out"
+        done
+        (cd "$out" && sha256sum -c "$expected")
+    done
 fi
 
 # Perf harness: run every benchmark to completion and guard against

@@ -18,8 +18,7 @@ MemoryController::MemoryController(sim::EventQueue &eq, const CtrlConfig &cfg,
       defense_(&null_defense_),
       read_q_(cfg_.dram.org, cfg.read_queue_depth),
       write_q_(cfg_.dram.org, cfg.write_queue_depth),
-      ref_issued_(cfg.dram.org.ranks, false),
-      abo_rfms_left_(cfg.dram.org.ranks, 0),
+      drain_left_(cfg.dram.org.ranks, 0),
       next_det_ref_(cfg.dram.timing.tREFI),
       tick_event_(sim::memberEvent<&MemoryController::tick>(this)),
       abo_timer_(sim::memberEvent<&MemoryController::onAboDeadline>(this))
@@ -42,9 +41,24 @@ MemoryController::setDeviceHooks(dram::DeviceHooks *hooks)
 }
 
 void
-MemoryController::notify(PreventiveEvent ev, Tick start, Tick end,
-                         const Address &addr)
+MemoryController::finishPreventive(PreventiveEvent ev, Tick start,
+                                   Tick end, const Address &addr,
+                                   const RfmRequest *rfm)
 {
+    switch (ev) {
+      case PreventiveEvent::kRefresh: stats_.refreshes += 1; break;
+      case PreventiveEvent::kBackoff: stats_.backoffs += 1; break;
+      case PreventiveEvent::kBankBackoff: stats_.bank_backoffs += 1; break;
+      case PreventiveEvent::kRfm: stats_.rfms += 1; break;
+      case PreventiveEvent::kTargetedRefresh:
+        stats_.targeted_refreshes += 1;
+        break;
+      case PreventiveEvent::kCounterFetch:
+        stats_.counter_fetches += 1;
+        break;
+    }
+    if (rfm)
+        defense_->onRfmIssued(*rfm, start, end);
     if (listener_)
         listener_(ev, start, end, addr);
 }
@@ -98,16 +112,13 @@ MemoryController::raiseAlert(const dram::AlertInfo &info)
         return;
     }
 
-    alert_wait_ = true;
     alert_at_ = now + t.tAlert;
-    abo_deadline_ = alert_at_ + t.tABOACT;
-    eq_.reschedule(abo_timer_, abo_deadline_);
+    eq_.reschedule(abo_timer_, alert_at_ + t.tABOACT);
 }
 
 void
 MemoryController::onAboDeadline()
 {
-    alert_wait_ = false;
     abo_pending_ = true;
     maybeStartAbo();
     tick();
@@ -116,14 +127,18 @@ MemoryController::onAboDeadline()
 void
 MemoryController::maybeStartAbo()
 {
-    if (!abo_pending_ || mode_ != Mode::kNormal)
+    if (!abo_pending_ || drain_)
         return;
     abo_pending_ = false;
-    mode_ = Mode::kAboDrain;
-    abo_start_ = eq_.now();
-    abo_last_end_ = 0;
-    std::fill(abo_rfms_left_.begin(), abo_rfms_left_.end(),
-              cfg_.rfms_per_backoff);
+    Drain abo;
+    abo.cmd = Command::kRfmAll;
+    abo.latency = cfg_.dram.timing.tRFM_backoff;
+    abo.during_backoff = true;
+    abo.at = eq_.now();
+    abo.event = PreventiveEvent::kBackoff;
+    abo.start = alert_at_;
+    abo.per_rank = cfg_.rfms_per_backoff;
+    startDrain(abo);
 }
 
 void
@@ -160,11 +175,10 @@ MemoryController::tick()
         stalled_ticks_ = 0;
     } else if (++stalled_ticks_ > 100'000) {
         sim::panic("controller livelocked at tick %llu "
-                   "(mode=%d rq=%zu wq=%zu tasks=%zu precise=%d)",
+                   "(drain=%d rq=%zu wq=%zu tasks=%zu)",
                    static_cast<unsigned long long>(now),
-                   static_cast<int>(mode_), read_q_.size(),
-                   write_q_.size(), bank_tasks_.size(),
-                   precise_.has_value() ? 1 : 0);
+                   drain_ ? static_cast<int>(drain_->event) : -1,
+                   read_q_.size(), write_q_.size(), bank_tasks_.size());
     }
     scheduleWake(computeNextWake(eq_.now()));
 }
@@ -172,20 +186,10 @@ MemoryController::tick()
 bool
 MemoryController::tryIssueOne(Tick now)
 {
-    switch (mode_) {
-      case Mode::kRefDrain:
-        return progressRefDrain(now);
-      case Mode::kAboDrain:
-        return progressAboDrain(now);
-      case Mode::kPreciseDrain:
-        return progressPreciseDrain(now);
-      case Mode::kNormal:
-        break;
-    }
-
-    pollDefense(now);
-    if (mode_ == Mode::kPreciseDrain)
-        return progressPreciseDrain(now);
+    if (!drain_)
+        pollDefense(now);
+    if (drain_)
+        return progressDrain(now);
 
     if (!cfg_.deterministic_refresh) {
         const bool idle = read_q_.empty() && write_q_.empty() &&
@@ -193,11 +197,12 @@ MemoryController::tryIssueOne(Tick now)
                           now >= last_activity_ +
                                      cfg_.refresh_idle_threshold;
         if (refresh_.mustRefresh() || (refresh_.canRefresh() && idle)) {
-            mode_ = Mode::kRefDrain;
-            ref_rounds_left_ = refresh_.owed();
-            ref_start_ = now;
-            std::fill(ref_issued_.begin(), ref_issued_.end(), false);
-            return progressRefDrain(now);
+            Drain ref;
+            ref.at = now;
+            ref.start = now;
+            ref.rounds = refresh_.owed();
+            startDrain(ref);
+            return progressDrain(now);
         }
     }
 
@@ -209,29 +214,33 @@ MemoryController::tryIssueOne(Tick now)
 void
 MemoryController::pollDefense(Tick now)
 {
+    // A scheduled drain issues exactly at `at` (or counts a slip).
+    const auto schedule = [this](Tick at, const RfmRequest *rfm) {
+        Drain drain;
+        drain.scheduled = true;
+        drain.at = at;
+        drain.start = at;
+        if (rfm) {
+            drain.cmd = Command::kRfmAll;
+            drain.latency = rfm->latency_override;
+            drain.event = PreventiveEvent::kRfm;
+            drain.rfm = *rfm;
+        }
+        startDrain(drain);
+    };
+
     // Deterministic (pattern-independent) refresh takes priority so that
     // its grid never depends on what the defense wants.
-    if (cfg_.deterministic_refresh && !precise_ &&
+    if (cfg_.deterministic_refresh &&
         now + cfg_.drain_lead >= next_det_ref_) {
-        PreciseTask task;
-        task.at = next_det_ref_;
-        task.is_ref = true;
+        schedule(next_det_ref_, nullptr);
         next_det_ref_ += cfg_.dram.timing.tREFI;
-        precise_ = task;
-        std::fill(ref_issued_.begin(), ref_issued_.end(), false);
-        mode_ = Mode::kPreciseDrain;
         return;
     }
 
     while (auto rfm = defense_->pendingRfm(now)) {
         if (rfm->precise) {
-            PreciseTask task;
-            task.at = rfm->scheduled_at;
-            task.is_ref = false;
-            task.rfm = *rfm;
-            precise_ = task;
-            std::fill(ref_issued_.begin(), ref_issued_.end(), false);
-            mode_ = Mode::kPreciseDrain;
+            schedule(rfm->scheduled_at, &*rfm);
             return;
         }
         BankTask task;
@@ -244,163 +253,68 @@ MemoryController::pollDefense(Tick now)
     }
 }
 
-bool
-MemoryController::progressRefDrain(Tick now)
+void
+MemoryController::startDrain(const Drain &drain)
 {
-    const auto ranks = cfg_.dram.org.ranks;
-    for (std::uint32_t r = 0; r < ranks; ++r) {
-        if (chan_.allBanksClosed(r))
-            continue;
-        Address a;
-        a.channel = channel_id_;
-        a.rank = r;
-        if (chan_.earliestIssue(Command::kPreAll, a) > now)
-            continue;
-        chan_.issue(Command::kPreAll, a, now);
-        next_cmd_at_ = now + cfg_.cmd_gap;
-        return true;
-    }
-    for (std::uint32_t r = 0; r < ranks; ++r) {
-        if (ref_issued_[r])
-            continue;
-        Address a;
-        a.channel = channel_id_;
-        a.rank = r;
-        if (!chan_.allBanksClosed(r) ||
-            chan_.earliestIssue(Command::kRef, a) > now) {
-            continue;
-        }
-        const Tick end = chan_.issue(Command::kRef, a, now);
-        ref_issued_[r] = true;
-        next_cmd_at_ = now + cfg_.cmd_gap;
-        const bool round_done =
-            std::all_of(ref_issued_.begin(), ref_issued_.end(),
-                        [](bool b) { return b; });
-        if (round_done) {
-            refresh_.onRefIssued();
-            stats_.refreshes += 1;
-            notify(PreventiveEvent::kRefresh, ref_start_, end, a);
-            ref_rounds_left_ -= 1;
-            if (ref_rounds_left_ > 0 && refresh_.canRefresh()) {
-                std::fill(ref_issued_.begin(), ref_issued_.end(), false);
-            } else {
-                mode_ = Mode::kNormal;
-                sched_.resetStreaks();
-                maybeStartAbo();
-            }
-        }
-        return true;
-    }
-    return false;
+    drain_ = drain;
+    std::fill(drain_left_.begin(), drain_left_.end(), drain.per_rank);
+}
+
+Address
+MemoryController::rankAddress(std::uint32_t rank) const
+{
+    Address a;
+    a.channel = channel_id_;
+    a.rank = rank;
+    return a;
 }
 
 bool
-MemoryController::progressAboDrain(Tick now)
+MemoryController::progressDrain(Tick now)
 {
+    Drain &d = *drain_;
     const auto ranks = cfg_.dram.org.ranks;
     for (std::uint32_t r = 0; r < ranks; ++r) {
-        if (chan_.allBanksClosed(r))
+        const Address a = rankAddress(r);
+        if (chan_.allBanksClosed(r) ||
+            chan_.earliestIssue(Command::kPreAll, a) > now) {
             continue;
-        Address a;
-        a.channel = channel_id_;
-        a.rank = r;
-        if (chan_.earliestIssue(Command::kPreAll, a) > now)
-            continue;
+        }
         chan_.issue(Command::kPreAll, a, now);
         next_cmd_at_ = now + cfg_.cmd_gap;
         return true;
     }
-    for (std::uint32_t r = 0; r < ranks; ++r) {
-        if (abo_rfms_left_[r] == 0)
-            continue;
-        Address a;
-        a.channel = channel_id_;
-        a.rank = r;
-        if (!chan_.allBanksClosed(r) ||
-            chan_.earliestIssue(Command::kRfmAll, a) > now) {
-            continue;
-        }
-        const Tick end = chan_.issue(Command::kRfmAll, a, now,
-                                     cfg_.dram.timing.tRFM_backoff,
-                                     /*during_backoff=*/true);
-        abo_last_end_ = std::max(abo_last_end_, end);
-        abo_rfms_left_[r] -= 1;
-        next_cmd_at_ = now + cfg_.cmd_gap;
-        const bool done =
-            std::all_of(abo_rfms_left_.begin(), abo_rfms_left_.end(),
-                        [](std::uint32_t n) { return n == 0; });
-        if (done) {
-            stats_.backoffs += 1;
-            notify(PreventiveEvent::kBackoff, alert_at_, abo_last_end_, a);
-            mode_ = Mode::kNormal;
-            sched_.resetStreaks();
-        }
-        return true;
-    }
-    return false;
-}
-
-bool
-MemoryController::progressPreciseDrain(Tick now)
-{
-    LEAKY_ASSERT(precise_.has_value(), "precise drain without a task");
-    const auto ranks = cfg_.dram.org.ranks;
-    PreciseTask &task = *precise_;
-
-    for (std::uint32_t r = 0; r < ranks; ++r) {
-        if (chan_.allBanksClosed(r))
-            continue;
-        Address a;
-        a.channel = channel_id_;
-        a.rank = r;
-        if (chan_.earliestIssue(Command::kPreAll, a) > now)
-            continue;
-        chan_.issue(Command::kPreAll, a, now);
-        next_cmd_at_ = now + cfg_.cmd_gap;
-        return true;
-    }
-    if (now < task.at)
+    if (now < d.at)
         return false;
 
     for (std::uint32_t r = 0; r < ranks; ++r) {
-        if (ref_issued_[r])
-            continue;
-        Address a;
-        a.channel = channel_id_;
-        a.rank = r;
-        const Command cmd = task.is_ref ? Command::kRef : Command::kRfmAll;
-        if (!chan_.allBanksClosed(r) ||
-            chan_.earliestIssue(cmd, a) > now) {
+        const Address a = rankAddress(r);
+        if (drain_left_[r] == 0 || !chan_.allBanksClosed(r) ||
+            chan_.earliestIssue(d.cmd, a) > now) {
             continue;
         }
-        Tick end;
-        if (task.is_ref) {
-            end = chan_.issue(Command::kRef, a, now);
-        } else {
-            end = chan_.issue(Command::kRfmAll, a, now,
-                              task.rfm.latency_override,
-                              /*during_backoff=*/false);
-        }
-        ref_issued_[r] = true;
+        d.end = std::max(d.end, chan_.issue(d.cmd, a, now, d.latency,
+                                            d.during_backoff));
+        drain_left_[r] -= 1;
         next_cmd_at_ = now + cfg_.cmd_gap;
-        if (r == 0 && now > task.at)
+        if (d.scheduled && r == 0 && now > d.at)
             stats_.precise_slips += 1;
-        const bool done =
-            std::all_of(ref_issued_.begin(), ref_issued_.end(),
-                        [](bool b) { return b; });
-        if (done) {
-            if (task.is_ref) {
-                refresh_.update(now);
-                refresh_.onRefIssued();
-                stats_.refreshes += 1;
-                notify(PreventiveEvent::kRefresh, task.at, end, a);
-            } else {
-                stats_.rfms += 1;
-                defense_->onRfmIssued(task.rfm, task.at, end);
-                notify(PreventiveEvent::kRfm, task.at, end, a);
-            }
-            precise_.reset();
-            mode_ = Mode::kNormal;
+        if (std::any_of(drain_left_.begin(), drain_left_.end(),
+                        [](std::uint32_t n) { return n > 0; })) {
+            return true;
+        }
+
+        if (d.cmd == Command::kRef)
+            refresh_.onRefIssued();
+        finishPreventive(d.event, d.start, d.end, a,
+                         d.rfm ? &*d.rfm : nullptr);
+        // Owed REFs go back-to-back: one round per drain, all rounds
+        // reporting the first round's start.
+        if (--d.rounds > 0 && refresh_.canRefresh()) {
+            d.end = 0;
+            std::fill(drain_left_.begin(), drain_left_.end(), d.per_rank);
+        } else {
+            drain_.reset();
             sched_.resetStreaks();
             maybeStartAbo();
         }
@@ -459,28 +373,22 @@ MemoryController::progressBankTasks(Tick now)
         next_cmd_at_ = now + cfg_.cmd_gap;
         task.remaining -= 1;
         if (task.remaining == 0) {
-            if (task.from_alert) {
-                stats_.bank_backoffs += 1;
-                notify(PreventiveEvent::kBankBackoff, task.start, end,
-                       task.rfm.target);
-            } else {
-                PreventiveEvent ev = PreventiveEvent::kRfm;
+            PreventiveEvent ev = PreventiveEvent::kBankBackoff;
+            if (!task.from_alert) {
                 switch (task.rfm.action) {
                   case PreventiveActionKind::kRfm:
-                    stats_.rfms += 1;
+                    ev = PreventiveEvent::kRfm;
                     break;
                   case PreventiveActionKind::kVictimRefresh:
-                    stats_.targeted_refreshes += 1;
                     ev = PreventiveEvent::kTargetedRefresh;
                     break;
                   case PreventiveActionKind::kCounterFetch:
-                    stats_.counter_fetches += 1;
                     ev = PreventiveEvent::kCounterFetch;
                     break;
                 }
-                defense_->onRfmIssued(task.rfm, task.start, end);
-                notify(ev, task.start, end, task.rfm.target);
             }
+            finishPreventive(ev, task.start, end, task.rfm.target,
+                             task.from_alert ? nullptr : &task.rfm);
             bank_tasks_.erase(bank_tasks_.begin() +
                               static_cast<std::ptrdiff_t>(i));
         }
@@ -614,56 +522,19 @@ MemoryController::computeNextWake(Tick now)
     const auto consider = [&wake](Tick t) { wake = std::min(wake, t); };
     const auto ranks = cfg_.dram.org.ranks;
 
-    const auto considerDrainStep = [&](bool issuing_ref,
-                                       bool during_backoff) {
+    if (drain_) {
+        // PREAs may proceed at once, but the REF/RFM itself waits for
+        // drain_->at: before it, only that tick is a valid wake-up.
         for (std::uint32_t r = 0; r < ranks; ++r) {
-            Address a;
-            a.channel = channel_id_;
-            a.rank = r;
-            if (!chan_.allBanksClosed(r)) {
+            const Address a = rankAddress(r);
+            if (!chan_.allBanksClosed(r))
                 consider(chan_.earliestIssue(Command::kPreAll, a));
-            } else if (issuing_ref) {
-                if (!ref_issued_[r])
-                    consider(chan_.earliestIssue(Command::kRef, a));
-            } else if (during_backoff) {
-                if (abo_rfms_left_[r] > 0)
-                    consider(chan_.earliestIssue(Command::kRfmAll, a));
-            } else {
-                if (!ref_issued_[r])
-                    consider(chan_.earliestIssue(Command::kRfmAll, a));
-            }
+            else if (drain_left_[r] > 0 && now >= drain_->at)
+                consider(chan_.earliestIssue(drain_->cmd, a));
         }
-    };
-
-    switch (mode_) {
-      case Mode::kRefDrain:
-        considerDrainStep(/*issuing_ref=*/true, false);
-        break;
-      case Mode::kAboDrain:
-        considerDrainStep(/*issuing_ref=*/false, /*during_backoff=*/true);
-        break;
-      case Mode::kPreciseDrain: {
-        LEAKY_ASSERT(precise_.has_value(), "precise drain without task");
-        // Drain steps (PREA) may proceed immediately, but the REF/RFM
-        // itself is gated on the scheduled tick: before precise_->at,
-        // only the deadline itself is a valid wake-up for it.
-        for (std::uint32_t r = 0; r < ranks; ++r) {
-            Address a;
-            a.channel = channel_id_;
-            a.rank = r;
-            if (!chan_.allBanksClosed(r)) {
-                consider(chan_.earliestIssue(Command::kPreAll, a));
-            } else if (!ref_issued_[r] && now >= precise_->at) {
-                consider(chan_.earliestIssue(
-                    precise_->is_ref ? Command::kRef : Command::kRfmAll,
-                    a));
-            }
-        }
-        if (now < precise_->at)
-            consider(precise_->at);
-        break;
-      }
-      case Mode::kNormal: {
+        if (now < drain_->at)
+            consider(drain_->at);
+    } else {
         // Queued requests. If serveQueues() already ran this tick and
         // issued nothing, its decision is still valid; otherwise scan.
         auto &q = activeQueue();
@@ -711,8 +582,6 @@ MemoryController::computeNextWake(Tick now)
             }
         }
         consider(defense_->nextEventTick(now));
-        break;
-      }
     }
 
     if (wake == kTickMax)

@@ -124,13 +124,6 @@ class MemoryController final : public dram::AlertSink
     void raiseAlert(const dram::AlertInfo &info) override;
 
   private:
-    enum class Mode : std::uint8_t {
-        kNormal,      ///< Serve requests; RFM tasks progress in parallel.
-        kRefDrain,    ///< Precharge all, then issue owed REFs.
-        kAboDrain,    ///< Precharge all, then recovery RFMab burst.
-        kPreciseDrain ///< Drain toward an exactly-scheduled REF/RFM.
-    };
-
     /** A bank-scoped RFM in flight (PRFM RFMsb / Bank-Level back-off). */
     struct BankTask {
         RfmRequest rfm;
@@ -140,20 +133,32 @@ class MemoryController final : public dram::AlertSink
         bool from_alert = false;     ///< Bank-Level PRAC (vs PRFM).
     };
 
-    /** A precisely scheduled drain target (FR-RFM / deterministic REF). */
-    struct PreciseTask {
-        Tick at = 0;
-        bool is_ref = false;
-        RfmRequest rfm;
+    /**
+     * A channel-wide preventive action that blocks request service:
+     * precharge every rank, then issue `cmd` per_rank times on each
+     * rank. Periodic REF, the PRAC back-off (ABO) and FR-RFM's
+     * scheduled REF/RFM are all one record, stepped by progressDrain().
+     */
+    struct Drain {
+        Command cmd = Command::kRef; ///< kRef or kRfmAll.
+        Tick latency = 0;            ///< Latency override (0 = default).
+        bool during_backoff = false; ///< ABO recovery RFMs.
+        bool scheduled = false;      ///< FR-RFM / deterministic REF.
+        Tick at = 0;                 ///< No REF/RFM before this tick.
+        PreventiveEvent event = PreventiveEvent::kRefresh;
+        Tick start = 0;              ///< Event start for listeners.
+        Tick end = 0;                ///< Latest command end so far.
+        std::uint32_t per_rank = 1;  ///< Commands each rank issues.
+        std::uint32_t rounds = 1;    ///< REF rounds left, this one too.
+        std::optional<RfmRequest> rfm; ///< Handed back to the defense.
     };
 
     void tick();
     void onAboDeadline();
     void scheduleWake(Tick when);
     bool tryIssueOne(Tick now);
-    bool progressRefDrain(Tick now);
-    bool progressAboDrain(Tick now);
-    bool progressPreciseDrain(Tick now);
+    void startDrain(const Drain &drain);
+    bool progressDrain(Tick now);
     bool progressBankTasks(Tick now);
     bool serveQueues(Tick now);
     void pollDefense(Tick now);
@@ -167,8 +172,11 @@ class MemoryController final : public dram::AlertSink
     void issueAndAccount(dram::Command cmd, QueueEntry &entry, Tick now);
     RequestQueue &activeQueue();
     bool servingWrites();
-    void notify(PreventiveEvent ev, Tick start, Tick end,
-                const Address &addr);
+    Address rankAddress(std::uint32_t rank) const;
+    /** Count a finished preventive action in stats_, hand a defense
+     *  request (if any) back to the defense, then notify the listener. */
+    void finishPreventive(PreventiveEvent ev, Tick start, Tick end,
+                          const Address &addr, const RfmRequest *rfm);
 
     sim::EventQueue &eq_;
     CtrlConfig cfg_;
@@ -194,30 +202,22 @@ class MemoryController final : public dram::AlertSink
     std::optional<SchedDecision> idle_pick_;
     bool idle_pick_valid_ = false;
 
-    Mode mode_ = Mode::kNormal;
     Tick next_cmd_at_ = 0;
     Tick last_activity_ = 0;
 
-    // Refresh drain state.
-    std::uint32_t ref_rounds_left_ = 0;
-    std::vector<bool> ref_issued_; ///< Per rank, current round.
-    Tick ref_start_ = 0;
+    /** The drain in progress; none means normal request service. */
+    std::optional<Drain> drain_;
+    /** Commands left per rank in drain_ (sized once: never allocates). */
+    std::vector<std::uint32_t> drain_left_;
 
     // Channel-scope ABO state.
-    bool alert_wait_ = false;   ///< Alert received, pre-deadline.
     bool abo_pending_ = false;  ///< Deadline passed while another drain ran.
     Tick alert_at_ = 0;
-    Tick abo_deadline_ = 0;
-    std::vector<std::uint32_t> abo_rfms_left_; ///< Per rank.
-    Tick abo_start_ = 0;
-    Tick abo_last_end_ = 0;
 
     // Bank-scoped tasks (PRFM RFMsb, Bank-Level PRAC back-offs).
     std::vector<BankTask> bank_tasks_;
 
-    // Precise (pattern-independent) REF/RFM scheduling.
-    std::optional<PreciseTask> precise_;
-    Tick next_det_ref_ = 0;
+    Tick next_det_ref_ = 0; ///< Next deterministic REF (FR-RFM systems).
 
     /** Reusable self-clock event; rescheduled, never re-allocated. */
     sim::Event tick_event_;

@@ -36,7 +36,6 @@ makeDefense(const DefenseSpec &spec, const dram::DramConfig &dram_cfg,
     DefenseBundle bundle;
     bundle.rfms_per_backoff = spec.rfms_per_backoff;
     bundle.backoff_rfm_latency = spec.backoff_rfm_latency;
-    bundle.description = defenseName(spec.kind);
 
     const auto nbo = spec.nbo_override ? spec.nbo_override
                                        : nboFor(spec.nrh);

@@ -11,7 +11,6 @@
 #define LEAKY_DEFENSE_FACTORY_HH
 
 #include <memory>
-#include <string>
 #include <tuple>
 
 #include "ctrl/defense_iface.hh"
@@ -95,7 +94,6 @@ struct DefenseBundle {
     bool deterministic_refresh = false; ///< FR-RFM pins REF times too.
     std::uint32_t rfms_per_backoff = 4;
     sim::Tick backoff_rfm_latency = 0;
-    std::string description;
 };
 
 /**

@@ -75,8 +75,6 @@ fuzzSearchSpec(const RunOptions &opts,
     const Scale scale = scaleOf(opts);
     SweepSpec spec;
     spec.name = "fuzz-search";
-    spec.description = "Evolutionary pattern search per defense; one "
-                       "row per generation";
     spec.base_seed = seedOr(opts, 1);
     spec.axes = {{"defense", fuzzDefenseAxis(scale)}};
     spec.columns = {"defense",       "generation",  "best_score",
@@ -159,8 +157,6 @@ fuzzReplayFigure()
         const Scale scale = scaleOf(opts);
         SweepSpec spec;
         spec.name = "fuzz-replay";
-        spec.description = "Every catalogue pattern replayed against "
-                           "each defense under identical cells";
         spec.base_seed = seedOr(opts, 1);
         spec.axes = {
             {"pattern",

@@ -51,8 +51,6 @@ crossChannelFigure()
         const Scale scale = scaleOf(opts);
         SweepSpec spec;
         spec.name = "cross-channel";
-        spec.description = "Sender on channel 0 vs a receiver "
-                           "colocated (0) or on channel 1";
         spec.base_seed = seedOr(opts, 1);
         spec.axes = {
             {"channels",
@@ -137,9 +135,6 @@ channelScalingFigure()
         const Scale scale = scaleOf(opts);
         SweepSpec spec;
         spec.name = "channel-scaling";
-        spec.description = "Concurrent per-channel sender/receiver "
-                           "pairs; aggregate and worst-channel "
-                           "capacity per channel count";
         spec.base_seed = seedOr(opts, 1);
         spec.axes = {{"channels", {1, 2, 4}},
                      {"pattern",
@@ -236,9 +231,7 @@ mappingOrderFigure()
         const Scale scale = scaleOf(opts);
         SweepSpec spec;
         spec.name = "mapping-order";
-        spec.description = "Channel capacity per (actual, assumed) "
-                           "mapper-preset pair; off-diagonal = wrong "
-                           "reverse-engineered mapping";
+        // Off-diagonal cells model a wrongly reverse-engineered mapping.
         spec.base_seed = seedOr(opts, 1);
         spec.axes = {{"actual", {0, 1, 2}}, {"assumed", {0, 1, 2}}};
         const std::size_t bytes = byScale<std::size_t>(scale, 4, 16, 50);
@@ -306,8 +299,6 @@ mappingRecoveryFigure()
         const Scale scale = scaleOf(opts);
         SweepSpec spec;
         spec.name = "mapping-recovery";
-        spec.description = "Row-buffer-conflict probing + GF(2) "
-                           "solving per (mapping, defense) cell";
         spec.base_seed = seedOr(opts, 1);
         // Mapping axis: index into core::recoveryMappings() — the 3
         // presets (complexity 0) plus the folded-bit XOR variants.

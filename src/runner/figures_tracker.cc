@@ -45,9 +45,6 @@ crossDefenseFigure()
         const Scale scale = scaleOf(opts);
         SweepSpec spec;
         spec.name = "cross-defense";
-        spec.description = "One sender/receiver pair vs every "
-                           "preventive-action mechanism, per noise "
-                           "intensity";
         spec.base_seed = seedOr(opts, 1);
         std::vector<double> defenses;
         if (scale == Scale::kSmoke) {
@@ -129,8 +126,8 @@ trackerThresholdFigure()
         const Scale scale = scaleOf(opts);
         SweepSpec spec;
         spec.name = "tracker-threshold";
-        spec.description = "Sparser targeted refreshes degrade the "
-                           "channel until no action fits one window";
+        // Sparser targeted refreshes degrade the channel until no
+        // action fits one window.
         spec.base_seed = seedOr(opts, 1);
         spec.axes = {
             {"tracker",

@@ -67,7 +67,6 @@ syntheticBenchSpec(std::uint32_t jobs, std::uint32_t spin)
 {
     SweepSpec spec;
     spec.name = "bench";
-    spec.description = "synthetic RNG-spin jobs (runner overhead probe)";
     spec.base_seed = 11;
     spec.axes = {{"job", {}}};
     for (std::uint32_t i = 0; i < jobs; ++i)

@@ -50,7 +50,6 @@ using JobFn = std::function<JobRows(const Job &)>;
 /** A declarative sweep: axes x repetitions -> independent jobs. */
 struct SweepSpec {
     std::string name;
-    std::string description;
     /** Expansion is row-major: the FIRST axis varies slowest, the last
      *  fastest, and repetitions fan out innermost. */
     std::vector<Axis> axes;

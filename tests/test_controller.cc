@@ -3,12 +3,18 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
 #include <optional>
 
+#include "attack/dram_addr.hh"
+#include "attack/probe.hh"
+#include "core/experiments.hh"
 #include "ctrl/controller.hh"
 #include "defense/prac.hh"
 #include "defense/prfm.hh"
 #include "sim/event_queue.hh"
+#include "sys/system.hh"
 #include "testing_alloc_counter.hh"
 
 namespace {
@@ -431,6 +437,97 @@ TEST_F(ControllerTest, SteadyStateServiceDoesNotAllocate)
 
     EXPECT_EQ(after, before);
     EXPECT_EQ(completions, warmed + 500);
+}
+
+/** Preventive-event timeline of one Listing-1 probe run. */
+struct Timeline {
+    std::uint64_t digest = 0xcbf29ce484222325ULL; ///< FNV-1a offset basis.
+    std::array<std::uint64_t, 6> counts{};        ///< Per PreventiveEvent.
+    /** REF rounds that reuse the previous round's start: the second
+     *  half of a postponed back-to-back pair. */
+    std::uint64_t catch_up_refs = 0;
+    Tick last_ref_start = leaky::sim::kTickMax;
+
+    void
+    mix(std::uint64_t value, int bytes)
+    {
+        for (int i = 0; i < bytes; ++i) {
+            digest ^= (value >> (8 * i)) & 0xff;
+            digest *= 0x100000001b3ULL; // FNV-1a 64-bit prime.
+        }
+    }
+};
+
+/** Hammer rows 1000/2000 of bank 0 on @p cfg and fold every listener
+ *  event as (kind, start, end, rank) into a digest. */
+Timeline
+probeTimeline(const leaky::sys::SystemConfig &cfg)
+{
+    using namespace leaky;
+    sys::System system(cfg);
+    Timeline tl;
+    system.setPreventiveListener(
+        0, [&tl](PreventiveEvent ev, Tick start, Tick end,
+                 const Address &a) {
+            tl.counts[static_cast<std::size_t>(ev)] += 1;
+            if (ev == PreventiveEvent::kRefresh) {
+                tl.catch_up_refs += start == tl.last_ref_start;
+                tl.last_ref_start = start;
+            }
+            tl.mix(static_cast<std::uint64_t>(ev), 1);
+            tl.mix(start, 8);
+            tl.mix(end, 8);
+            tl.mix(a.rank, 4);
+        });
+    attack::ProbeConfig probe_cfg;
+    probe_cfg.addrs = {
+        attack::rowAddress(system.mapper(), 0, 0, 0, 0, 1000),
+        attack::rowAddress(system.mapper(), 0, 0, 0, 0, 2000)};
+    probe_cfg.iterations = 2000;
+    attack::LatencyProbe probe(system, probe_cfg);
+    bool done = false;
+    probe.start([&done] { done = true; });
+    while (!done)
+        system.run(sim::kMs);
+    return tl;
+}
+
+TEST_F(ControllerTest, PreventiveTimelinePinned)
+{
+    // Exact command timing of every preventive action the controller
+    // drives on the paper's 2-rank system: PRAC's ABO drains and
+    // postponed double REFs, Bank-Level PRAC's bank back-offs, PRFM's
+    // bank RFMs, and FR-RFM's scheduled RFMs and deterministic REFs.
+    // The golden CSVs see only decoded cells; this pins the timeline.
+    using leaky::defense::DefenseKind;
+    struct Case {
+        const char *name;
+        leaky::sys::SystemConfig cfg;
+        std::uint64_t digest;
+        // refresh, backoff, bank_backoff, rfm, targeted, counter_fetch.
+        std::array<std::uint64_t, 6> counts;
+        std::uint64_t catch_up_refs;
+    };
+    auto prac_bank = leaky::core::pracAttackSystem();
+    prac_bank.defense.kind = DefenseKind::kPracBank;
+    const Case cases[] = {
+        {"PRAC", leaky::core::pracAttackSystem(), 15456107697108900112ULL,
+         {256, 7, 0, 0, 0, 0}, 23},
+        {"PRAC-Bank", prac_bank, 17042794170340087999ULL,
+         {256, 0, 7, 0, 0, 0}, 23},
+        {"PRFM", leaky::core::prfmAttackSystem(), 10092292416973616434ULL,
+         {256, 0, 0, 50, 0, 0}, 0},
+        {"FR-RFM", leaky::sys::SystemConfig::paper(DefenseKind::kFrRfm),
+         9271629694519365010ULL, {256, 0, 0, 2275, 0, 0}, 0},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.name);
+        ASSERT_EQ(c.cfg.ctrl.dram.org.ranks, 2u);
+        const Timeline tl = probeTimeline(c.cfg);
+        EXPECT_EQ(tl.counts, c.counts);
+        EXPECT_EQ(tl.catch_up_refs, c.catch_up_refs);
+        EXPECT_EQ(tl.digest, c.digest);
+    }
 }
 
 } // namespace

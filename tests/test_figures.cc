@@ -56,6 +56,14 @@ TEST(FigureRegistry, CoversTheFullPaperCatalogue)
     }
 }
 
+TEST(Figures, SweepNameIsFigureName)
+{
+    // The sweep name is what `campaign` prints and persists, so two
+    // figures sharing one would be indistinguishable in `--status`.
+    for (const auto &figure : runner::figures())
+        EXPECT_EQ(figure.make(smokeOptions()).name, figure.name);
+}
+
 TEST(FigureRegistry, ExposesTheFullCatalogue)
 {
     // One registry entry per retired bench/ binary family, plus the
