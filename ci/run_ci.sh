@@ -8,10 +8,12 @@
 #   BUILD_VARIANT=tsan      ThreadSanitizer over the work-stealing
 #                           SweepPool: ctest + the 4-thread figure
 #                           smoke, halt on any data-race report
-#   BUILD_VARIANT=release   Release -DLEAKY_DCHECKS=OFF + every
+#   BUILD_VARIANT=release   Release -DLEAKY_DCHECKS=OFF (LTO) + every
 #                           figure of the bench/e2e workloads (covert,
 #                           mitigation, fingerprint) at default scale
-#                           against its seed-11 SHA-256 pin + the
+#                           against its seed-11 SHA-256 pin + all 29
+#                           figures at default scale against
+#                           ci/default_scale.sha256 + the
 #                           bench-regression guard
 #                           (tools/check_bench.py)
 #   BUILD_VARIANT=lint      static passes only, no build: leaky-lint
@@ -182,6 +184,14 @@ if [ "$BUILD_VARIANT" = release ]; then
         done
         (cd "$out" && sha256sum -c "$expected")
     done
+
+    # Every registered figure at default scale and its default seeds:
+    # 19 of the 29 CSVs have no pin above. ~12 s on 4 CPUs.
+    expected="$PWD/ci/default_scale.sha256"
+    out="$BUILD_DIR/default-scale"
+    rm -rf "$out"
+    "$BUILD_DIR/leakyhammer" repro --fig all --threads 4 --out "$out"
+    (cd "$out" && sha256sum -c "$expected")
 fi
 
 # Perf harness: run every benchmark to completion and guard against

@@ -76,15 +76,6 @@ MemoryController::enqueue(Request &&req)
     QueueEntry entry;
     entry.arrival = eq_.now();
     entry.req = std::move(req); // push() annotates the address.
-
-    if (!is_read && entry.req.on_complete) {
-        // Posted write: completes (from the CPU's view) on acceptance.
-        // The callback is moved out of the request -- nothing else needs
-        // it -- so no Request copy is captured.
-        const Tick now = eq_.now();
-        eq_.schedule(now, [cb = std::move(entry.req.on_complete),
-                           now] { cb(now); });
-    }
     q.push(std::move(entry));
     last_activity_ = eq_.now();
     scheduleWake(std::max(eq_.now(), next_cmd_at_));
@@ -156,31 +147,46 @@ MemoryController::scheduleWake(Tick when)
 void
 MemoryController::tick()
 {
-    const Tick now = eq_.now();
-    idle_pick_valid_ = false;
-    refresh_.update(now);
+    Tick now = eq_.now();
+    while (true) {
+        idle_pick_valid_ = false;
+        refresh_.update(now);
 
-    // Batched issue: drain every command issuable at this tick in one
-    // wake-up instead of re-entering through the event queue once per
-    // command. With a non-zero cmd_gap the body runs at most once per
-    // tick (issuing moves next_cmd_at_ past now); with cmd_gap == 0 a
-    // same-tick batch issues atomically, before any other event
-    // scheduled at this tick runs.
-    bool issued = false;
-    while (now >= next_cmd_at_ && tryIssueOne(now))
-        issued = true;
+        // Batched issue: drain every command issuable at this tick in
+        // one wake-up instead of re-entering through the event queue
+        // once per command. With a non-zero cmd_gap the body runs at
+        // most once per tick (issuing moves next_cmd_at_ past now);
+        // with cmd_gap == 0 a same-tick batch issues atomically,
+        // before any other event scheduled at this tick runs.
+        bool issued = false;
+        while (now >= next_cmd_at_ && tryIssueOne(now))
+            issued = true;
 
-    if (issued || now != last_tick_at_) {
-        last_tick_at_ = now;
-        stalled_ticks_ = 0;
-    } else if (++stalled_ticks_ > 100'000) {
-        sim::panic("controller livelocked at tick %llu "
-                   "(drain=%d rq=%zu wq=%zu tasks=%zu)",
-                   static_cast<unsigned long long>(now),
-                   drain_ ? static_cast<int>(drain_->event) : -1,
-                   read_q_.size(), write_q_.size(), bank_tasks_.size());
+        if (issued || now != last_tick_at_) {
+            last_tick_at_ = now;
+            stalled_ticks_ = 0;
+        } else if (++stalled_ticks_ > 100'000) {
+            sim::panic("controller livelocked at tick %llu "
+                       "(drain=%d rq=%zu wq=%zu tasks=%zu)",
+                       static_cast<unsigned long long>(now),
+                       drain_ ? static_cast<int>(drain_->event) : -1,
+                       read_q_.size(), write_q_.size(),
+                       bank_tasks_.size());
+        }
+
+        // In-place wake-up: when the next wake precedes every other
+        // pending event, its tick_event_ would fire next anyway, so
+        // advance the clock and loop instead of round-tripping
+        // through the queue. A pending tick_event_ (armed by an alert
+        // during this wake-up, or already pending when onAboDeadline
+        // calls in) keeps the scheduled path.
+        const Tick wake = std::max(computeNextWake(now), now);
+        if (tick_event_.scheduled() || !eq_.advanceIfNext(wake)) {
+            scheduleWake(wake);
+            return;
+        }
+        now = wake;
     }
-    scheduleWake(computeNextWake(eq_.now()));
 }
 
 bool
@@ -503,13 +509,11 @@ MemoryController::issueAndAccount(Command cmd, QueueEntry &entry, Tick now)
     } else if (cmd == Command::kRd) {
         stats_.reads_served += 1;
         stats_.read_latency_sum += done - entry.arrival;
-        if (entry.req.on_complete) {
-            // The entry is erased right after this returns; move the
-            // callback into the completion event instead of copying
-            // the whole request.
-            eq_.schedule(done, [cb = std::move(entry.req.on_complete),
-                                done] { cb(done); });
-        }
+        // The requestor's own event: one kernel round trip returns
+        // the data, return_latency after the burst ends.
+        if (entry.req.on_complete)
+            eq_.schedule(*entry.req.on_complete,
+                         done + entry.req.return_latency);
     } else if (cmd == Command::kWr) {
         stats_.writes_served += 1;
     }

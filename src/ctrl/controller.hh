@@ -86,9 +86,9 @@ class MemoryController final : public dram::AlertSink
     /**
      * Present a request. @return false when the matching queue is full
      * (the caller retries later; the request is left intact so it can
-     * be re-presented without copying). Write completions fire
-     * immediately (posted writes); read completions fire at data-burst
-     * end.
+     * be re-presented without copying). A read's on_complete event is
+     * scheduled return_latency after its data burst ends; writes are
+     * posted and signal nothing.
      */
     bool enqueue(Request &&req);
 

@@ -8,11 +8,14 @@
 #define LEAKY_CTRL_REQUEST_HH
 
 #include <cstdint>
-#include <functional>
 #include <tuple>
 
 #include "dram/types.hh"
 #include "sim/tick.hh"
+
+namespace leaky::sim {
+class Event;
+} // namespace leaky::sim
 
 namespace leaky::ctrl {
 
@@ -23,19 +26,19 @@ using sim::Tick;
 struct Request {
     enum class Type : std::uint8_t { kRead, kWrite };
 
-    /** Completion callback; receives the completion tick. The controller
-     *  moves it out of the request when arming the completion event, so
-     *  delivering a completion never copies the request. */
-    using Callback = std::function<void(Tick completion)>;
-
     Type type = Type::kRead;
     std::uint64_t phys_addr = 0;
     Address addr; ///< Decoded coordinates (filled by the system front-end).
     std::int32_t source = 0; ///< Requestor id (core/agent) for stats.
 
-    /** Invoked when the data burst completes (reads) or when the write is
-     *  accepted into the queue (posted writes). */
-    Callback on_complete;
+    /** Reads only: the requestor's event (not owned; it must stay
+     *  unscheduled and alive until it fires), scheduled by the
+     *  controller at data-burst end + return_latency. Null: no
+     *  completion signal. Writes are posted and never signal. */
+    sim::Event *on_complete = nullptr;
+    /** Data-return delay after the burst (interconnect back to the
+     *  requestor). */
+    Tick return_latency = 0;
 };
 
 /** Aggregate controller statistics. */

@@ -479,6 +479,8 @@ MappingFunction::MappingFunction(const Organization &org,
                      fieldName(f),
                      static_cast<unsigned long long>(size));
         widths_[indexOf(f)] = log2OfPow2(size);
+        field_mask_[indexOf(f)] =
+            static_cast<std::uint32_t>(size - 1);
     }
     for (Field f : kCanonicalFields) {
         offsets_[indexOf(f)] = total_bits_;
@@ -639,13 +641,28 @@ MappingFunction::decodeLine(std::uint64_t line) const
     LEAKY_DCHECK(line < (std::uint64_t{1} << total_bits_),
                  "line index out of mapped range");
     Address out;
+    if (all_plain_) {
+        // A bit permutation: every field is one shift and mask.
+        const auto digit = [&](Field f) {
+            const std::size_t fi = indexOf(f);
+            return static_cast<std::uint32_t>(line >> plain_shift_[fi]) &
+                   field_mask_[fi];
+        };
+        out.column = digit(Field::kColumn);
+        out.bankgroup = digit(Field::kBankGroup);
+        out.bank = digit(Field::kBank);
+        out.rank = digit(Field::kRank);
+        out.row = digit(Field::kRow);
+        out.channel = digit(Field::kChannel);
+        return out;
+    }
     for (Field f : kCanonicalFields) {
         const std::size_t fi = indexOf(f);
         const std::uint32_t width = widths_[fi];
         std::uint32_t digit;
         if (plain_shift_[fi] >= 0) {
-            digit = static_cast<std::uint32_t>(
-                (line >> plain_shift_[fi]) & ((1u << width) - 1));
+            digit = static_cast<std::uint32_t>(line >> plain_shift_[fi]) &
+                    field_mask_[fi];
         } else {
             digit = 0;
             for (std::uint32_t j = 0; j < width; ++j)

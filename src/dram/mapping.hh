@@ -216,8 +216,9 @@ class MappingFunction
     Address
     decode(std::uint64_t phys_addr) const
     {
+        // capacityBytes() is a power of two: wrap with a mask.
         Address out =
-            decodeLine((phys_addr % capacityBytes()) / kLineBytes);
+            decodeLine((phys_addr & (capacityBytes() - 1)) >> kLineShift);
         org_.annotate(out);
         return out;
     }
@@ -275,6 +276,8 @@ class MappingFunction
      *  identity run (every preset/order mapping), decode is a single
      *  shift+mask instead of width parity reductions. */
     std::array<std::int32_t, kNumFields> plain_shift_{};
+    /** Per-field digit masks, (1 << width) - 1. */
+    std::array<std::uint32_t, kNumFields> field_mask_{};
     /** Every field is plain (the function is a bit permutation), so
      *  compose is a shift+or per field instead of the inverse's
      *  total_bits_ parity reductions. */

@@ -63,12 +63,30 @@ EventQueue::commitSlot(std::uint32_t idx, Tick when)
         stats_.run_appends += 1;
     } else {
         r.run_prev = kNoFreeSlot;
-        heap_.emplace_back();
-        siftUp(heap_.size() - 1, HeapEntry{when, r.seq, idx});
+        openRun(HeapEntry{when, r.seq, idx});
     }
     tail = idx;
     stats_.heap_events += 1;
     live_ += 1;
+}
+
+void
+EventQueue::openRun(const HeapEntry &e)
+{
+    // Strictly earlier only: a new run at the front run's own tick
+    // carries higher seqs, so it must queue behind it in the heap.
+    if (e.when < nextEventTick()) {
+        if (front_.idx != kNoFreeSlot) {
+            heap_.emplace_back();
+            siftUp(heap_.size() - 1, front_);
+        }
+        front_ = e;
+        record(e.idx).heap_pos = kFrontPos;
+        stats_.front_runs += 1;
+        return;
+    }
+    heap_.emplace_back();
+    siftUp(heap_.size() - 1, e);
 }
 
 void
@@ -145,7 +163,7 @@ EventQueue::siftDown(std::size_t hole, const HeapEntry &e)
     place(hole, e);
 }
 
-void
+inline void
 EventQueue::unlink(std::uint32_t idx)
 {
     const Record &r = record(idx);
@@ -164,16 +182,28 @@ EventQueue::unlink(std::uint32_t idx)
         // The successor's key grows but stays below every run ordered
         // after this head: runs of one tick hold disjoint seq ranges,
         // so a later run of the same tick holds only higher seqs. The
-        // successor therefore keeps the slot with no sift.
+        // successor therefore keeps the slot (heap or front) with no
+        // sift.
         Record &n = record(r.run_next);
         n.run_prev = kNoFreeSlot;
         const HeapEntry e{n.when, n.seq, r.run_next};
+        if (pos == kFrontPos) {
+            LEAKY_DCHECK(heap_.empty() || e.before(heap_.front()),
+                         "promoted front successor after the heap top");
+            front_ = e;
+            n.heap_pos = kFrontPos;
+            return;
+        }
 #ifdef LEAKY_DCHECKS_ENABLED
         for (std::size_t c = 2 * pos + 1; c <= 2 * pos + 2; ++c)
             LEAKY_DCHECK(c >= heap_.size() || !heap_[c].before(e),
                          "promoted run successor after heap child %zu", c);
 #endif
         place(pos, e);
+        return;
+    }
+    if (pos == kFrontPos) {
+        front_ = kNoFront;
         return;
     }
     const HeapEntry last = heap_.back();
@@ -266,9 +296,12 @@ EventQueue::runRecord(std::uint32_t idx)
 bool
 EventQueue::runNext(Tick limit)
 {
-    if (heap_.empty() || heap_.front().when > limit)
+    const bool front = front_.idx != kNoFreeSlot;
+    if (!front && heap_.empty())
         return false;
-    const HeapEntry top = heap_.front();
+    const HeapEntry top = front ? front_ : heap_.front();
+    if (top.when > limit)
+        return false;
     unlink(top.idx);
     now_ = top.when;
     live_ -= 1;
@@ -286,8 +319,11 @@ EventQueue::step()
 void
 EventQueue::runUntil(Tick limit)
 {
+    const Tick outer = horizon_;
+    horizon_ = limit == kTickMax ? kTickMax : limit + 1;
     while (runNext(limit)) {
     }
+    horizon_ = outer;
     // All remaining events (if any) lie strictly after the limit, so the
     // clock can safely advance to it.
     if (limit != kTickMax && now_ < limit)

@@ -26,8 +26,14 @@
  * to a tick's newest run, the runs of one tick hold disjoint seq
  * ranges, so a popped or cancelled head's successor takes over the
  * head's heap slot in place. The resulting fire order is the exact
- * global (tick, seq) order. See docs/ARCHITECTURE.md ("Run heap: event
- * ordering") for the invariant argument.
+ * global (tick, seq) order.
+ *
+ * A front slot outside the heap holds the earliest run when it was
+ * opened strictly before every other pending run -- the common case
+ * of a simulation that schedules its next step, which then fires
+ * first. Opening, popping and cancelling the front run take no sift;
+ * a run it displaces moves into the heap. See docs/ARCHITECTURE.md
+ * ("Run heap: event ordering") for the invariant argument.
  */
 
 #ifndef LEAKY_SIM_EVENT_QUEUE_HH
@@ -227,11 +233,15 @@ class EventQueue
   public:
     /** Kernel health/perf counters (all monotonic). */
     struct KernelStats {
-        std::uint64_t events_run = 0;      ///< Callbacks executed.
+        /** Callbacks executed, plus in-place advances (advanceIfNext). */
+        std::uint64_t events_run = 0;
         std::uint64_t one_shot_spills = 0; ///< Captures too big for SBO.
         std::uint64_t pool_chunks = 0;     ///< Slab chunks allocated.
         std::uint64_t heap_events = 0;     ///< Every schedule.
         std::uint64_t run_appends = 0;     ///< Joined a same-tick run.
+        /** Opened a run strictly before every pending one (took the
+         *  front slot). */
+        std::uint64_t front_runs = 0;
         // Always 0: the end-to-end benchmark still reads these two
         // names; its next revision drops them.
         std::uint64_t wheel_events = 0;
@@ -316,10 +326,33 @@ class EventQueue
     /** Run until the queue is empty. */
     void run() { runUntil(kTickMax); }
 
+    /**
+     * Advance the clock to @p t (>= now()) in place of scheduling a
+     * callback there, when that callback would run next anyway: @p t
+     * lies strictly before every pending event and within the limit
+     * of the running runUntil(). Only callbacks that runUntil() (or
+     * run()) invokes can advance; step() and callers outside a run
+     * are always refused. An advance counts in KernelStats::events_run.
+     * @return true when the clock moved to @p t; the caller then does
+     * at once what its callback at @p t would have done.
+     */
+    bool
+    advanceIfNext(Tick t)
+    {
+        if (t >= horizon_ || t >= nextEventTick())
+            return false;
+        checkFuture(t);
+        now_ = t;
+        stats_.events_run += 1;
+        return true;
+    }
+
     /** Tick of the next live event, or kTickMax when empty. */
     Tick
     nextEventTick() const
     {
+        if (front_.idx != kNoFreeSlot)
+            return front_.when;
         return heap_.empty() ? kTickMax : heap_.front().when;
     }
 
@@ -336,6 +369,8 @@ class EventQueue
     /** Size of the newest-run tail table (a power of two). Collisions
      *  only open extra runs, so it affects speed, never order. */
     static constexpr std::uint32_t kTailSlots = 256;
+    /** heap_pos of the run head held in the front slot. */
+    static constexpr std::uint32_t kFrontPos = kLiveMark;
 
     /**
      * One pooled occurrence: its ordering keys, its links within its
@@ -353,7 +388,9 @@ class EventQueue
         std::uint64_t seq = 0;  ///< Global schedule order (tie-break).
         std::uint32_t run_prev = kNoFreeSlot; ///< Same-tick run links.
         std::uint32_t run_next = kNoFreeSlot;
-        std::uint32_t heap_pos = kNoFreeSlot; ///< Set for run heads only.
+        /** Heap index of a run head, kFrontPos for the front run's
+         *  head, kNoFreeSlot for a record behind a run head. */
+        std::uint32_t heap_pos = kNoFreeSlot;
         bool has_fn = false;    ///< fn_slab_[idx] holds a payload.
         Event *bound = nullptr; ///< Non-null for member-bound events.
     };
@@ -418,9 +455,15 @@ class EventQueue
         return t;
     }
 
-    /** Remove live record @p idx from its run, the heap and the tail
-     *  table. A head's successor inherits its heap slot in place. */
-    void unlink(std::uint32_t idx);
+    /** Remove live record @p idx from its run, the heap or front slot,
+     *  and the tail table. A head's successor inherits its heap slot
+     *  (or the front slot) in place. Inline (defined in the .cc, its
+     *  only user) so the per-event pop in runNext() makes no call. */
+    inline void unlink(std::uint32_t idx);
+
+    /** Open a run at @p e.idx: in the front slot when it precedes
+     *  every pending run, else in the heap. */
+    void openRun(const HeapEntry &e);
 
     /** Move @p e up from @p hole to its place, tracking heap_pos. */
     void siftUp(std::size_t hole, const HeapEntry &e);
@@ -456,6 +499,14 @@ class EventQueue
     std::vector<SmallFn> fn_slab_;
     /** Run heads, a binary min-heap by (when, seq). */
     std::vector<HeapEntry> heap_;
+    /** The front run's head, when one was opened strictly before
+     *  every run in heap_ (front_ == kNoFront: none). Its key is below
+     *  every heap entry's, so it always fires first. */
+    static constexpr HeapEntry kNoFront{kTickMax, 0, kNoFreeSlot};
+    HeapEntry front_ = kNoFront;
+    /** advanceIfNext() moves the clock only to ticks below this: the
+     *  running runUntil()'s limit + 1, or 0 outside a run. */
+    Tick horizon_ = 0;
     /** Tail of the newest run of each tick, at [when % kTailSlots]. */
     std::array<std::uint32_t, kTailSlots> tails_ = emptyTails();
     KernelStats stats_;

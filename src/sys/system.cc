@@ -100,65 +100,62 @@ System::schedule(Tick delay, std::function<void()> fn)
     eq_.scheduleAfter(delay, std::move(fn));
 }
 
-System::PendingSlot &
-System::stashRequest(ctrl::Request &&req)
+System::InFlight &
+System::issue(ctrl::Request &&req)
 {
-    if (pending_free_ == kNoSlot) {
-        pending_.emplace_back();
-        PendingSlot &fresh = pending_.back();
+    if (inflight_free_ == kNoSlot) {
+        InFlight &fresh = inflight_.emplace_back();
         fresh.sys = this;
-        fresh.retry.bind(&fresh, [](void *ctx) {
-            auto *slot = static_cast<PendingSlot *>(ctx);
-            slot->sys->dispatchPending(*slot);
+        fresh.dispatch.bind(&fresh, [](void *ctx) {
+            auto *slot = static_cast<InFlight *>(ctx);
+            slot->sys->dispatch(*slot);
         });
-        fresh.self = static_cast<std::uint32_t>(pending_.size() - 1);
+        fresh.complete.bind(&fresh, [](void *ctx) {
+            auto *slot = static_cast<InFlight *>(ctx);
+            slot->sys->complete(*slot);
+        });
+        fresh.self = static_cast<std::uint32_t>(inflight_.size() - 1);
         fresh.next_free = kNoSlot;
-        pending_free_ = fresh.self;
+        inflight_free_ = fresh.self;
     }
-    PendingSlot &slot = pending_[pending_free_];
-    pending_free_ = slot.next_free;
+    InFlight &slot = inflight_[inflight_free_];
+    inflight_free_ = slot.next_free;
     slot.req = std::move(req);
+    eq_.scheduleAfter(slot.dispatch, cfg_.frontend_latency);
     return slot;
 }
 
 void
-System::dispatchPending(PendingSlot &slot)
+System::release(InFlight &slot)
+{
+    slot.next_free = inflight_free_;
+    inflight_free_ = slot.self;
+}
+
+void
+System::dispatch(InFlight &slot)
 {
     auto &controller = *ctrls_[slot.req.addr.channel];
     if (controller.queueFull(slot.req.type)) {
-        eq_.scheduleAfter(slot.retry, cfg_.retry_interval);
+        eq_.scheduleAfter(slot.dispatch, cfg_.retry_interval);
         return;
     }
+    const bool is_read = slot.req.type == ctrl::Request::Type::kRead;
     const bool accepted = controller.enqueue(std::move(slot.req));
     LEAKY_ASSERT(accepted, "enqueue failed with queue space available");
-    slot.req = ctrl::Request{};
-    slot.next_free = pending_free_;
-    pending_free_ = slot.self;
-}
-
-std::uint32_t
-System::parkCallback(ReadCallback &&cb)
-{
-    if (reads_free_ == kNoSlot) {
-        reads_free_ = static_cast<std::uint32_t>(reads_.size());
-        reads_.emplace_back();
-    }
-    const std::uint32_t slot = reads_free_;
-    reads_free_ = reads_[slot].next_free;
-    reads_[slot].cb = std::move(cb);
-    return slot;
+    if (!is_read)
+        release(slot);
 }
 
 void
-System::deliverRead(std::uint32_t slot, Tick done)
+System::complete(InFlight &slot)
 {
     // Move the callback out first: it may issue reads that reuse the
     // slot or grow the slab.
-    ReadCallback cb = std::move(reads_[slot].cb);
-    reads_[slot].cb = nullptr;
-    reads_[slot].next_free = reads_free_;
-    reads_free_ = slot;
-    cb(done + cfg_.frontend_latency);
+    ReadCallback cb = std::move(slot.cb);
+    slot.cb = nullptr;
+    release(slot);
+    cb(eq_.now());
 }
 
 void
@@ -170,15 +167,10 @@ System::issueRead(std::uint64_t phys_addr, std::int32_t source,
     req.phys_addr = phys_addr;
     req.addr = mapper_.decode(phys_addr);
     req.source = source;
-    const std::uint32_t id = parkCallback(std::move(cb));
-    req.on_complete = [this, id](Tick done) {
-        // Data still has to travel back to the requestor.
-        const Tick back = done + cfg_.frontend_latency;
-        eq_.schedule(back > eq_.now() ? back : eq_.now(),
-                     [this, id, done] { deliverRead(id, done); });
-    };
-    PendingSlot &slot = stashRequest(std::move(req));
-    eq_.scheduleAfter(slot.retry, cfg_.frontend_latency);
+    req.return_latency = cfg_.frontend_latency;
+    InFlight &slot = issue(std::move(req));
+    slot.req.on_complete = &slot.complete;
+    slot.cb = std::move(cb);
 }
 
 void
@@ -189,8 +181,7 @@ System::issueWrite(std::uint64_t phys_addr, std::int32_t source)
     req.phys_addr = phys_addr;
     req.addr = mapper_.decode(phys_addr);
     req.source = source;
-    PendingSlot &slot = stashRequest(std::move(req));
-    eq_.scheduleAfter(slot.retry, cfg_.frontend_latency);
+    issue(std::move(req));
 }
 
 } // namespace leaky::sys

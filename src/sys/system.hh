@@ -93,59 +93,49 @@ class System final : public MemoryPort
 
   private:
     /**
-     * Requests waiting for controller-queue space live in this
-     * System-owned slab, not in their retry events. A full read queue
-     * used to make every 20 us retry heap-allocate a spilled lambda
-     * holding the whole Request (~100 bytes); now the Request is
-     * stashed once and every dispatch attempt reuses the slot's
-     * member-bound kernel Event — scheduling it stores only a
-     * (context, thunk) pair, so a retry storm is allocation-free after
-     * the first rejection and each retry's kernel round trip stays
-     * within one cache line of the event slab. Slots are recycled
-     * through a free list in LIFO order; a deque keeps their addresses
-     * stable for the Events bound to them.
+     * One request from issue until the System is done with it: the
+     * stashed Request (until the controller accepts it), the dispatch
+     * event that presents it after the frontend hop and retries it
+     * while the queue is full, and for reads the requestor's callback
+     * plus the completion event the controller schedules when the data
+     * is back. Slots live in a free-listed, System-owned slab (a deque
+     * keeps their addresses stable for the Events bound to them), so
+     * once the slab has grown a read allocates nothing, and besides the
+     * controller's own wake-ups it takes two events: arrival (plus any
+     * retries) and return. A write's slot is released on acceptance, a
+     * read's when its callback runs.
      */
-    struct PendingSlot {
-        sim::Event retry;   ///< Bound to dispatchPending(this slot).
+    struct InFlight {
+        // What a retry touches comes first, so a retry storm over a
+        // full queue reads as few lines per slot as it can.
+        sim::Event dispatch; ///< Bound to dispatch(this slot).
         System *sys = nullptr;
         ctrl::Request req;
+        sim::Event complete; ///< Bound to complete(this slot).
+        ReadCallback cb;
         std::uint32_t self = 0; ///< Own index (deque: no ptr diff).
         std::uint32_t next_free = kNoSlot;
     };
     static constexpr std::uint32_t kNoSlot = 0xffffffffu;
 
-    PendingSlot &stashRequest(ctrl::Request &&req);
-    /** Try to hand the slot's request to its controller; keep
-     *  retrying on a full queue. The slot is freed only once the
-     *  enqueue lands. */
-    void dispatchPending(PendingSlot &slot);
-
-    /**
-     * A read's requestor callback waits here, in a second free-listed
-     * slab, rather than inside the controller's completion closure.
-     * The closures then carry only (this, slot index) and fit the
-     * inline buffers of std::function and the kernel's SmallFn, so a
-     * read allocates nothing once the slabs have grown.
-     */
-    struct ReadSlot {
-        ReadCallback cb;
-        std::uint32_t next_free = kNoSlot;
-    };
-
-    /** Park @p cb in a free ReadSlot; @return the slot's index. */
-    std::uint32_t parkCallback(ReadCallback &&cb);
-    /** Free read slot @p slot and run its callback with @p done. */
-    void deliverRead(std::uint32_t slot, Tick done);
+    /** Claim a slot for @p req and schedule its arrival at the
+     *  controller one frontend hop from now. */
+    InFlight &issue(ctrl::Request &&req);
+    /** Hand the slot's request to its controller, or retry later on a
+     *  full queue. */
+    void dispatch(InFlight &slot);
+    /** Data is back: free the slot and run its callback. */
+    void complete(InFlight &slot);
+    /** Return @p slot to the free list. */
+    void release(InFlight &slot);
 
     SystemConfig cfg_;
     sim::EventQueue eq_;
     dram::MappingFunction mapper_;
     std::vector<std::unique_ptr<ctrl::MemoryController>> ctrls_;
     std::vector<defense::DefenseBundle> bundles_;
-    std::deque<PendingSlot> pending_;
-    std::uint32_t pending_free_ = kNoSlot;
-    std::vector<ReadSlot> reads_;
-    std::uint32_t reads_free_ = kNoSlot;
+    std::deque<InFlight> inflight_;
+    std::uint32_t inflight_free_ = kNoSlot;
 };
 
 } // namespace leaky::sys

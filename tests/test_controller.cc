@@ -5,6 +5,8 @@
 
 #include <array>
 #include <cstdint>
+#include <deque>
+#include <functional>
 #include <optional>
 
 #include "attack/dram_addr.hh"
@@ -31,6 +33,67 @@ using leaky::dram::Address;
 using leaky::sim::EventQueue;
 using leaky::sim::Tick;
 
+/**
+ * Read completions for controller-level tests. enqueue() presents a
+ * read whose on_complete is one of this helper's sim::Events; when it
+ * fires, @p done gets the completion tick. Events are recycled once
+ * they fire (or when the controller rejects the read), so steady-state
+ * service allocates nothing. Must outlive every read it enqueued.
+ */
+class Completions
+{
+  public:
+    Completions(EventQueue &eq, std::function<void(Tick)> done)
+        : eq_(eq), done_(std::move(done))
+    {
+    }
+    // Slots point back at their owner.
+    Completions(const Completions &) = delete;
+    Completions &operator=(const Completions &) = delete;
+
+    bool
+    enqueue(MemoryController &ctrl, const Address &a)
+    {
+        if (!free_) {
+            Slot &fresh = slots_.emplace_back();
+            fresh.owner = this;
+            fresh.ev.bind(&fresh, &Completions::fire);
+            free_ = &fresh;
+        }
+        Slot *slot = free_;
+        Request req;
+        req.type = Request::Type::kRead;
+        req.addr = a;
+        req.on_complete = &slot->ev;
+        if (!ctrl.enqueue(std::move(req)))
+            return false;
+        free_ = slot->next_free;
+        return true;
+    }
+
+  private:
+    struct Slot {
+        leaky::sim::Event ev;
+        Completions *owner = nullptr;
+        Slot *next_free = nullptr;
+    };
+
+    static void
+    fire(void *ctx)
+    {
+        Slot *slot = static_cast<Slot *>(ctx);
+        Completions &self = *slot->owner;
+        slot->next_free = self.free_;
+        self.free_ = slot;
+        self.done_(self.eq_.now());
+    }
+
+    EventQueue &eq_;
+    std::function<void(Tick)> done_;
+    std::deque<Slot> slots_;
+    Slot *free_ = nullptr;
+};
+
 class ControllerTest : public ::testing::Test
 {
   protected:
@@ -55,11 +118,8 @@ class ControllerTest : public ::testing::Test
     readAndWait(const Address &a, Tick run_for = 2'000'000)
     {
         std::optional<Tick> done;
-        Request req;
-        req.type = Request::Type::kRead;
-        req.addr = a;
-        req.on_complete = [&done](Tick t) { done = t; };
-        EXPECT_TRUE(ctrl_.enqueue(req));
+        Completions reads(eq_, [&done](Tick t) { done = t; });
+        EXPECT_TRUE(reads.enqueue(ctrl_, a));
         const Tick deadline = eq_.now() + run_for;
         while (!done && eq_.now() < deadline)
             eq_.runUntil(eq_.now() + 1'000);
@@ -102,20 +162,6 @@ TEST_F(ControllerTest, RowHitIsFasterThanConflict)
     EXPECT_EQ(ctrl_.stats().row_conflicts, 1u);
 }
 
-TEST_F(ControllerTest, WritesCompleteOnAcceptance)
-{
-    bool completed = false;
-    Request req;
-    req.type = Request::Type::kWrite;
-    req.addr = addr(0, 0, 10);
-    req.on_complete = [&completed](Tick) {
-        completed = true;
-    };
-    ASSERT_TRUE(ctrl_.enqueue(req));
-    eq_.runUntil(eq_.now() + 1000);
-    EXPECT_TRUE(completed);
-}
-
 TEST_F(ControllerTest, QueueFullRejectsRequest)
 {
     for (std::uint32_t i = 0; i < ctrl_.config().read_queue_depth; ++i) {
@@ -143,16 +189,12 @@ TEST_F(ControllerTest, BusyTrafficPostponesThenDoublesRefresh)
     // Dependent-load loop that keeps the controller busy: reissue on
     // completion, alternating rows.
     std::uint64_t served = 0;
-    std::function<void()> next = [&] {
-        Request req;
-        req.type = Request::Type::kRead;
-        req.addr = addr(0, 0, served % 2 ? 10 : 20);
-        req.on_complete = [&](Tick) {
-            served += 1;
-            eq_.scheduleAfter(15'000, next);
-        };
-        ctrl_.enqueue(req);
-    };
+    std::function<void()> next;
+    Completions reads(eq_, [&](Tick) {
+        served += 1;
+        eq_.scheduleAfter(15'000, next);
+    });
+    next = [&] { reads.enqueue(ctrl_, addr(0, 0, served % 2 ? 10 : 20)); };
 
     std::vector<std::pair<Tick, Tick>> refreshes;
     ctrl_.setListener([&](PreventiveEvent ev, Tick start, Tick end,
@@ -204,17 +246,13 @@ TEST_F(ControllerPracTest, HammeringTriggersBackoffProtocol)
 
     // Alternate two rows: every access precharges the other row.
     std::uint64_t served = 0;
-    std::function<void()> next = [&] {
-        Request req;
-        req.type = Request::Type::kRead;
-        req.addr = addr(0, 0, served % 2 ? 100 : 200);
-        req.on_complete = [&](Tick) {
-            served += 1;
-            if (served < 200)
-                eq_.scheduleAfter(15'000, next);
-        };
-        ctrl_.enqueue(req);
-    };
+    std::function<void()> next;
+    Completions reads(eq_, [&](Tick) {
+        served += 1;
+        if (served < 200)
+            eq_.scheduleAfter(15'000, next);
+    });
+    next = [&] { reads.enqueue(ctrl_, addr(0, 0, served % 2 ? 100 : 200)); };
     next();
     eq_.runUntil(100 * leaky::sim::kUs);
 
@@ -241,17 +279,13 @@ TEST_F(ControllerPracTest, BackoffBlocksRequestsDuringRecovery)
         if (ev == PreventiveEvent::kBackoff && backoff_start == 0)
             backoff_start = start;
     });
-    std::function<void()> next = [&] {
-        Request req;
-        req.type = Request::Type::kRead;
-        req.addr = addr(0, 0, served % 2 ? 100 : 200);
-        req.on_complete = [&](Tick) {
-            served += 1;
-            if (backoff_start == 0)
-                eq_.scheduleAfter(15'000, next);
-        };
-        ctrl_.enqueue(req);
-    };
+    std::function<void()> next;
+    Completions reads(eq_, [&](Tick) {
+        served += 1;
+        if (backoff_start == 0)
+            eq_.scheduleAfter(15'000, next);
+    });
+    next = [&] { reads.enqueue(ctrl_, addr(0, 0, served % 2 ? 100 : 200)); };
     next();
     eq_.runUntil(100 * leaky::sim::kUs);
     ASSERT_GT(backoff_start, 0u);
@@ -278,17 +312,13 @@ TEST_F(ControllerTest, PrfmIssuesRfmEveryTrfmActivations)
     });
 
     std::uint64_t served = 0;
-    std::function<void()> next = [&] {
-        Request req;
-        req.type = Request::Type::kRead;
-        req.addr = addr(0, 0, served % 2 ? 100 : 200);
-        req.on_complete = [&](Tick) {
-            served += 1;
-            if (served < 64)
-                eq_.scheduleAfter(15'000, next);
-        };
-        ctrl_.enqueue(req);
-    };
+    std::function<void()> next;
+    Completions reads(eq_, [&](Tick) {
+        served += 1;
+        if (served < 64)
+            eq_.scheduleAfter(15'000, next);
+    });
+    next = [&] { reads.enqueue(ctrl_, addr(0, 0, served % 2 ? 100 : 200)); };
     next();
     eq_.runUntil(50 * leaky::sim::kUs);
 
@@ -362,13 +392,10 @@ TEST_F(ControllerTest, SameTickBatchWithZeroGapDoesNotTrip)
     cfg.cmd_gap = 0;
     MemoryController ctrl(eq_, cfg);
     std::uint64_t completions = 0;
-    for (int i = 0; i < 8; ++i) {
-        Request req;
-        req.type = Request::Type::kRead;
-        req.addr = addr(0, 0, 10, static_cast<std::uint32_t>(i));
-        req.on_complete = [&completions](Tick) { completions += 1; };
-        ASSERT_TRUE(ctrl.enqueue(std::move(req)));
-    }
+    Completions reads(eq_, [&completions](Tick) { completions += 1; });
+    for (int i = 0; i < 8; ++i)
+        ASSERT_TRUE(
+            reads.enqueue(ctrl, addr(0, 0, 10, static_cast<std::uint32_t>(i))));
     eq_.runUntil(eq_.now() + 2 * leaky::sim::kUs);
     EXPECT_EQ(completions, 8u);
     EXPECT_EQ(ctrl.stats().reads_served, 8u);
@@ -402,14 +429,12 @@ TEST_F(ControllerTest, FilterBlockedRequestWaitsWithoutTripping)
 TEST_F(ControllerTest, SteadyStateServiceDoesNotAllocate)
 {
     std::uint64_t completions = 0;
+    Completions reads(eq_, [&completions](Tick) { completions += 1; });
     const auto read = [&](int i) {
-        Request req;
-        req.type = Request::Type::kRead;
-        req.addr = addr(static_cast<std::uint32_t>(i) % 8,
-                        (static_cast<std::uint32_t>(i) / 8) % 4,
-                        static_cast<std::uint32_t>(i) % 64);
-        req.on_complete = [&completions](Tick) { completions += 1; };
-        return ctrl_.enqueue(std::move(req));
+        return reads.enqueue(ctrl_,
+                             addr(static_cast<std::uint32_t>(i) % 8,
+                                  (static_cast<std::uint32_t>(i) / 8) % 4,
+                                  static_cast<std::uint32_t>(i) % 64));
     };
 
     // Warm-up: grow the event slab, the request queues' packed mirrors

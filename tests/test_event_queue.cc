@@ -473,6 +473,22 @@ class Differential
     std::size_t pending() const { return model_.size(); }
     Tick pendingWhen(std::size_t k) const { return model_[k].when; }
 
+    /** Model index of the first-firing pending event (the front run's
+     *  head), or with @p tail the last one at that tick (its tail). */
+    std::size_t
+    frontIndex(bool tail) const
+    {
+        std::size_t best = 0;
+        for (std::size_t k = 1; k < model_.size(); ++k) {
+            const Pending &p = model_[k];
+            const Pending &b = model_[best];
+            if (p.when < b.when ||
+                (p.when == b.when && (tail ? p.seq > b.seq : p.seq < b.seq)))
+                best = k;
+        }
+        return best;
+    }
+
     EventQueue eq;
     std::vector<int> fired;
     std::vector<int> expected;
@@ -640,6 +656,129 @@ TEST(EventQueueProperty, SchedulesAtNowFromCallbacksMatchReferenceOrder)
         ASSERT_EQ(d.fired, d.expected) << "seed " << seed;
         EXPECT_TRUE(d.eq.empty());
     }
+}
+
+TEST(EventQueueProperty, FrontRunTrafficMatchesReferenceOrder)
+{
+    // The front slot's paths: new runs that undercut the earliest
+    // pending run (displacing it into the heap), appends at the front
+    // run's own tick, cancels of its head and of its tail, and
+    // runUntil() limits just before, on and just after it.
+    std::uint64_t front_runs = 0;
+    std::uint64_t run_appends = 0;
+    for (const std::uint64_t seed : {10u, 11u, 12u}) {
+        leaky::sim::Rng rng(seed);
+        Differential d;
+        for (int step = 0; step < 3000; ++step) {
+            const Tick now = d.eq.now();
+            if (d.pending() == 0) {
+                d.add(now + rng.below(1000));
+                continue;
+            }
+            const Tick front = d.pendingWhen(d.frontIndex(false));
+            const bool spawn = rng.below(4) == 0;
+            const std::uint64_t op = rng.below(100);
+            if (op < 30) {
+                d.add(front > now ? now + rng.below(front - now) : front,
+                      spawn);
+            } else if (op < 50) {
+                d.add(front, spawn);
+            } else if (op < 62) {
+                d.add(front + 1 + rng.below(300), spawn);
+            } else if (op < 72) {
+                d.cancelAt(d.frontIndex(false));
+            } else if (op < 80) {
+                d.cancelAt(d.frontIndex(true));
+            } else {
+                const Tick limit = front + rng.below(3);
+                d.runUntil(limit > now + 1 ? limit - 1 : now);
+                ASSERT_EQ(d.fired, d.expected) << "seed " << seed
+                                               << " step " << step;
+            }
+        }
+        d.runUntil(kTickMax);
+        ASSERT_EQ(d.fired, d.expected) << "seed " << seed;
+        EXPECT_TRUE(d.eq.empty());
+        front_runs += d.eq.kernelStats().front_runs;
+        run_appends += d.eq.kernelStats().run_appends;
+    }
+    EXPECT_GT(front_runs, 1000u);
+    EXPECT_GT(run_appends, 1000u);
+}
+
+TEST(EventQueue, AdvanceIfNextRefusesOutsideARun)
+{
+    EventQueue eq;
+    EXPECT_FALSE(eq.advanceIfNext(0));
+    EXPECT_FALSE(eq.advanceIfNext(10));
+    // step() runs exactly one callback: no in-place advance inside it.
+    bool advanced = true;
+    eq.schedule(5, [&] { advanced = eq.advanceIfNext(6); });
+    EXPECT_TRUE(eq.step());
+    EXPECT_FALSE(advanced);
+    EXPECT_EQ(eq.now(), 5u);
+    EXPECT_EQ(eq.kernelStats().events_run, 1u);
+}
+
+TEST(EventQueue, AdvanceIfNextStaysBeforePendingEventsAndTheLimit)
+{
+    EventQueue eq;
+    std::vector<bool> got;
+    eq.schedule(200, [] {});
+    eq.schedule(100, [&] {
+        got.push_back(eq.advanceIfNext(200)); // Same tick pending.
+        got.push_back(eq.advanceIfNext(250)); // Earlier one pending.
+        got.push_back(eq.advanceIfNext(150));
+        got.push_back(eq.now() == 150);
+        got.push_back(eq.advanceIfNext(181)); // Past the limit.
+        got.push_back(eq.advanceIfNext(180)); // The limit itself.
+        got.push_back(eq.now() == 180);
+    });
+    eq.runUntil(180);
+    EXPECT_EQ(got, (std::vector<bool>{false, false, true, true, false,
+                                      true, true}));
+    EXPECT_EQ(eq.now(), 180u);
+    EXPECT_EQ(eq.size(), 1u);
+    // One callback plus two in-place advances.
+    EXPECT_EQ(eq.kernelStats().events_run, 3u);
+
+    // Under run() the horizon is open, but kTickMax never qualifies.
+    got.clear();
+    eq.schedule(190, [&] {
+        got.push_back(eq.advanceIfNext(190)); // Now, 200 still pending.
+        got.push_back(eq.advanceIfNext(199));
+    });
+    eq.schedule(200, [&] {
+        got.push_back(eq.advanceIfNext(kTickMax));
+        got.push_back(eq.advanceIfNext(1'000'000)); // Queue empty.
+    });
+    eq.run();
+    EXPECT_EQ(got, (std::vector<bool>{true, true, false, true}));
+    EXPECT_EQ(eq.now(), 1'000'000u);
+    // Three more callbacks (both tick-200 events) and three advances.
+    EXPECT_EQ(eq.kernelStats().events_run, 3u + 6u);
+}
+
+TEST(EventQueue, AdvanceIfNextKeepsScheduleOrderOfLaterEvents)
+{
+    // A self-clocked component that advances in place fires its other
+    // events at exactly the ticks and in the order a scheduled wake
+    // would have: the clock never passes a pending event.
+    EventQueue eq;
+    std::vector<std::pair<int, Tick>> log;
+    eq.schedule(35, [&] { log.push_back({2, eq.now()}); });
+    eq.schedule(10, [&] {
+        for (Tick t = 20; t <= 50; t += 10) {
+            log.push_back({1, eq.now()});
+            if (!eq.advanceIfNext(t)) {
+                eq.schedule(t, [&] { log.push_back({3, eq.now()}); });
+                return;
+            }
+        }
+    });
+    eq.run();
+    EXPECT_EQ(log, (std::vector<std::pair<int, Tick>>{
+                       {1, 10}, {1, 20}, {1, 30}, {2, 35}, {3, 40}}));
 }
 
 TEST(EventQueue, OversizedCapturesSpillAndAreCounted)

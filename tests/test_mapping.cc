@@ -432,6 +432,37 @@ TEST(MappingFunction, XorRecoveryMappingsComposeRoundTrips)
     EXPECT_EQ(xor_cases, 3); // xor-near, xor-mid, xor-far.
 }
 
+/** decode() of a byte address: compose -> decode returns the random
+ *  coordinates (any offset within the line), and the address wraps at
+ *  capacityBytes() (a mask, not a modulo), for the three presets and
+ *  an explicit `xor:` spec. */
+TEST(MappingFunction, ByteAddressesRoundTripAndWrapAtCapacity)
+{
+    Organization org;
+    std::vector<std::string> specs = mappingPresets();
+    specs.push_back("xor:col=6:12;bg=13+20,14+21,15+22;ba=16,17;"
+                    "ra=18+23;row=19:35");
+    leaky::sim::Rng rng(2503);
+    for (const std::string &text : specs) {
+        const MappingFunction fn(org, 1, MappingSpec::parse(text));
+        for (int i = 0; i < 300; ++i) {
+            const Address addr = randomAddress(fn, rng);
+            const std::uint64_t phys =
+                fn.compose(addr) + rng.below(MappingFunction::kLineBytes);
+            const Address back = fn.decode(phys);
+            EXPECT_TRUE(back.sameRow(addr)) << text;
+            EXPECT_EQ(back.column, addr.column) << text;
+            EXPECT_EQ(back.flat_bank,
+                      org.flatBank(addr.rank, addr.bankgroup, addr.bank))
+                << text;
+            const Address wrapped = fn.decode(phys + fn.capacityBytes());
+            EXPECT_TRUE(wrapped.sameRow(back)) << text;
+            EXPECT_EQ(wrapped.column, back.column) << text;
+            EXPECT_EQ(wrapped.flat_bank, back.flat_bank) << text;
+        }
+    }
+}
+
 TEST(MappingFunctionDeath, RejectsNonInvertibleSpecs)
 {
     Organization org;

@@ -35,6 +35,30 @@ TEST(System, ReadCompletesWithFrontendLatency)
     EXPECT_LE(done, floor + 20'000);
 }
 
+TEST(System, RowHitReadOnIdleSystemReturnsAtPinnedTick)
+{
+    // One read opens row 10; a second read to the open row, issued on
+    // the now idle system, is a row hit. Both data returns are pinned
+    // to the exact ticks of the earlier two-event return path (burst
+    // end, then a relay one frontend hop later): the single return
+    // event must land on the same tick.
+    System system(SystemConfig::paper(DefenseKind::kNone));
+    const auto &mapper = system.mapper();
+    Tick miss = 0;
+    system.issueRead(leaky::attack::rowAddress(mapper, 0, 0, 0, 0, 10), 0,
+                     [&miss](Tick t) { miss = t; });
+    system.run(leaky::sim::kUs);
+    const Tick issued = system.now();
+    Tick hit = 0;
+    system.issueRead(leaky::attack::rowAddress(mapper, 0, 0, 0, 0, 10, 1),
+                     0, [&hit](Tick t) { hit = t; });
+    system.run(leaky::sim::kUs);
+    EXPECT_EQ(system.stats(0).row_misses, 1u);
+    EXPECT_EQ(system.stats(0).row_hits, 1u);
+    EXPECT_EQ(miss, 55'328u);
+    EXPECT_EQ(hit - issued, 39'328u);
+}
+
 TEST(System, WritesAreFireAndForget)
 {
     System system(SystemConfig::paper(DefenseKind::kNone));
