@@ -6,6 +6,14 @@
 
 namespace leaky::attack {
 
+namespace {
+
+/** Requestor ids of the attacker's and the victim's reads. */
+constexpr std::int32_t kAttackerSource = 500;
+constexpr std::int32_t kVictimSource = 501;
+
+} // namespace
+
 CounterLeakAttacker::CounterLeakAttacker(sys::MemoryPort &port,
                                          const CounterLeakConfig &cfg)
     : port_(port), cfg_(cfg)
@@ -41,8 +49,8 @@ CounterLeakAttacker::iterate()
     next_shared_ = !next_shared_;
     const std::uint64_t addr = shared ? cfg_.shared_addr
                                       : cfg_.conflict_addr;
-    port_.schedule(cfg_.iter_overhead, [this, addr, shared] {
-        port_.issueRead(addr, cfg_.source, [this, shared](Tick done) {
+    port_.schedule(kIterOverhead, [this, addr, shared] {
+        port_.issueRead(addr, kAttackerSource, [this, shared](Tick done) {
             const Tick latency = done - mark_;
             mark_ = done;
             if (shared)
@@ -71,12 +79,8 @@ CounterLeakAttacker::iterate()
 
 CounterLeakVictim::CounterLeakVictim(sys::MemoryPort &port,
                                      std::uint64_t shared_addr,
-                                     std::uint64_t conflict_addr,
-                                     Tick iter_overhead,
-                                     std::int32_t source)
-    : port_(port), shared_addr_(shared_addr),
-      conflict_addr_(conflict_addr), iter_overhead_(iter_overhead),
-      source_(source)
+                                     std::uint64_t conflict_addr)
+    : port_(port), shared_addr_(shared_addr), conflict_addr_(conflict_addr)
 {
 }
 
@@ -101,8 +105,8 @@ CounterLeakVictim::iterate()
     const bool shared = next_shared_;
     next_shared_ = !next_shared_;
     const std::uint64_t addr = shared ? shared_addr_ : conflict_addr_;
-    port_.schedule(iter_overhead_, [this, addr, shared] {
-        port_.issueRead(addr, source_, [this, shared](Tick) {
+    port_.schedule(kIterOverhead, [this, addr, shared] {
+        port_.issueRead(addr, kVictimSource, [this, shared](Tick) {
             if (shared && remaining_ > 0)
                 remaining_ -= 1;
             iterate();

@@ -28,9 +28,7 @@ struct CounterLeakConfig {
     /** Channel both rows live on (PRAC counters are per-channel). */
     std::uint32_t channel = 0;
     std::uint32_t nbo = 128;
-    Tick iter_overhead = 15'000;
     LatencyClassifier classifier;
-    std::int32_t source = 500;
 };
 
 /** Result of one leak. */
@@ -72,9 +70,7 @@ class CounterLeakVictim
 {
   public:
     CounterLeakVictim(sys::MemoryPort &port, std::uint64_t shared_addr,
-                      std::uint64_t conflict_addr,
-                      Tick iter_overhead = 15'000,
-                      std::int32_t source = 501);
+                      std::uint64_t conflict_addr);
 
     void prime(std::uint32_t activations, std::function<void()> on_done);
 
@@ -84,8 +80,6 @@ class CounterLeakVictim
     sys::MemoryPort &port_;
     std::uint64_t shared_addr_;
     std::uint64_t conflict_addr_;
-    Tick iter_overhead_;
-    std::int32_t source_;
     std::function<void()> on_done_;
     std::uint32_t remaining_ = 0;
     bool next_shared_ = true;

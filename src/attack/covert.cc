@@ -10,6 +10,13 @@
 
 namespace leaky::attack {
 
+namespace {
+
+/** Refresh-blackout drain lead-in before the REF (§10.1 filter). */
+constexpr Tick kBlackoutPre = 150'000;
+
+} // namespace
+
 // ---------------------------------------------------------------- sender
 
 CovertSender::CovertSender(sys::MemoryPort &port, const CovertConfig &cfg)
@@ -58,10 +65,10 @@ CovertSender::windowStart(std::size_t index)
 void
 CovertSender::accessLoop()
 {
-    if (!active_ || port_.now() + cfg_.iter_overhead >= window_end_)
+    if (!active_ || port_.now() + kIterOverhead >= window_end_)
         return;
     const std::uint64_t id = loop_id_;
-    port_.schedule(cfg_.iter_overhead + gap_, [this, id] {
+    port_.schedule(kIterOverhead + gap_, [this, id] {
         if (id != loop_id_ || !active_ || port_.now() >= window_end_)
             return;
         std::uint64_t addr = (cfg_.sender_addr2 != 0 && (accesses_ & 1))
@@ -147,11 +154,11 @@ CovertReceiver::windowStart(std::size_t index)
 void
 CovertReceiver::accessLoop()
 {
-    if (!listening_ || port_.now() + cfg_.iter_overhead >= window_end_) {
+    if (!listening_ || port_.now() + kIterOverhead >= window_end_) {
         listening_ = false;
         return;
     }
-    port_.schedule(cfg_.iter_overhead, [this] {
+    port_.schedule(kIterOverhead, [this] {
         if (!listening_)
             return;
         port_.issueRead(cfg_.receiver_addr, cfg_.receiver_source,
@@ -164,7 +171,7 @@ CovertReceiver::accessLoop()
             if (cfg_.refresh_blackout) {
                 const Tick phase = done % cfg_.refi;
                 if (phase < cfg_.blackout_post ||
-                    phase > cfg_.refi - cfg_.blackout_pre) {
+                    phase > cfg_.refi - kBlackoutPre) {
                     accessLoop();
                     return;
                 }

@@ -35,7 +35,6 @@ struct CovertConfig {
     Tick window = 25 * sim::kUs;   ///< 25 us PRAC / 20 us RFM (paper).
     std::uint32_t levels = 2;      ///< 2 = binary, 3 = ternary, 4 = quat.
     std::uint32_t trecv = 3;       ///< RFM-count threshold (PRFM, §7.3).
-    Tick iter_overhead = 15'000;   ///< Loop overhead per access.
     /**
      * Channel the sender's rows live on. Defense instances are
      * per-channel, so the sender only charges counters on THIS
@@ -81,7 +80,6 @@ struct CovertConfig {
      */
     bool refresh_blackout = false;
     Tick refi = 3'900'000;
-    Tick blackout_pre = 150'000;  ///< Drain lead-in before the REF.
     Tick blackout_post = 600'000; ///< tRFC + settle after the REF.
     /**
      * Multibit pacing: extra inter-access gap of the sender for symbol

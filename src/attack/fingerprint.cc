@@ -7,6 +7,13 @@
 
 namespace leaky::attack {
 
+namespace {
+
+/** Requestor id of this agent's reads. */
+constexpr std::int32_t kFingerprintSource = 400;
+
+} // namespace
+
 FingerprintProbe::FingerprintProbe(sys::MemoryPort &port,
                                    FingerprintConfig cfg)
     : port_(port), cfg_(std::move(cfg))
@@ -48,8 +55,8 @@ FingerprintProbe::iterate()
         access_in_row_ = 0;
         row_index_ = (row_index_ + 1) % cfg_.rows.size();
     }
-    port_.schedule(cfg_.iter_overhead, [this, addr] {
-        port_.issueRead(addr, cfg_.source, [this](Tick done) {
+    port_.schedule(kIterOverhead, [this, addr] {
+        port_.issueRead(addr, kFingerprintSource, [this](Tick done) {
             const Tick latency = done - mark_;
             mark_ = done;
             accesses_ += 1;

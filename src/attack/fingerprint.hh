@@ -29,10 +29,8 @@ struct FingerprintConfig {
      *  the probe only observes victims sharing this channel. */
     std::uint32_t channel = 0;
     std::uint32_t t_accesses = 50;   ///< T: accesses per row visit (<NBO).
-    Tick iter_overhead = 15'000;
     Tick duration = 4 * sim::kMs;    ///< Covers the page load.
     LatencyClassifier classifier;
-    std::int32_t source = 400;
 };
 
 /** The attacker's measurement process. */

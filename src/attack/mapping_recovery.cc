@@ -8,6 +8,20 @@ using dram::gf2::BitBasis;
 
 namespace {
 
+/** Alternating read pairs per timing measurement (2N reads; the min
+ *  latency of the steady-state reads is the statistic, which filters
+ *  refresh/RFM/back-off inflation from any defense). */
+constexpr std::uint32_t kSamplesPerPair = 4;
+static_assert(kSamplesPerPair >= 2,
+              "need at least two alternation samples per pair");
+/** Constructed full-range probes per validation pass. */
+constexpr std::uint32_t kValidationPairs = 12;
+constexpr std::uint32_t kMaxRounds = 64;
+/** Cap on pairwise-XOR refinement probes in the row phase. */
+constexpr std::uint32_t kMaxRefineTests = 64;
+/** Requestor id of this agent's reads. */
+constexpr std::int32_t kRecoverySource = 150;
+
 std::uint32_t
 log2OfPow2(std::uint64_t v)
 {
@@ -25,8 +39,6 @@ MappingRecovery::MappingRecovery(sys::MemoryPort &port,
                                  MappingRecoveryConfig cfg)
     : port_(port), cfg_(std::move(cfg)), rng_(cfg_.seed)
 {
-    LEAKY_ASSERT(cfg_.samples_per_pair >= 2,
-                 "need at least two alternation samples per pair");
     LEAKY_ASSERT(!cfg_.windows.empty(), "need a window schedule");
     // Datasheet knowledge only: the module's capacity and geometry
     // counts. Which physical bits feed which coordinate — the mapping
@@ -110,7 +122,7 @@ MappingRecovery::measureStep()
     // left open); the min over the steady-state reads is the
     // statistic, so a refresh / RFM / PRAC back-off landing on some
     // iterations cannot fake a conflict.
-    if (reads_done_ >= 2 * cfg_.samples_per_pair) {
+    if (reads_done_ >= 2 * kSamplesPerPair) {
         const bool conflict =
             min_latency_ >= cfg_.classifier.conflict_min;
         // Hand off via a local: the callback usually starts the next
@@ -121,8 +133,8 @@ MappingRecovery::measureStep()
     }
     const std::uint64_t addr = pair_[reads_done_ & 1];
     reads_done_ += 1;
-    port_.schedule(cfg_.iter_overhead, [this, addr] {
-        port_.issueRead(addr, cfg_.source, [this](Tick done) {
+    port_.schedule(kIterOverhead, [this, addr] {
+        port_.issueRead(addr, kRecoverySource, [this](Tick done) {
             const Tick latency = done - mark_;
             mark_ = done;
             result_.accesses += 1;
@@ -139,7 +151,7 @@ MappingRecovery::measureStep()
 void
 MappingRecovery::startCollectRound()
 {
-    if (result_.rounds >= cfg_.max_rounds) {
+    if (result_.rounds >= kMaxRounds) {
         // Budget exhausted: report failure (bank_solved stays false).
         finish();
         return;
@@ -222,7 +234,7 @@ MappingRecovery::startValidation()
 void
 MappingRecovery::validateNext()
 {
-    if (validation_done_ >= cfg_.validation_pairs) {
+    if (validation_done_ >= kValidationPairs) {
         finishValidation();
         return;
     }
@@ -324,7 +336,7 @@ MappingRecovery::refineNext()
     // fold row bits into the same masks). Probe pairwise XORs of the
     // flippers until the kernel reaches its known dimension.
     while (column_span_.rank() < col_bits_ &&
-           refine_tests_ < cfg_.max_refine_tests &&
+           refine_tests_ < kMaxRefineTests &&
            refine_i_ + 1 < row_flippers_.size()) {
         if (refine_j_ >= row_flippers_.size()) {
             refine_i_ += 1;

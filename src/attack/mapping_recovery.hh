@@ -37,24 +37,12 @@ namespace leaky::attack {
 /** Knobs of the online recovery loop. */
 struct MappingRecoveryConfig {
     LatencyClassifier classifier;
-    /** Alternating read pairs per timing measurement (2N reads; the
-     *  min latency of the steady-state reads is the statistic, which
-     *  filters refresh/RFM/back-off inflation from any defense). */
-    std::uint32_t samples_per_pair = 4;
     /** Random difference probes per collection round. */
     std::uint32_t pairs_per_round = 48;
-    /** Constructed full-range probes per validation pass. */
-    std::uint32_t validation_pairs = 12;
     /** Difference-window schedule in line bits (0 = all line bits).
      *  Each widening is one more adaptive round; complex mappings
      *  fail validation in narrow windows and climb the schedule. */
     std::vector<std::uint32_t> windows = {16, 22, 26, 0};
-    std::uint32_t max_rounds = 64;
-    /** Cap on pairwise-XOR refinement probes in the row phase. */
-    std::uint32_t max_refine_tests = 64;
-    /** Non-memory work per access (clflush + timer, as in Listing 1). */
-    Tick iter_overhead = 15'000;
-    std::int32_t source = 150;
     std::uint64_t seed = 1;
 };
 

@@ -7,19 +7,6 @@
 
 namespace leaky::attack {
 
-const char *
-patternName(MessagePattern pattern)
-{
-    switch (pattern) {
-      case MessagePattern::kAllOnes: return "all-1s";
-      case MessagePattern::kAllZeros: return "all-0s";
-      case MessagePattern::kCheckered0: return "checkered-0";
-      case MessagePattern::kCheckered1: return "checkered-1";
-      case MessagePattern::kRandom: return "random";
-    }
-    return "?";
-}
-
 std::vector<bool>
 bitsFromString(const std::string &text)
 {

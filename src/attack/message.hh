@@ -25,8 +25,6 @@ enum class MessagePattern : std::uint8_t {
     kRandom      ///< Seeded pseudo-random payload.
 };
 
-const char *patternName(MessagePattern pattern);
-
 /** MSB-first bits of an ASCII string. */
 std::vector<bool> bitsFromString(const std::string &text);
 

@@ -1,8 +1,16 @@
 #include "attack/noise.hh"
 
+#include "attack/probe.hh"
 #include "sim/logging.hh"
 
 namespace leaky::attack {
+
+namespace {
+
+/** Requestor id of this agent's reads. */
+constexpr std::int32_t kNoiseSource = 300;
+
+} // namespace
 
 NoiseAgent::NoiseAgent(sys::MemoryPort &port, const NoiseConfig &cfg)
     : port_(port), cfg_(cfg)
@@ -29,12 +37,12 @@ NoiseAgent::loop()
     // wall clock (sleep between activations), not by load-to-use
     // dependencies, so its request rate is sleep-controlled even when
     // DRAM is slow.
-    port_.schedule(cfg_.iter_overhead + cfg_.sleep, [this] {
+    port_.schedule(kIterOverhead + cfg_.sleep, [this] {
         if (!running_)
             return;
         const std::uint64_t addr = cfg_.addrs[next_];
         next_ = (next_ + 1) % cfg_.addrs.size();
-        port_.issueRead(addr, cfg_.source,
+        port_.issueRead(addr, kNoiseSource,
                         [this](Tick) { accesses_ += 1; });
         loop();
     });

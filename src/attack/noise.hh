@@ -30,8 +30,6 @@ struct NoiseConfig {
      */
     std::vector<std::uint64_t> addrs;
     Tick sleep = 2 * sim::kUs;  ///< Between consecutive activations.
-    Tick iter_overhead = 15'000;
-    std::int32_t source = 300;
 };
 
 /** Endless interference generator targeting one bank. */

@@ -4,18 +4,12 @@
 
 namespace leaky::attack {
 
-const char *
-latencyClassName(LatencyClass c)
-{
-    switch (c) {
-      case LatencyClass::kFast: return "fast";
-      case LatencyClass::kConflict: return "conflict";
-      case LatencyClass::kRfm: return "rfm";
-      case LatencyClass::kRefresh: return "refresh";
-      case LatencyClass::kBackoff: return "backoff";
-    }
-    return "?";
-}
+namespace {
+
+/** Requestor id of this agent's reads. */
+constexpr std::int32_t kProbeSource = 100;
+
+} // namespace
 
 LatencyClassifier
 LatencyClassifier::forTiming(const dram::Timing &timing, Tick base_latency,
@@ -67,8 +61,8 @@ LatencyProbe::iterate()
     const std::uint64_t addr = cfg_.addrs[iter_ % cfg_.addrs.size()];
     iter_ += 1;
     // clflush + loop overhead, then the (cache-bypassing) access.
-    port_.schedule(cfg_.iter_overhead, [this, addr] {
-        port_.issueRead(addr, cfg_.source, [this](Tick done) {
+    port_.schedule(kIterOverhead, [this, addr] {
+        port_.issueRead(addr, kProbeSource, [this](Tick done) {
             samples_.push_back({done, done - mark_});
             mark_ = done;
             iterate();

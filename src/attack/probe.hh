@@ -36,8 +36,6 @@ enum class LatencyClass : std::uint8_t {
     kBackoff   ///< Delayed by a PRAC back-off (tABOACT + recovery RFMs).
 };
 
-const char *latencyClassName(LatencyClass c);
-
 /** Threshold-based classifier for attacker-observed latencies. */
 struct LatencyClassifier {
     Tick conflict_min = 60'000;  ///< >= this: at least a conflict.
@@ -70,6 +68,11 @@ struct LatencyClassifier {
                                        std::uint32_t rfms_per_backoff = 4);
 };
 
+/** Non-memory work per attack-loop iteration: clflush + timer + loop
+ *  control. Every attack agent (probe, covert sender and receiver,
+ *  noise, fingerprint, counter leak, mapping recovery) pays it. */
+inline constexpr Tick kIterOverhead = 15'000;
+
 /** Listing-1 probe configuration. */
 struct ProbeConfig {
     std::vector<std::uint64_t> addrs; ///< Rows to access in rotation.
@@ -77,9 +80,6 @@ struct ProbeConfig {
      *  probe observes; result collectors read that channel's stats. */
     std::uint32_t channel = 0;
     std::uint32_t iterations = 512;
-    /** Non-memory work per iteration: clflush + timer + loop control. */
-    Tick iter_overhead = 15'000;
-    std::int32_t source = 100;
 };
 
 /** The paper's Listing-1 measurement routine as a simulation agent. */

@@ -339,15 +339,6 @@ collectOneFingerprint(const FingerprintSpec &spec, std::uint32_t site,
     sys::TraceCore browser(system, core_cfg, std::move(trace), 1);
     browser.start();
 
-    std::vector<std::unique_ptr<sys::TraceCore>> background;
-    if (spec.background_noise) {
-        background = attachBackground(
-            system,
-            {workload::appsWithIntensity(
-                 workload::Intensity::kMedium)[site % 3]},
-            spec.large_caches);
-    }
-
     // The attacker's probe, placed away from the browser's rows;
     // back-offs are channel-wide so colocation within the victim's
     // CHANNEL suffices (§8) — the channel is explicit here because a

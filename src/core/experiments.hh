@@ -193,7 +193,6 @@ struct FingerprintSpec {
     std::uint32_t nrh = 64;
     Tick duration = 4 * sim::kMs;
     bool large_caches = false;    ///< §10.3 variant.
-    bool background_noise = false; ///< Concurrent SPEC-like app (§8).
     std::uint64_t seed = 2025;
 };
 

@@ -13,11 +13,11 @@ using sim::kTickMax;
 MemoryController::MemoryController(sim::EventQueue &eq, const CtrlConfig &cfg,
                                    std::uint32_t channel_id)
     : eq_(eq), cfg_(cfg), channel_id_(channel_id), chan_(cfg.dram),
-      sched_(cfg.dram.org, cfg.column_cap),
+      sched_(cfg.dram.org, kColumnCap),
       refresh_(cfg.dram.timing.tREFI, cfg.deterministic_refresh ? 1 : 2),
       defense_(&null_defense_),
       read_q_(cfg_.dram.org, cfg.read_queue_depth),
-      write_q_(cfg_.dram.org, cfg.write_queue_depth),
+      write_q_(cfg_.dram.org, kWriteQueueDepth),
       drain_left_(cfg.dram.org.ranks, 0),
       next_det_ref_(cfg.dram.timing.tREFI),
       tick_event_(sim::memberEvent<&MemoryController::tick>(this)),
@@ -68,8 +68,7 @@ MemoryController::enqueue(Request &&req)
 {
     const bool is_read = req.type == Request::Type::kRead;
     auto &q = is_read ? read_q_ : write_q_;
-    const auto depth = is_read ? cfg_.read_queue_depth
-                               : cfg_.write_queue_depth;
+    const auto depth = is_read ? cfg_.read_queue_depth : kWriteQueueDepth;
     if (q.size() >= depth)
         return false;
 
@@ -200,8 +199,7 @@ MemoryController::tryIssueOne(Tick now)
     if (!cfg_.deterministic_refresh) {
         const bool idle = read_q_.empty() && write_q_.empty() &&
                           bank_tasks_.empty() &&
-                          now >= last_activity_ +
-                                     cfg_.refresh_idle_threshold;
+                          now >= last_activity_ + kRefreshIdleThreshold;
         if (refresh_.mustRefresh() || (refresh_.canRefresh() && idle)) {
             Drain ref;
             ref.at = now;
@@ -448,9 +446,9 @@ MemoryController::activeQueue()
 bool
 MemoryController::servingWrites()
 {
-    if (write_q_.size() >= cfg_.wq_drain_high)
+    if (write_q_.size() >= kWqDrainHigh)
         draining_writes_ = true;
-    if (draining_writes_ && write_q_.size() <= cfg_.wq_drain_low)
+    if (draining_writes_ && write_q_.size() <= kWqDrainLow)
         draining_writes_ = false;
     return draining_writes_ || (read_q_.empty() && !write_q_.empty());
 }
@@ -582,7 +580,7 @@ MemoryController::computeNextWake(Tick now)
             consider(refresh_.nextDue());
             if (refresh_.canRefresh() && read_q_.empty() &&
                 write_q_.empty() && bank_tasks_.empty()) {
-                consider(last_activity_ + cfg_.refresh_idle_threshold);
+                consider(last_activity_ + kRefreshIdleThreshold);
             }
         }
         consider(defense_->nextEventTick(now));

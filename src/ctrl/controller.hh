@@ -31,21 +31,26 @@
 
 namespace leaky::ctrl {
 
+/** Write-queue capacity (reads: CtrlConfig::read_queue_depth). */
+inline constexpr std::uint32_t kWriteQueueDepth = 64;
+/** FR-FCFS per-bank consecutive-row-hit cap (FrFcfsScheduler). */
+inline constexpr std::uint32_t kColumnCap = 16;
+/** Start draining writes here. */
+inline constexpr std::uint32_t kWqDrainHigh = 48;
+/** Stop draining writes here. */
+inline constexpr std::uint32_t kWqDrainLow = 16;
+/** The controller only refreshes opportunistically (owed < max)
+ *  after this much quiet time, so busy periods postpone REFs until
+ *  two are owed and issued back-to-back (paper §6.2, footnote 3). */
+inline constexpr sim::Tick kRefreshIdleThreshold = 200'000;
+
 /** Controller configuration on top of the DRAM config. */
 struct CtrlConfig {
     dram::DramConfig dram;
     std::uint32_t read_queue_depth = 64;
-    std::uint32_t write_queue_depth = 64;
-    std::uint32_t column_cap = 16;
-    std::uint32_t wq_drain_high = 48; ///< Start draining writes here.
-    std::uint32_t wq_drain_low = 16;  ///< Stop draining writes here.
     std::uint32_t rfms_per_backoff = 4; ///< Paper §6.1 assumption.
     sim::Tick cmd_gap = 832;          ///< Min gap between commands (2 tCK).
     sim::Tick drain_lead = 80'000;    ///< Precise-RFM drain lead time.
-    /** The controller only refreshes opportunistically (owed < max)
-     *  after this much quiet time, so busy periods postpone REFs until
-     *  two are owed and issued back-to-back (paper §6.2, footnote 3). */
-    sim::Tick refresh_idle_threshold = 200'000;
     /**
      * When true (FR-RFM systems), periodic refreshes are also pinned to
      * the tREFI grid with a drain lead, so neither REF nor RFM timing
@@ -100,7 +105,7 @@ class MemoryController final : public dram::AlertSink
     {
         return type == Request::Type::kRead
                    ? read_q_.size() >= cfg_.read_queue_depth
-                   : write_q_.size() >= cfg_.write_queue_depth;
+                   : write_q_.size() >= kWriteQueueDepth;
     }
 
     /** Convenience overload for lvalue requests (copies). */
@@ -115,10 +120,6 @@ class MemoryController final : public dram::AlertSink
     const dram::DramChannel &channel() const { return chan_; }
     const CtrlConfig &config() const { return cfg_; }
     const CtrlStats &stats() const { return stats_; }
-    std::uint32_t channelId() const { return channel_id_; }
-
-    std::size_t readQueueSize() const { return read_q_.size(); }
-    std::size_t writeQueueSize() const { return write_q_.size(); }
 
     // dram::AlertSink
     void raiseAlert(const dram::AlertInfo &info) override;

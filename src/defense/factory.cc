@@ -72,10 +72,7 @@ makeDefense(const DefenseSpec &spec, const dram::DramConfig &dram_cfg,
       }
       case DefenseKind::kFrRfm: {
         FrRfmConfig cfg;
-        cfg.period = spec.fr_rfm_period_override
-                         ? spec.fr_rfm_period_override
-                         : frRfmPeriodFor(spec.nrh, dram_cfg.timing,
-                                          drain_lead);
+        cfg.period = frRfmPeriodFor(spec.nrh, dram_cfg.timing, drain_lead);
         cfg.drain_lead = drain_lead;
         bundle.controller = std::make_unique<FrRfmDefense>(cfg);
         bundle.deterministic_refresh = true;
@@ -112,8 +109,6 @@ makeDefense(const DefenseSpec &spec, const dram::DramConfig &dram_cfg,
         cfg.group_threshold =
             std::min(hydraGroupThresholdFor(spec.nrh),
                      cfg.row_threshold > 1 ? cfg.row_threshold - 1 : 1);
-        if (spec.hydra_cc_entries)
-            cfg.cc_entries = spec.hydra_cc_entries;
         bundle.controller = std::make_unique<HydraDefense>(dram_cfg, cfg);
         break;
       }

@@ -49,14 +49,11 @@ struct DefenseSpec {
     /** Override the normal-traffic window after an alert (Fig. 12
      *  models the preventive action as immediate). */
     sim::Tick aboact_override = 0;
-    sim::Tick fr_rfm_period_override = 0;
     double para_probability = 0.02;
     /** Tracker (Graphene/Hydra) targeted-refresh threshold override
      *  (0 = trackerThresholdFor(nrh)); the tracker-threshold figure
      *  sweeps it. */
     std::uint32_t tracker_threshold_override = 0;
-    /** Hydra counter-cache entries (0 = the 2048-entry default). */
-    std::uint32_t hydra_cc_entries = 0;
     /** Warm-start PRAC counters (performance studies; see prac.hh). */
     bool warm_counters = false;
     std::uint64_t seed = 1;
@@ -68,9 +65,8 @@ struct DefenseSpec {
     {
         return std::tie(kind, nrh, nbo_override, trfm_override,
                         rfms_per_backoff, backoff_rfm_latency,
-                        aboact_override, fr_rfm_period_override,
-                        para_probability, tracker_threshold_override,
-                        hydra_cc_entries, warm_counters, seed);
+                        aboact_override, para_probability,
+                        tracker_threshold_override, warm_counters, seed);
     }
 
     bool
@@ -82,8 +78,8 @@ struct DefenseSpec {
 
 /** Field-drift guard (same pattern as CtrlStats): adding a knob
  *  changes the size and fails this assert until tied() visits the
- *  field. 80 = the LP64 layout of the 13 fields above + padding. */
-static_assert(sizeof(DefenseSpec) == 80,
+ *  field. 64 = the LP64 layout of the 11 fields above + padding. */
+static_assert(sizeof(DefenseSpec) == 64,
               "update DefenseSpec::tied() for the new field, then "
               "adjust this size guard");
 

@@ -54,7 +54,6 @@ GrapheneDefense::requestVrr(const Address &addr, std::uint32_t row)
     req.action = PreventiveActionKind::kVictimRefresh;
     req.target = addr;
     req.target.row = row;
-    req.latency_override = cfg_.vrr_latency;
     pending_.push(req);
 }
 

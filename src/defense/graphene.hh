@@ -36,8 +36,6 @@ struct GrapheneConfig {
     std::uint32_t threshold = 80;
     /** Misra-Gries entries per bank (the CAM size in hardware). */
     std::uint32_t table_entries = 64;
-    /** VRR window override; 0 selects the channel default (tVRR). */
-    sim::Tick vrr_latency = 0;
     /**
      * Tables and spillover counters reset every refresh window (the
      * periodic refresh wipes the retention clock Graphene reasons

@@ -180,7 +180,7 @@ HydraDefense::onActivate(const Address &addr, Tick now)
         fetch.action = PreventiveActionKind::kCounterFetch;
         fetch.target = addr;
         fetch.target.row = dram_cfg_.org.rows - 1; // Reserved RCT rows.
-        fetch.latency_override = cfg_.fetch_latency;
+        fetch.latency_override = kHydraFetchLatency;
         pending_.push(fetch);
     }
 
@@ -192,7 +192,6 @@ HydraDefense::onActivate(const Address &addr, Tick now)
         vrr.kind = Command::kVrr;
         vrr.action = PreventiveActionKind::kVictimRefresh;
         vrr.target = addr;
-        vrr.latency_override = cfg_.vrr_latency;
         pending_.push(vrr);
     }
 }

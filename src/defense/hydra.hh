@@ -32,6 +32,9 @@
 
 namespace leaky::defense {
 
+/** DRAM busy window of one counter-line fetch (ACT + RD + PRE). */
+inline constexpr sim::Tick kHydraFetchLatency = 60'000;
+
 /** Hydra configuration (see policy.hh for the NRH derivations). */
 struct HydraConfig {
     /** Per-row targeted-refresh threshold (VRR + reset at this count). */
@@ -44,10 +47,6 @@ struct HydraConfig {
     std::uint32_t cc_entries = 2048;
     /** Counter-cache associativity. */
     std::uint32_t cc_ways = 4;
-    /** DRAM busy window of one counter-line fetch (ACT + RD + PRE). */
-    sim::Tick fetch_latency = 60'000;
-    /** VRR window override; 0 selects the channel default (tVRR). */
-    sim::Tick vrr_latency = 0;
     /**
      * GCT, RCT shadow and counter cache reset every refresh window
      * (Hydra zeroes its counters each tREFW -- without the reset,

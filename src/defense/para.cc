@@ -18,7 +18,7 @@ ParaDefense::onActivate(const ctrl::Address &addr, Tick)
     req.kind = dram::Command::kRfmOneBank;
     req.action = ctrl::PreventiveActionKind::kVictimRefresh;
     req.target = addr;
-    req.latency_override = cfg_.refresh_latency;
+    req.latency_override = kParaRefreshLatency;
     pending_.push(req);
 }
 
@@ -27,9 +27,7 @@ ParaDefense::pendingRfm(Tick)
 {
     if (pending_.empty())
         return std::nullopt;
-    RfmRequest req = pending_.pop();
-    refreshes_ += 1;
-    return req;
+    return pending_.pop();
 }
 
 void

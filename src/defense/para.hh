@@ -20,10 +20,12 @@
 
 namespace leaky::defense {
 
+/** Neighbour-refresh window: two row cycles (blast radius 1). */
+inline constexpr sim::Tick kParaRefreshLatency = 96'000;
+
 /** PARA configuration. */
 struct ParaConfig {
     double probability = 0.02; ///< Neighbour-refresh chance per ACT.
-    sim::Tick refresh_latency = 96'000; ///< Two row cycles (blast radius 1).
     std::uint64_t seed = 7;
 };
 
@@ -40,13 +42,10 @@ class ParaDefense final : public ctrl::ControllerDefense
                      sim::Tick end) override;
     sim::Tick nextEventTick(sim::Tick now) const override;
 
-    std::uint64_t refreshCount() const { return refreshes_; }
-
   private:
     ParaConfig cfg_;
     sim::Rng rng_;
     RequestQueue pending_;
-    std::uint64_t refreshes_ = 0;
 };
 
 } // namespace leaky::defense

@@ -62,24 +62,6 @@ PracDefense::counterValue(const Address &addr) const
     return it == rows.end() ? 0 : it->second;
 }
 
-std::uint32_t
-PracDefense::maxCounter() const
-{
-    std::uint32_t best = 0;
-    for (const auto &bank : banks_)
-        best = std::max(best, bank.top_count);
-    return best;
-}
-
-std::size_t
-PracDefense::trackedRows() const
-{
-    std::size_t n = 0;
-    for (const auto &bank : banks_)
-        n += bank.rows.size();
-    return n;
-}
-
 void
 PracDefense::onActivate(const Address &, Tick)
 {

@@ -73,12 +73,6 @@ class PracDefense final : public dram::DeviceHooks
     /** Number of alerts raised so far. */
     std::uint64_t alertCount() const { return alerts_; }
 
-    /** Highest live counter value (diagnostics / tests). */
-    std::uint32_t maxCounter() const;
-
-    /** Number of rows with live counters (diagnostics / tests). */
-    std::size_t trackedRows() const;
-
     const PracConfig &config() const { return cfg_; }
 
   private:

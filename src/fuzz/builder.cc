@@ -13,6 +13,22 @@ namespace {
  *  same (seed, index) pair. */
 constexpr std::uint64_t kMutateStream = 0x6d75746174656463ULL;
 
+/** Distinct aggressor row slots per pattern. */
+constexpr std::uint32_t kMinRows = 1;
+constexpr std::uint32_t kMaxRows = 6;
+/** Aggressor tuples per pattern (>= the drawn row count). */
+constexpr std::uint32_t kMaxAggressors = 8;
+constexpr std::uint32_t kMaxAmplitude = 4;
+static_assert(kMinRows >= 1 && kMinRows <= kMaxRows &&
+                  kMaxRows <= HammerPattern::kMaxRows,
+              "row bounds out of range");
+static_assert(kMaxAggressors >= kMaxRows &&
+                  kMaxAggressors <= HammerPattern::kMaxAggressors,
+              "aggressor bound out of range");
+static_assert(kMaxAmplitude >= 1 &&
+                  kMaxAmplitude <= HammerPattern::kMaxAmplitude,
+              "amplitude bound out of range");
+
 /** Uniform divisor of @p period (period <= kMaxPeriod, so two passes
  *  beat building a divisor list — no allocation). */
 std::uint32_t
@@ -44,7 +60,7 @@ rollTuple(sim::Rng &rng, std::uint32_t period, std::uint32_t max_amp,
 
 /** Deterministic density fix-up: flatten amplitudes (in listed order)
  *  until the expansion fits kMaxAccesses. Only reachable with
- *  user-widened FuzzParams bounds; the defaults can never overflow. */
+ *  user-widened FuzzParams periods; the defaults can never overflow. */
 void
 fitDensity(HammerPattern *p)
 {
@@ -62,18 +78,6 @@ PatternBuilder::PatternBuilder(FuzzParams params)
 {
     LEAKY_ASSERT(!params_.periods.empty(), "no periods to draw from");
     LEAKY_ASSERT(!params_.gaps.empty(), "no gaps to draw from");
-    LEAKY_ASSERT(params_.min_rows >= 1 &&
-                     params_.min_rows <= params_.max_rows &&
-                     params_.max_rows <= HammerPattern::kMaxRows,
-                 "row bounds out of range");
-    LEAKY_ASSERT(params_.max_aggressors >= params_.max_rows &&
-                     params_.max_aggressors <=
-                         HammerPattern::kMaxAggressors,
-                 "aggressor bound out of range");
-    LEAKY_ASSERT(params_.max_amplitude >= 1 &&
-                     params_.max_amplitude <=
-                         HammerPattern::kMaxAmplitude,
-                 "amplitude bound out of range");
     for (const auto period : params_.periods)
         LEAKY_ASSERT(period >= 1 && period <= HammerPattern::kMaxPeriod,
                      "period %u out of range", period);
@@ -91,9 +95,9 @@ PatternBuilder::generateInto(std::uint64_t index,
     out->period = params_.periods[rng.below(params_.periods.size())];
     out->gap = params_.gaps[rng.below(params_.gaps.size())];
     const auto rows = static_cast<std::uint32_t>(
-        rng.range(params_.min_rows, params_.max_rows));
+        rng.range(kMinRows, kMaxRows));
     const auto n_aggs = static_cast<std::uint32_t>(
-        rng.range(rows, params_.max_aggressors));
+        rng.range(rows, kMaxAggressors));
     out->aggressors.clear();
     for (std::uint32_t i = 0; i < n_aggs; ++i) {
         Aggressor agg;
@@ -101,7 +105,7 @@ PatternBuilder::generateInto(std::uint64_t index,
         // re-visit random slots with their own frequency/phase.
         agg.row = i < rows ? i
                            : static_cast<std::uint32_t>(rng.below(rows));
-        rollTuple(rng, out->period, params_.max_amplitude, &agg);
+        rollTuple(rng, out->period, kMaxAmplitude, &agg);
         out->aggressors.push_back(agg);
     }
     fitDensity(out);
@@ -131,28 +135,28 @@ PatternBuilder::mutateInto(const HammerPattern &src, std::uint64_t index,
       case 0: { // Re-roll one tuple's frequency/phase.
         Aggressor &agg = pick();
         const std::uint32_t amp = agg.amp;
-        rollTuple(rng, dst->period, params_.max_amplitude, &agg);
+        rollTuple(rng, dst->period, kMaxAmplitude, &agg);
         agg.amp = amp;
         break;
       }
       case 1: // Re-roll one tuple's amplitude.
         pick().amp = static_cast<std::uint32_t>(
-            rng.range(1, params_.max_amplitude));
+            rng.range(1, kMaxAmplitude));
         break;
       case 2: // Re-point one tuple at another row slot.
         pick().row =
-            static_cast<std::uint32_t>(rng.below(params_.max_rows));
+            static_cast<std::uint32_t>(rng.below(kMaxRows));
         break;
       case 3: // Grow: one more aggressor tuple (if room).
         if (dst->aggressors.size() <
-            static_cast<std::size_t>(params_.max_aggressors)) {
+            static_cast<std::size_t>(kMaxAggressors)) {
             Aggressor agg;
             agg.row = static_cast<std::uint32_t>(
-                rng.below(params_.max_rows));
-            rollTuple(rng, dst->period, params_.max_amplitude, &agg);
+                rng.below(kMaxRows));
+            rollTuple(rng, dst->period, kMaxAmplitude, &agg);
             dst->aggressors.push_back(agg);
         } else {
-            rollTuple(rng, dst->period, params_.max_amplitude, &pick());
+            rollTuple(rng, dst->period, kMaxAmplitude, &pick());
         }
         break;
       case 4: // Shrink: drop one aggressor (if more than one).
@@ -161,7 +165,7 @@ PatternBuilder::mutateInto(const HammerPattern &src, std::uint64_t index,
             dst->aggressors.erase(dst->aggressors.begin() +
                                   static_cast<std::ptrdiff_t>(victim));
         } else {
-            rollTuple(rng, dst->period, params_.max_amplitude, &pick());
+            rollTuple(rng, dst->period, kMaxAmplitude, &pick());
         }
         break;
       case 5: // New pacing gap.
@@ -172,7 +176,7 @@ PatternBuilder::mutateInto(const HammerPattern &src, std::uint64_t index,
             params_.periods[rng.below(params_.periods.size())];
         for (auto &agg : dst->aggressors) {
             const std::uint32_t amp = agg.amp;
-            rollTuple(rng, dst->period, params_.max_amplitude, &agg);
+            rollTuple(rng, dst->period, kMaxAmplitude, &agg);
             agg.amp = amp;
         }
         break;

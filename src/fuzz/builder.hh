@@ -32,15 +32,9 @@ namespace leaky::fuzz {
 struct FuzzParams {
     /** Base seed of the pattern stream (splitmix64 fan-out per index). */
     std::uint64_t seed = 1;
-    /** Distinct aggressor row slots per pattern. */
-    std::uint32_t min_rows = 1;
-    std::uint32_t max_rows = 6;
     /** Base periods to draw from (every aggressor frequency must
      *  divide the drawn period). */
     std::vector<std::uint32_t> periods = {4, 8, 16, 32};
-    /** Aggressor tuples per pattern (>= the drawn row count). */
-    std::uint32_t max_aggressors = 8;
-    std::uint32_t max_amplitude = 4;
     /** Extra per-access pacing delays to draw from (ticks). */
     std::vector<std::uint64_t> gaps = {0, 15'000, 45'000};
 };

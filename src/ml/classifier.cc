@@ -17,31 +17,19 @@ makeFig10Models(std::uint64_t seed)
     dt.seed = seed;
     models.push_back(std::make_unique<DecisionTree>(dt));
 
-    ForestConfig rf;
-    rf.seed = seed + 1;
-    models.push_back(std::make_unique<RandomForest>(rf));
-
-    BoostConfig gb;
-    gb.seed = seed + 2;
-    models.push_back(std::make_unique<GradientBoosting>(gb));
+    models.push_back(std::make_unique<RandomForest>(seed + 1));
+    models.push_back(std::make_unique<GradientBoosting>(seed + 2));
 
     models.push_back(std::make_unique<KNearestNeighbors>(5));
 
-    LinearConfig svm;
-    svm.seed = seed + 3;
-    models.push_back(std::make_unique<LinearSvm>(svm));
-
-    LinearConfig lr;
-    lr.seed = seed + 4;
-    models.push_back(std::make_unique<LogisticRegression>(lr));
+    models.push_back(std::make_unique<LinearSvm>(seed + 3));
+    models.push_back(std::make_unique<LogisticRegression>(seed + 4));
 
     AdaBoostConfig ada;
     ada.seed = seed + 5;
     models.push_back(std::make_unique<AdaBoost>(ada));
 
-    LinearConfig perc;
-    perc.seed = seed + 6;
-    models.push_back(std::make_unique<Perceptron>(perc));
+    models.push_back(std::make_unique<Perceptron>(seed + 6));
 
     return models;
 }

@@ -8,11 +8,25 @@
 
 namespace leaky::ml {
 
-// ---------------------------------------------------------------- forest
+namespace {
 
-RandomForest::RandomForest(const ForestConfig &cfg) : cfg_(cfg)
-{
-}
+// Random forest hyperparameters.
+constexpr std::uint32_t kForestTrees = 60;
+constexpr std::uint32_t kForestMaxDepth = 20;
+constexpr std::uint32_t kForestMinSamplesSplit = 4;
+
+// Gradient boosting hyperparameters.
+constexpr std::uint32_t kBoostRounds = 20;
+constexpr std::uint32_t kBoostMaxDepth = 3;
+constexpr double kBoostLearningRate = 0.3;
+constexpr double kBoostSubsample = 0.7;
+
+// AdaBoost (SAMME) rounds.
+constexpr std::uint32_t kAdaBoostRounds = 80;
+
+} // namespace
+
+// ---------------------------------------------------------------- forest
 
 void
 RandomForest::fit(const Dataset &data)
@@ -20,11 +34,11 @@ RandomForest::fit(const Dataset &data)
     LEAKY_ASSERT(data.size() > 0, "empty training set");
     trees_.clear();
     n_classes_ = data.n_classes;
-    sim::Rng rng(cfg_.seed);
+    sim::Rng rng(seed_);
     const auto max_features = static_cast<std::uint32_t>(
         std::max(1.0, std::sqrt(static_cast<double>(data.features()))));
 
-    for (std::uint32_t t = 0; t < cfg_.n_trees; ++t) {
+    for (std::uint32_t t = 0; t < kForestTrees; ++t) {
         // Bootstrap sample.
         std::vector<std::size_t> sample(data.size());
         for (auto &idx : sample)
@@ -33,8 +47,8 @@ RandomForest::fit(const Dataset &data)
         boot.n_classes = n_classes_;
 
         TreeConfig tree_cfg;
-        tree_cfg.max_depth = cfg_.max_depth;
-        tree_cfg.min_samples_split = cfg_.min_samples_split;
+        tree_cfg.max_depth = kForestMaxDepth;
+        tree_cfg.min_samples_split = kForestMinSamplesSplit;
         tree_cfg.max_features = max_features;
         tree_cfg.seed = rng();
         trees_.emplace_back(tree_cfg);
@@ -56,10 +70,6 @@ RandomForest::predict(const std::vector<double> &row) const
 
 // -------------------------------------------------------------- boosting
 
-GradientBoosting::GradientBoosting(const BoostConfig &cfg) : cfg_(cfg)
-{
-}
-
 void
 GradientBoosting::fit(const Dataset &data)
 {
@@ -67,7 +77,7 @@ GradientBoosting::fit(const Dataset &data)
     n_classes_ = data.n_classes;
     stages_.assign(static_cast<std::size_t>(n_classes_), {});
     bias_.assign(static_cast<std::size_t>(n_classes_), 0.0);
-    sim::Rng rng(cfg_.seed);
+    sim::Rng rng(seed_);
 
     const auto n = data.size();
     for (int cls = 0; cls < n_classes_; ++cls) {
@@ -87,7 +97,7 @@ GradientBoosting::fit(const Dataset &data)
         std::vector<double> score(n,
                                   bias_[static_cast<std::size_t>(cls)]);
         auto &stage = stages_[static_cast<std::size_t>(cls)];
-        for (std::uint32_t round = 0; round < cfg_.n_rounds; ++round) {
+        for (std::uint32_t round = 0; round < kBoostRounds; ++round) {
             std::vector<double> residual(n);
             for (std::size_t i = 0; i < n; ++i) {
                 const double p = 1.0 / (1.0 + std::exp(-score[i]));
@@ -97,15 +107,15 @@ GradientBoosting::fit(const Dataset &data)
             std::vector<std::size_t> indices;
             indices.reserve(n);
             for (std::size_t i = 0; i < n; ++i) {
-                if (rng.uniform() < cfg_.subsample)
+                if (rng.uniform() < kBoostSubsample)
                     indices.push_back(i);
             }
             if (indices.size() < 2)
                 continue;
-            RegressionTree tree(cfg_.max_depth);
+            RegressionTree tree(kBoostMaxDepth);
             tree.fit(data.x, residual, indices);
             for (std::size_t i = 0; i < n; ++i)
-                score[i] += cfg_.learning_rate * tree.predict(data.x[i]);
+                score[i] += kBoostLearningRate * tree.predict(data.x[i]);
             stage.push_back(std::move(tree));
         }
     }
@@ -116,7 +126,7 @@ GradientBoosting::score(const std::vector<double> &row, int cls) const
 {
     double s = bias_[static_cast<std::size_t>(cls)];
     for (const auto &tree : stages_[static_cast<std::size_t>(cls)])
-        s += cfg_.learning_rate * tree.predict(row);
+        s += kBoostLearningRate * tree.predict(row);
     return s;
 }
 
@@ -154,7 +164,7 @@ AdaBoost::fit(const Dataset &data)
     std::vector<double> weights(n, 1.0 / static_cast<double>(n));
     sim::Rng rng(cfg_.seed);
 
-    for (std::uint32_t round = 0; round < cfg_.n_rounds; ++round) {
+    for (std::uint32_t round = 0; round < kAdaBoostRounds; ++round) {
         // Weighted resampling stands in for weighted impurity: draw a
         // bootstrap sample proportional to the weights.
         std::vector<double> cumulative(n);

@@ -16,44 +16,27 @@
 
 namespace leaky::ml {
 
-/** Random forest hyperparameters. */
-struct ForestConfig {
-    std::uint32_t n_trees = 60;
-    std::uint32_t max_depth = 20;
-    std::uint32_t min_samples_split = 4;
-    std::uint64_t seed = 2;
-};
-
 /** Bagged CART forest with sqrt-feature subsampling. */
 class RandomForest final : public Classifier
 {
   public:
-    explicit RandomForest(const ForestConfig &cfg = {});
+    explicit RandomForest(std::uint64_t seed = 2) : seed_(seed) {}
 
     void fit(const Dataset &data) override;
     int predict(const std::vector<double> &row) const override;
     std::string name() const override { return "RandomForest"; }
 
   private:
-    ForestConfig cfg_;
+    std::uint64_t seed_;
     std::vector<DecisionTree> trees_;
     int n_classes_ = 0;
-};
-
-/** Gradient boosting hyperparameters. */
-struct BoostConfig {
-    std::uint32_t n_rounds = 20;
-    std::uint32_t max_depth = 3;
-    double learning_rate = 0.3;
-    double subsample = 0.7;
-    std::uint64_t seed = 3;
 };
 
 /** One-vs-rest gradient-boosted trees with logistic loss. */
 class GradientBoosting final : public Classifier
 {
   public:
-    explicit GradientBoosting(const BoostConfig &cfg = {});
+    explicit GradientBoosting(std::uint64_t seed = 3) : seed_(seed) {}
 
     void fit(const Dataset &data) override;
     int predict(const std::vector<double> &row) const override;
@@ -62,7 +45,7 @@ class GradientBoosting final : public Classifier
   private:
     double score(const std::vector<double> &row, int cls) const;
 
-    BoostConfig cfg_;
+    std::uint64_t seed_;
     // [class][round] weak learners plus per-class bias.
     std::vector<std::vector<RegressionTree>> stages_;
     std::vector<double> bias_;
@@ -71,7 +54,6 @@ class GradientBoosting final : public Classifier
 
 /** AdaBoost (SAMME) hyperparameters. */
 struct AdaBoostConfig {
-    std::uint32_t n_rounds = 80;
     std::uint32_t max_depth = 2; ///< Shallow weak learners.
     std::uint64_t seed = 4;
 };

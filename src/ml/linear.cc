@@ -8,6 +8,15 @@
 
 namespace leaky::ml {
 
+namespace {
+
+/** Shared SGD hyperparameters. */
+constexpr std::uint32_t kEpochs = 40;
+constexpr double kLearningRate = 0.05;
+constexpr double kL2 = 1e-4;
+
+} // namespace
+
 void
 LinearOvR::fit(const Dataset &data)
 {
@@ -21,13 +30,13 @@ LinearOvR::fit(const Dataset &data)
 
     std::vector<std::size_t> order(scaled.size());
     std::iota(order.begin(), order.end(), 0);
-    sim::Rng rng(cfg_.seed);
+    sim::Rng rng(seed_);
 
-    for (std::uint32_t epoch = 0; epoch < cfg_.epochs; ++epoch) {
+    for (std::uint32_t epoch = 0; epoch < kEpochs; ++epoch) {
         for (std::size_t i = order.size(); i > 1; --i)
             std::swap(order[i - 1], order[rng.below(i)]);
         const double lr =
-            cfg_.learning_rate / (1.0 + 0.1 * static_cast<double>(epoch));
+            kLearningRate / (1.0 + 0.1 * static_cast<double>(epoch));
         for (auto idx : order) {
             const auto &row = scaled.x[idx];
             for (int cls = 0; cls < n_classes_; ++cls) {
@@ -39,7 +48,7 @@ LinearOvR::fit(const Dataset &data)
                 const double g = gradientScale(y * score);
                 if (g != 0.0) {
                     for (std::size_t f = 0; f < n_features; ++f)
-                        w[f] += lr * (g * y * row[f] - cfg_.l2 * w[f]);
+                        w[f] += lr * (g * y * row[f] - kL2 * w[f]);
                     w[n_features] += lr * g * y;
                 }
             }

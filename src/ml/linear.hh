@@ -12,19 +12,11 @@
 
 namespace leaky::ml {
 
-/** Shared SGD hyperparameters. */
-struct LinearConfig {
-    std::uint32_t epochs = 40;
-    double learning_rate = 0.05;
-    double l2 = 1e-4;
-    std::uint64_t seed = 5;
-};
-
 /** Base for one-vs-rest linear models (one weight row per class). */
 class LinearOvR : public Classifier
 {
   public:
-    explicit LinearOvR(const LinearConfig &cfg) : cfg_(cfg) {}
+    explicit LinearOvR(std::uint64_t seed) : seed_(seed) {}
 
     void fit(const Dataset &data) final;
     int predict(const std::vector<double> &row) const final;
@@ -37,7 +29,7 @@ class LinearOvR : public Classifier
      */
     virtual double gradientScale(double margin) const = 0;
 
-    LinearConfig cfg_;
+    std::uint64_t seed_; ///< SGD shuffle seed.
     Standardizer scaler_;
     std::vector<std::vector<double>> weights_; ///< [class][feature+1].
     int n_classes_ = 0;
@@ -47,10 +39,7 @@ class LinearOvR : public Classifier
 class LogisticRegression final : public LinearOvR
 {
   public:
-    explicit LogisticRegression(const LinearConfig &cfg = {})
-        : LinearOvR(cfg)
-    {
-    }
+    explicit LogisticRegression(std::uint64_t seed = 5) : LinearOvR(seed) {}
     std::string name() const override { return "LogisticRegression"; }
 
   protected:
@@ -61,7 +50,7 @@ class LogisticRegression final : public LinearOvR
 class LinearSvm final : public LinearOvR
 {
   public:
-    explicit LinearSvm(const LinearConfig &cfg = {}) : LinearOvR(cfg) {}
+    explicit LinearSvm(std::uint64_t seed = 5) : LinearOvR(seed) {}
     std::string name() const override { return "SVM"; }
 
   protected:
@@ -72,7 +61,7 @@ class LinearSvm final : public LinearOvR
 class Perceptron final : public LinearOvR
 {
   public:
-    explicit Perceptron(const LinearConfig &cfg = {}) : LinearOvR(cfg) {}
+    explicit Perceptron(std::uint64_t seed = 5) : LinearOvR(seed) {}
     std::string name() const override { return "Perceptron"; }
 
   protected:

@@ -34,8 +34,6 @@ class DecisionTree final : public Classifier
     int predict(const std::vector<double> &row) const override;
     std::string name() const override { return "DecisionTree"; }
 
-    std::size_t nodeCount() const { return nodes_.size(); }
-
   private:
     struct Node {
         int feature = -1; ///< -1 = leaf.

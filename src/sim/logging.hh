@@ -2,7 +2,7 @@
  * @file
  * gem5-style status and error reporting. panic() flags simulator bugs
  * (invariant violations) and aborts; fatal() flags user/configuration
- * errors and exits cleanly; warn()/inform() print and continue.
+ * errors and exits cleanly; warn() prints and continues.
  */
 
 #ifndef LEAKY_SIM_LOGGING_HH
@@ -65,14 +65,6 @@ void
 warn(const char *fmt, Args &&...args)
 {
     detail::emit("warn", detail::format(fmt, std::forward<Args>(args)...));
-}
-
-/** Informational status message. */
-template <typename... Args>
-void
-inform(const char *fmt, Args &&...args)
-{
-    detail::emit("info", detail::format(fmt, std::forward<Args>(args)...));
 }
 
 /** panic() unless the condition holds. */

@@ -26,14 +26,6 @@ inline constexpr Tick kUs = 1000 * kNs;
 /** One millisecond in ticks. */
 inline constexpr Tick kMs = 1000 * kUs;
 
-/** Convert a tick count to (truncated) nanoseconds. */
-constexpr std::uint64_t ticksToNs(Tick t) { return t / kNs; }
-
-/** Convert nanoseconds to ticks. */
-constexpr Tick nsToTicks(double ns) {
-    return static_cast<Tick>(ns * static_cast<double>(kNs) + 0.5);
-}
-
 } // namespace leaky::sim
 
 #endif // LEAKY_SIM_TICK_HH

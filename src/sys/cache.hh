@@ -97,7 +97,13 @@ struct CacheHierarchyConfig {
     static CacheHierarchyConfig largeHierarchy();
 };
 
-/** Inclusive multi-level hierarchy front-ending one requestor. */
+/**
+ * Multi-level hierarchy front-ending one requestor. A fill installs
+ * the line at every level, and a store fill installs it dirty at every
+ * level. The hierarchy is not inclusive: the LLC evicts without
+ * back-invalidating L1 or L2, so an upper level may keep a line the
+ * LLC has dropped.
+ */
 class CacheHierarchy
 {
   public:

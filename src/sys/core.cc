@@ -7,12 +7,21 @@
 
 namespace leaky::sys {
 
+namespace {
+
+constexpr double kIssueIpc = 4.0; ///< Peak instructions per cycle.
+constexpr double kFreqGhz = 3.0;
+/** Compute-burst ticks per instruction. */
+constexpr double kTicksPerInst = 1000.0 / (kIssueIpc * kFreqGhz);
+constexpr std::uint32_t kWindow = 192; ///< Max insts past oldest pending load.
+
+} // namespace
+
 TraceCore::TraceCore(MemoryPort &port, const CoreConfig &cfg,
                      RecordSource source, std::size_t period,
                      std::int32_t source_id)
     : port_(port), cfg_(cfg), next_record_(std::move(source)),
       period_(period), source_(source_id), caches_(cfg.caches),
-      ticks_per_inst_(1000.0 / (cfg.issue_ipc * cfg.freq_ghz)),
       outstanding_(cfg.mshrs), mshrs_(cfg.mshrs),
       wake_(sim::memberEvent<&TraceCore::dispatch>(this))
 {
@@ -33,7 +42,7 @@ TraceCore::TraceCore(MemoryPort &port, const CoreConfig &cfg,
 Tick
 TraceCore::instTicks(std::uint64_t insts) const
 {
-    return static_cast<Tick>(static_cast<double>(insts) * ticks_per_inst_);
+    return static_cast<Tick>(static_cast<double>(insts) * kTicksPerInst);
 }
 
 void
@@ -57,7 +66,7 @@ TraceCore::measuredIpc() const
 {
     LEAKY_ASSERT(finish_tick_ > start_tick_, "IPC queried before finish");
     const double cycles = static_cast<double>(finish_tick_ - start_tick_) *
-                          cfg_.freq_ghz / 1000.0;
+                          kFreqGhz / 1000.0;
     return static_cast<double>(cfg_.inst_budget) / cycles;
 }
 
@@ -69,7 +78,7 @@ TraceCore::ipcAt(Tick now) const
     if (now <= start_tick_)
         return 0.0;
     const double cycles = static_cast<double>(now - start_tick_) *
-                          cfg_.freq_ghz / 1000.0;
+                          kFreqGhz / 1000.0;
     const auto insts = std::min(insts_retired_, cfg_.inst_budget);
     return static_cast<double>(insts) / cycles;
 }
@@ -181,7 +190,7 @@ TraceCore::dispatch()
 
         // Instruction-window limit past the oldest outstanding load.
         if (outstanding_count_ > 0 &&
-            last_inst - outstandingAt(0).inst > cfg_.window) {
+            last_inst - outstandingAt(0).inst > kWindow) {
             return; // Resumed by a load completion.
         }
         const bool is_load = !entry.is_write;

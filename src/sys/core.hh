@@ -4,7 +4,7 @@
  * of (non-memory instruction count, memory access) records through a
  * private cache hierarchy with an instruction-window + MSHR limit, the
  * standard simplified out-of-order front-end used with DRAM simulators:
- * the core runs ahead up to `window` instructions past the oldest
+ * the core runs ahead up to 192 instructions past the oldest
  * outstanding load and sustains up to `mshrs` parallel misses.
  *
  * Cores loop their trace forever (to keep exerting pressure in multi-
@@ -36,9 +36,6 @@ struct TraceEntry {
 
 /** Core model parameters (paper Table 1: 4-wide OoO at 3 GHz). */
 struct CoreConfig {
-    double issue_ipc = 4.0;       ///< Peak instructions per cycle.
-    double freq_ghz = 3.0;
-    std::uint32_t window = 192;   ///< Max insts past oldest pending load.
     std::uint32_t mshrs = 16;     ///< Max outstanding memory reads.
     std::uint64_t inst_budget = 1'000'000; ///< Measurement length.
     bool enable_prefetcher = false;
@@ -75,9 +72,6 @@ class TraceCore
 
     /** Tick at which the budget was retired (0 if not yet). */
     Tick finishTick() const { return finish_tick_; }
-
-    /** Tick at which the core started executing. */
-    Tick startTick() const { return start_tick_; }
 
     /** IPC over the measurement budget (valid once budgetDone()). */
     double measuredIpc() const;
@@ -126,7 +120,6 @@ class TraceCore
     std::int32_t source_;
     CacheHierarchy caches_;
     BestOffsetPrefetcher prefetcher_;
-    double ticks_per_inst_; ///< Compute-burst ticks per instruction.
 
     std::size_t trace_pos_ = 0;
     std::uint64_t insts_dispatched_ = 0;

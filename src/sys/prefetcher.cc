@@ -4,8 +4,17 @@
 
 namespace leaky::sys {
 
-BestOffsetPrefetcher::BestOffsetPrefetcher(const PrefetcherConfig &cfg)
-    : cfg_(cfg), rr_(cfg.rr_entries, 0), rr_valid_(cfg.rr_entries, false)
+namespace {
+
+constexpr std::uint32_t kRrEntries = 64; ///< Recent-requests table size.
+constexpr std::uint32_t kScoreMax = 31;  ///< Learning ends when a score hits.
+constexpr std::uint32_t kRoundMax = 100; ///< ... or after this many rounds.
+constexpr std::uint32_t kBadScore = 1;   ///< Below this, prefetch is disabled.
+
+} // namespace
+
+BestOffsetPrefetcher::BestOffsetPrefetcher()
+    : rr_(kRrEntries, 0), rr_valid_(kRrEntries, false)
 {
     // Michaud's offset list restricted to small strides; covers the
     // streaming and strided patterns our workload generators emit.
@@ -40,7 +49,7 @@ BestOffsetPrefetcher::learn(std::uint64_t line_addr)
     if (line_addr >= static_cast<std::uint64_t>(offset) &&
         rrContains(line_addr - static_cast<std::uint64_t>(offset))) {
         scores_[test_index_] += 1;
-        if (scores_[test_index_] >= cfg_.score_max) {
+        if (scores_[test_index_] >= kScoreMax) {
             best_offset_ = offset;
             active_ = true;
             std::fill(scores_.begin(), scores_.end(), 0);
@@ -54,13 +63,13 @@ BestOffsetPrefetcher::learn(std::uint64_t line_addr)
         return;
     test_index_ = 0;
     round_ += 1;
-    if (round_ < cfg_.round_max)
+    if (round_ < kRoundMax)
         return;
     // Learning phase over: adopt the best-scoring offset.
     const auto best = std::max_element(scores_.begin(), scores_.end());
     best_offset_ = offsets_[static_cast<std::size_t>(
         best - scores_.begin())];
-    active_ = *best >= cfg_.bad_score;
+    active_ = *best >= kBadScore;
     std::fill(scores_.begin(), scores_.end(), 0);
     round_ = 0;
 }

@@ -15,19 +15,11 @@
 
 namespace leaky::sys {
 
-/** Best-Offset prefetcher configuration. */
-struct PrefetcherConfig {
-    std::uint32_t rr_entries = 64;  ///< Recent-requests table size.
-    std::uint32_t score_max = 31;   ///< Learning ends when a score hits.
-    std::uint32_t round_max = 100;  ///< ... or after this many rounds.
-    std::uint32_t bad_score = 1;    ///< Below this, prefetch is disabled.
-};
-
 /** Per-core Best-Offset prefetch engine (operates on line addresses). */
 class BestOffsetPrefetcher
 {
   public:
-    explicit BestOffsetPrefetcher(const PrefetcherConfig &cfg = {});
+    BestOffsetPrefetcher();
 
     /**
      * Observe a demand access that reached memory (miss) and return the
@@ -47,7 +39,6 @@ class BestOffsetPrefetcher
     bool rrContains(std::uint64_t line_addr) const;
     void rrInsert(std::uint64_t line_addr);
 
-    PrefetcherConfig cfg_;
     std::vector<std::uint64_t> rr_;
     std::vector<bool> rr_valid_;
     std::size_t rr_pos_ = 0;

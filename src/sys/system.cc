@@ -121,7 +121,7 @@ System::issue(ctrl::Request &&req)
     InFlight &slot = inflight_[inflight_free_];
     inflight_free_ = slot.next_free;
     slot.req = std::move(req);
-    eq_.scheduleAfter(slot.dispatch, cfg_.frontend_latency);
+    eq_.scheduleAfter(slot.dispatch, kFrontendLatency);
     return slot;
 }
 
@@ -137,7 +137,7 @@ System::dispatch(InFlight &slot)
 {
     auto &controller = *ctrls_[slot.req.addr.channel];
     if (controller.queueFull(slot.req.type)) {
-        eq_.scheduleAfter(slot.dispatch, cfg_.retry_interval);
+        eq_.scheduleAfter(slot.dispatch, kRetryInterval);
         return;
     }
     const bool is_read = slot.req.type == ctrl::Request::Type::kRead;
@@ -167,7 +167,7 @@ System::issueRead(std::uint64_t phys_addr, std::int32_t source,
     req.phys_addr = phys_addr;
     req.addr = mapper_.decode(phys_addr);
     req.source = source;
-    req.return_latency = cfg_.frontend_latency;
+    req.return_latency = kFrontendLatency;
     InFlight &slot = issue(std::move(req));
     slot.req.on_complete = &slot.complete;
     slot.cb = std::move(cb);

@@ -21,6 +21,12 @@
 
 namespace leaky::sys {
 
+/** Core/agent <-> controller latency each way (interconnect plus
+ *  cache-miss handling outside the pure cache lookup). */
+inline constexpr Tick kFrontendLatency = 10'000;
+/** Delay before retrying a request rejected by a full queue. */
+inline constexpr Tick kRetryInterval = 20'000;
+
 /** Whole-system configuration. */
 struct SystemConfig {
     std::uint32_t channels = 1;
@@ -34,11 +40,6 @@ struct SystemConfig {
      *  instance, seeded independently (splitmix64 fan-out of
      *  defense.seed), so preventive actions never cross channels. */
     defense::DefenseSpec defense;
-    /** Core/agent <-> controller latency each way (interconnect plus
-     *  cache-miss handling outside the pure cache lookup). */
-    Tick frontend_latency = 10'000;
-    /** Delay before retrying a request rejected by a full queue. */
-    Tick retry_interval = 20'000;
 
     /** Paper Table 1 system with the given defense. Table 1 lists one
      *  channel; raising `channels` replicates the per-channel geometry

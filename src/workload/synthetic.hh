@@ -42,11 +42,6 @@ struct AppSpec {
      *  pointer-chasing apps like mcf have low MLP, streaming apps like
      *  lbm high MLP. Maps to the core's MSHR count. */
     std::uint32_t mlp = 8;
-    /** Fraction of row switches that return to a small hot-row set
-     *  (real applications reuse rows heavily; hot rows are what charge
-     *  PRAC counters and trigger back-offs at low NRH). */
-    double hot_frac = 0.25;
-    std::uint32_t hot_rows = 6;
     std::uint64_t seed = 1;
 
     Intensity intensity() const;
@@ -86,7 +81,6 @@ class AppTraceStream
     double hits_per_miss_;    ///< Open-row accesses per row switch.
     double write_frac_;
     double stream_frac_;
-    double hot_frac_;
     dram::Address cur_;
     double hit_budget_ = 0.0;
     /** Hot same-bank row pairs, their next column, and which row of

@@ -27,6 +27,9 @@ websiteNames()
 
 namespace {
 
+/** Mean browser memory accesses per microsecond during a burst. */
+constexpr double kBurstPace = 18.0;
+
 /** Ticks of compute per access at a given pace (accesses per us). */
 std::uint32_t
 nonMemForPace(double pace_per_us)
@@ -131,7 +134,7 @@ generateWebsiteTrace(const WebsiteTraceConfig &cfg,
             static_cast<Tick>(static_cast<double>(phase_ticks) *
                               phase.duty);
         const double pace =
-            cfg.burst_pace * phase.pace_mult * pace_jit; // per us.
+            kBurstPace * phase.pace_mult * pace_jit; // per us.
         const auto accesses = static_cast<std::uint64_t>(
             static_cast<double>(burst_ticks) / 1e6 * pace);
         const std::uint32_t non_mem = nonMemForPace(pace);

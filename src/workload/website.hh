@@ -42,8 +42,6 @@ struct WebsiteTraceConfig {
     std::uint64_t base_seed = 2025;
     /** Approximate page-load duration to cover (simulated). */
     sim::Tick duration = 4 * sim::kMs;
-    /** Mean browser memory accesses per microsecond during a burst. */
-    double burst_pace = 18.0;
 };
 
 /**

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -38,6 +39,18 @@ cliStdout(std::vector<std::string> args, int *code)
     testing::internal::CaptureStdout();
     *code = runCli(std::move(args));
     return testing::internal::GetCapturedStdout();
+}
+
+/** 64-bit FNV-1a digest of @p text. */
+std::uint64_t
+fnv1a(const std::string &text)
+{
+    std::uint64_t digest = 0xcbf29ce484222325ULL; // Offset basis.
+    for (const unsigned char c : text) {
+        digest ^= c;
+        digest *= 0x100000001b3ULL; // 64-bit prime.
+    }
+    return digest;
 }
 
 /** First word of each line of @p text between the line @p heading and
@@ -161,6 +174,28 @@ TEST(CliDemos, CovertDecodesTheMessage)
     EXPECT_EQ(code, 0);
     EXPECT_NE(out.find("decoded text:  \"M\""), std::string::npos) << out;
     EXPECT_NE(out.find("bit errors:    0 / 8"), std::string::npos) << out;
+}
+
+TEST(CliDemos, StdoutPinned)
+{
+    // No golden CSV covers demo output, so each demo's whole stdout is
+    // pinned: a change to any knob a demo uses shows up here.
+    const struct {
+        std::vector<std::string> args;
+        std::uint64_t digest;
+    } pins[] = {
+        {{"run", "quickstart"}, 0x281a1b5e89500ffdULL},
+        {{"run", "covert", "--message", "M"}, 0x881bb75ef707767eULL},
+        {{"run", "fingerprint", "--sites", "2", "--loads", "2"},
+         0xe3a07f50bc7d48a9ULL},
+        {{"run", "mitigation", "--nrh", "512"}, 0x9212b75d87b6dc8eULL},
+    };
+    for (const auto &pin : pins) {
+        int code = -1;
+        const std::string out = cliStdout(pin.args, &code);
+        EXPECT_EQ(code, 0) << pin.args[1];
+        EXPECT_EQ(fnv1a(out), pin.digest) << pin.args[1] << "\n" << out;
+    }
 }
 
 TEST(CliDemos, EveryListedDemoRejectsUnknownFlags)

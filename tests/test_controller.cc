@@ -330,7 +330,7 @@ TEST_F(ControllerTest, PrfmIssuesRfmEveryTrfmActivations)
 
 TEST_F(ControllerTest, WriteDrainingServesWriteBurst)
 {
-    for (std::uint32_t i = 0; i < ctrl_.config().wq_drain_high; ++i) {
+    for (std::uint32_t i = 0; i < leaky::ctrl::kWqDrainHigh; ++i) {
         Request req;
         req.type = Request::Type::kWrite;
         req.addr = addr(i % 8, i % 4, i % 32);
@@ -338,8 +338,7 @@ TEST_F(ControllerTest, WriteDrainingServesWriteBurst)
     }
     eq_.runUntil(eq_.now() + 20 * leaky::sim::kUs);
     EXPECT_GE(ctrl_.stats().writes_served,
-              ctrl_.config().wq_drain_high -
-                  ctrl_.config().wq_drain_low);
+              leaky::ctrl::kWqDrainHigh - leaky::ctrl::kWqDrainLow);
 }
 
 // ---------------------------------------------------------------------

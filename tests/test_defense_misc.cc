@@ -61,7 +61,7 @@ TEST(Para, RequestsBlockOneBankOnly)
     EXPECT_EQ(req->kind, leaky::dram::Command::kRfmOneBank);
     EXPECT_EQ(req->target.bankgroup, 2u);
     EXPECT_EQ(req->target.bank, 3u);
-    EXPECT_EQ(req->latency_override, cfg.refresh_latency);
+    EXPECT_EQ(req->latency_override, leaky::defense::kParaRefreshLatency);
 }
 
 TEST(Policy, NboIsEightyPercentOfNrh)

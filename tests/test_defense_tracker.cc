@@ -187,7 +187,7 @@ TEST(Hydra, EscalationMissesThenHitsTheCounterCache)
     ASSERT_TRUE(fetch.has_value());
     EXPECT_EQ(fetch->kind, Command::kVrr);
     EXPECT_EQ(fetch->action, PreventiveActionKind::kCounterFetch);
-    EXPECT_EQ(fetch->latency_override, smallHydra().fetch_latency);
+    EXPECT_EQ(fetch->latency_override, leaky::defense::kHydraFetchLatency);
     // Escalated rows start at the group threshold (never under-count).
     EXPECT_EQ(h.rowCount(rowAddr(0)), 4u);
 

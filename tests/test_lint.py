@@ -89,6 +89,12 @@ class GrammarTable(unittest.TestCase):
         ("rng_sim_rng_accepted", "src/sim/foo.cc",
          "sim::Rng rng(sim::seedFanout(base, 3));\n",
          []),
+        ("rng_std_hash_seed_rejected", "src/workload/foo.cc",
+         "std::uint64_t s = std::hash<std::string>{}(name);\n",
+         ["no-ambient-rng"]),
+        ("rng_own_hash_member_accepted", "src/workload/foo.cc",
+         "std::uint64_t s = table.hash(name) ^ detail::hash(7);\n",
+         []),
         # ------------------ no-unordered-iteration-in-result-paths
         ("unordered_iter_in_csv_file_rejected", "src/core/foo.cc",
          "std::unordered_map<int, int> counts;\n"

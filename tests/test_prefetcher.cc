@@ -7,7 +7,6 @@
 namespace {
 
 using leaky::sys::BestOffsetPrefetcher;
-using leaky::sys::PrefetcherConfig;
 
 TEST(BestOffset, LearnsASimpleStride)
 {

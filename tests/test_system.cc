@@ -29,7 +29,7 @@ TEST(System, ReadCompletesWithFrontendLatency)
     ASSERT_GT(done, 0u);
     const auto &t = system.controller(0).config().dram.timing;
     // Two frontend hops + ACT + RCD + CL + burst.
-    const Tick floor = 2 * system.config().frontend_latency + t.tRCD +
+    const Tick floor = 2 * leaky::sys::kFrontendLatency + t.tRCD +
                        t.tCL + t.tBURST;
     EXPECT_GE(done, floor);
     EXPECT_LE(done, floor + 20'000);
@@ -114,7 +114,7 @@ TEST(System, PaperPresetMatchesTable1)
     EXPECT_EQ(cfg.ctrl.dram.org.banks_per_group, 4u);
     EXPECT_EQ(cfg.ctrl.dram.org.rows, 128u * 1024);
     EXPECT_EQ(cfg.ctrl.read_queue_depth, 64u);
-    EXPECT_EQ(cfg.ctrl.column_cap, 16u);
+    EXPECT_EQ(leaky::ctrl::kColumnCap, 16u);
 }
 
 TEST(System, PerChannelStatsSumToAggregate)

@@ -3,9 +3,10 @@
 Every figure CSV, golden file, and fuzz artifact this repo produces is
 promised to be byte-identical for any thread count, shard count, or
 resume schedule. These rules ban the three ways that promise quietly
-rots: wall-clock reads feeding simulation results, randomness that does
-not flow through ``sim::seedFanout``, and hash-order iteration on a
-path that renders output rows.
+rots: wall-clock reads feeding simulation results, randomness (or
+``std::hash`` values, which the standard leaves implementation-defined)
+that does not flow through ``sim::seedFanout``, and hash-order
+iteration on a path that renders output rows.
 """
 
 from .base import Rule, in_dir, match_close
@@ -31,6 +32,12 @@ _UNORDERED = frozenset((
     "unordered_map", "unordered_set", "unordered_multimap",
     "unordered_multiset",
 ))
+
+
+def _is_std_hash(tokens, i):
+    """True when tokens[i] is the `hash` of `std::hash`."""
+    return tokens[i].text == "hash" and i >= 2 and \
+        tokens[i - 1].text == "::" and tokens[i - 2].text == "std"
 
 
 def _is_member_access(tokens, i):
@@ -94,7 +101,8 @@ class NoWallclock(Rule):
 class NoAmbientRng(Rule):
     rule_id = "no-ambient-rng"
     summary = ("All randomness must flow through sim::seedFanout / "
-               "sim::Rng; std engines and std::rand are banned")
+               "sim::Rng; std engines, std::rand and std::hash are "
+               "banned")
 
     def applies(self, relpath):
         # sim/rng.hh is the one sanctioned randomness implementation.
@@ -119,6 +127,11 @@ class NoAmbientRng(Rule):
                     not _is_declared_name(toks, i):
                 out.append((t.line,
                             "call to ambient RNG '%s()'" % t.text))
+            elif _is_std_hash(toks, i):
+                out.append((t.line,
+                            "std::hash values are implementation-"
+                            "defined; write the seed as a literal or "
+                            "derive it with sim::seedFanout"))
         return out
 
 
