@@ -8,11 +8,11 @@
 #   BUILD_VARIANT=tsan      ThreadSanitizer over the work-stealing
 #                           SweepPool: ctest + the 4-thread figure
 #                           smoke, halt on any data-race report
-#   BUILD_VARIANT=release   Release -DLEAKY_DCHECKS=OFF (LTO) + every
-#                           figure of the bench/e2e workloads (covert,
-#                           mitigation, fingerprint) at default scale
-#                           against its seed-11 SHA-256 pin + all 29
-#                           figures at default scale against
+#   BUILD_VARIANT=release   Release -DLEAKY_DCHECKS=OFF (LTO) + all 29
+#                           figures at default scale, at figure seed 11
+#                           against ci/default_scale.seed11.sha256 and
+#                           the bench/e2e seed-11 pins, and at their
+#                           default seeds against
 #                           ci/default_scale.sha256 + the
 #                           bench-regression guard
 #                           (tools/check_bench.py)
@@ -161,37 +161,30 @@ if [ "$BUILD_VARIANT" = default ]; then
     ci/smoke_campaign.sh "$BUILD_DIR/leakyhammer" "$BUILD_DIR/campaign-smoke"
 fi
 
-# Default-scale SHA-256 pins (release variant only): every figure of
-# the bench/e2e workloads at figure seed 11 on 4 threads, checked
-# against the pins bench/e2e checks. Default scale reaches what the
-# smoke goldens cannot: repeated back-offs, postponed double REFs and
-# FR-RFM's scheduled REF/RFM drains over long hammering (covert),
-# four cores looping their traces through the caches (mitigation), and
-# sparse website traces over long windows (fingerprint).
+# Default-scale SHA-256 pins (release variant only): all 29 figures at
+# default scale, once at their default seeds and once at figure seed
+# 11, on 4 threads. The default-seed run is checked against
+# ci/default_scale.sha256; the seed-11 run against
+# ci/default_scale.seed11.sha256 and, in the same directory, the
+# seed-11 pins bench/e2e checks for its workloads. Default scale
+# reaches what the smoke goldens cannot: repeated back-offs, postponed
+# double REFs and FR-RFM's scheduled REF/RFM drains over long
+# hammering (covert), four cores looping their traces through the
+# caches (mitigation), and sparse website traces over long windows
+# (fingerprint). ~12 s per run on 4 CPUs.
 if [ "$BUILD_VARIANT" = release ]; then
-    # "<workload>:<figures>", mirroring kWorkloads in bench/e2e/main.cc.
-    for entry in \
-        "covert:capacity bitrate action-latency threshold cross-defense tracker-threshold channel-scaling fuzz-replay" \
-        "mitigation:mitigation" \
-        "fingerprint:fingerprint"; do
-        workload="${entry%%:*}"
-        expected="$PWD/bench/e2e/expected/$workload.seed11.sha256"
-        out="$BUILD_DIR/$workload-seed11"
-        rm -rf "$out"
-        for fig in ${entry#*:}; do
-            "$BUILD_DIR/leakyhammer" repro --fig "$fig" --seed 11 \
-                --threads 4 --out "$out"
-        done
-        (cd "$out" && sha256sum -c "$expected")
-    done
+    root="$PWD"
+    out="$BUILD_DIR/default-scale-seed11"
+    rm -rf "$out"
+    "$BUILD_DIR/leakyhammer" repro --fig all --seed 11 --threads 4 \
+        --out "$out"
+    (cd "$out" && sha256sum -c "$root/ci/default_scale.seed11.sha256" \
+        "$root"/bench/e2e/expected/*.seed11.sha256)
 
-    # Every registered figure at default scale and its default seeds:
-    # 19 of the 29 CSVs have no pin above. ~12 s on 4 CPUs.
-    expected="$PWD/ci/default_scale.sha256"
     out="$BUILD_DIR/default-scale"
     rm -rf "$out"
     "$BUILD_DIR/leakyhammer" repro --fig all --threads 4 --out "$out"
-    (cd "$out" && sha256sum -c "$expected")
+    (cd "$out" && sha256sum -c "$root/ci/default_scale.sha256")
 fi
 
 # Perf harness: run every benchmark to completion and guard against

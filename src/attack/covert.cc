@@ -15,6 +15,10 @@ namespace {
 /** Refresh-blackout drain lead-in before the REF (§10.1 filter). */
 constexpr Tick kBlackoutPre = 150'000;
 
+/** Requestor ids the sender and the receiver issue under. */
+constexpr std::int32_t kSenderSource = 200;
+constexpr std::int32_t kReceiverSource = 201;
+
 } // namespace
 
 // ---------------------------------------------------------------- sender
@@ -78,7 +82,7 @@ CovertSender::accessLoop()
             addr = cfg_.sender_sequence[seq_pos_];
             seq_pos_ = (seq_pos_ + 1) % cfg_.sender_sequence.size();
         }
-        port_.issueRead(addr, cfg_.sender_source,
+        port_.issueRead(addr, kSenderSource,
                         [this, id](Tick done) {
             accesses_ += 1;
             const Tick latency = done - mark_;
@@ -161,7 +165,7 @@ CovertReceiver::accessLoop()
     port_.schedule(kIterOverhead, [this] {
         if (!listening_)
             return;
-        port_.issueRead(cfg_.receiver_addr, cfg_.receiver_source,
+        port_.issueRead(cfg_.receiver_addr, kReceiverSource,
                         [this](Tick done) {
             const Tick latency = done - mark_;
             mark_ = done;

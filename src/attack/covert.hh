@@ -68,8 +68,6 @@ struct CovertConfig {
      */
     std::vector<std::uint64_t> sender_sequence;
     std::uint64_t receiver_addr = 0;
-    std::int32_t sender_source = 200;
-    std::int32_t receiver_source = 201;
     LatencyClassifier classifier;
     /**
      * Refresh filtering (paper §10.1): when preventive-action latencies

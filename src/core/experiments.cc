@@ -1,14 +1,12 @@
 #include "core/experiments.hh"
 
-#include <memory>
+#include <algorithm>
 #include <optional>
 
 #include "attack/counter_leak.hh"
 #include "attack/dram_addr.hh"
-#include "attack/noise.hh"
 #include "sim/logging.hh"
 #include "stats/channel_metrics.hh"
-#include "workload/website.hh"
 
 namespace leaky::core {
 
@@ -32,15 +30,74 @@ prfmAttackSystem()
     return cfg;
 }
 
-sys::SystemConfig
-trackerAttackSystem(DefenseKind kind)
+// ------------------------------------------------- the one builder
+
+/** Generous ceiling on a measured agent: even the xor-far mapping
+ *  recovery finishes in well under a simulated second, so a wedged
+ *  agent fails loudly instead of spinning forever. */
+constexpr Tick kAgentDeadline = 60'000 * sim::kMs;
+
+Simulation::Simulation(const Environment &env,
+                       const BankPlacement &noise_bank)
+    : system(env.system)
 {
-    LEAKY_ASSERT(kind == DefenseKind::kGraphene ||
-                     kind == DefenseKind::kHydra,
-                 "not a tracker defense: %s", defense::defenseName(kind));
-    // NRH = 160 matches the PRAC attack studies' threat level; the
-    // policy derives a targeted-refresh threshold of 80.
-    return sys::SystemConfig::paper(kind, 160);
+    if (env.noise_sleep > 0) {
+        attack::NoiseConfig noise_cfg;
+        // Six rows: more counters than one back-off recovery can reset,
+        // so noise-side counters survive preventive actions.
+        noise_cfg.addrs = attack::rowsInBank(
+            system.mapper(), noise_bank.channel, noise_bank.rank,
+            noise_bank.bankgroup, noise_bank.bank, 3000, 6, 512);
+        noise_cfg.sleep = env.noise_sleep;
+        noise = std::make_unique<attack::NoiseAgent>(system, noise_cfg);
+        noise->start();
+    }
+
+    sys::CoreConfig core_cfg;
+    core_cfg.inst_budget =
+        env.inst_budget ? env.inst_budget : ~std::uint64_t{0} >> 1;
+    if (env.large_caches) {
+        core_cfg.caches = sys::CacheHierarchyConfig::largeHierarchy();
+        core_cfg.enable_prefetcher = true;
+    }
+    // Cores are numbered in start order. The browser keeps the default
+    // MSHR count; an app gets its own MLP.
+    if (env.browser)
+        cores.push_back(std::make_unique<sys::TraceCore>(
+            system, core_cfg,
+            workload::generateWebsiteTrace(*env.browser, system.mapper()),
+            0));
+    for (const auto &app : env.background) {
+        core_cfg.mshrs = app.mlp;
+        cores.push_back(std::make_unique<sys::TraceCore>(
+            system, core_cfg,
+            [stream = workload::AppTraceStream(app, system.mapper())]()
+                mutable { return stream.next(); },
+            workload::kAppTracePeriod,
+            static_cast<std::int32_t>(cores.size())));
+    }
+    for (const auto &core : cores)
+        core->start();
+}
+
+bool
+Simulation::runUntil(const std::function<bool()> &done, Tick slice,
+                     Tick limit)
+{
+    const Tick end = system.now() + limit;
+    while (!done() && system.now() < end)
+        system.run(slice);
+    return done();
+}
+
+void
+Simulation::runAgent(const std::function<void(std::function<void()>)> &start)
+{
+    bool done = false;
+    start([&done] { done = true; });
+    const bool finished =
+        runUntil([&done] { return done; }, sim::kMs, kAgentDeadline);
+    LEAKY_ASSERT(finished, "measured agent missed its deadline");
 }
 
 // ------------------------------------------------------------- Fig. 2
@@ -48,9 +105,10 @@ trackerAttackSystem(DefenseKind kind)
 LatencyTraceResult
 runLatencyTrace(std::uint32_t iterations, std::uint32_t rfms_per_backoff)
 {
-    sys::SystemConfig cfg = pracAttackSystem();
-    cfg.defense.rfms_per_backoff = rfms_per_backoff;
-    sys::System system(cfg);
+    Environment env;
+    env.system.defense.rfms_per_backoff = rfms_per_backoff;
+    Simulation sim(env);
+    sys::System &system = sim.system;
 
     attack::ProbeConfig probe_cfg;
     probe_cfg.channel = 0; // Single-channel system; keep it explicit.
@@ -61,18 +119,13 @@ runLatencyTrace(std::uint32_t iterations, std::uint32_t rfms_per_backoff)
                            2000)};
     probe_cfg.iterations = iterations;
     attack::LatencyProbe probe(system, probe_cfg);
-
-    bool done = false;
-    probe.start([&done] { done = true; });
-    while (!done)
-        system.run(sim::kMs);
+    sim.runAgent([&probe](auto done) { probe.start(std::move(done)); });
 
     LatencyTraceResult result;
     result.samples = probe.samples();
     result.classifier = attack::LatencyClassifier::forTiming(
-        cfg.ctrl.dram.timing, 90'000, rfms_per_backoff);
-    result.backoffs = system.stats(probe_cfg.channel).backoffs;
-    result.refreshes = system.stats(probe_cfg.channel).refreshes;
+        env.system.ctrl.dram.timing, 90'000, rfms_per_backoff);
+    result.stats = system.stats(probe_cfg.channel);
 
     double sums[3] = {0, 0, 0};
     std::uint64_t counts[3] = {0, 0, 0};
@@ -108,42 +161,6 @@ runLatencyTrace(std::uint32_t iterations, std::uint32_t rfms_per_backoff)
 
 namespace {
 
-/** A started core replaying @p app, its trace generated on demand. */
-std::unique_ptr<sys::TraceCore>
-startAppCore(sys::System &system, const sys::CoreConfig &core_cfg,
-             const workload::AppSpec &app, std::int32_t source)
-{
-    auto core = std::make_unique<sys::TraceCore>(
-        system, core_cfg,
-        [stream = workload::AppTraceStream(app, system.mapper())]() mutable {
-            return stream.next();
-        },
-        workload::kAppTracePeriod, source);
-    core->start();
-    return core;
-}
-
-/** Attach background SPEC-like cores; returns them for lifetime. */
-std::vector<std::unique_ptr<sys::TraceCore>>
-attachBackground(sys::System &system,
-                 const std::vector<workload::AppSpec> &apps,
-                 bool large_caches)
-{
-    std::vector<std::unique_ptr<sys::TraceCore>> cores;
-    std::int32_t source = 10;
-    for (const auto &app : apps) {
-        sys::CoreConfig core_cfg;
-        core_cfg.inst_budget = ~std::uint64_t{0} >> 1; // Run forever.
-        core_cfg.mshrs = app.mlp;
-        if (large_caches) {
-            core_cfg.caches = sys::CacheHierarchyConfig::largeHierarchy();
-            core_cfg.enable_prefetcher = true;
-        }
-        cores.push_back(startAppCore(system, core_cfg, app, source++));
-    }
-    return cores;
-}
-
 /** Pair @p p of @p scenario, configured for the live @p system. */
 attack::CovertConfig
 pairConfig(sys::System &system, const CovertScenario &scenario,
@@ -170,8 +187,6 @@ pairConfig(sys::System &system, const CovertScenario &scenario,
     cfg.receiver_channel = rx.channel;
     cfg.receiver_addr = attack::rowAddress(fn, rx.channel, rx.rank,
                                            rx.bankgroup, rx.bank, 2000);
-    cfg.sender_source = 200 + static_cast<std::int32_t>(2 * p);
-    cfg.receiver_source = 201 + static_cast<std::int32_t>(2 * p);
     if (!(rx == tx)) {
         // §9.1: a receiver outside the sender's bank sees none of the
         // sender's conflicts, so the sender alternates two of its own
@@ -181,6 +196,13 @@ pairConfig(sys::System &system, const CovertScenario &scenario,
             fn, tx.channel, tx.rank, tx.bankgroup, tx.bank, 1064);
         if (scenario.kind == ChannelKind::kPrac)
             cfg.window = 50 * sim::kUs;
+    }
+    if (!scenario.sender_rows.empty()) {
+        for (const std::uint32_t row : scenario.sender_rows)
+            cfg.sender_sequence.push_back(attack::rowAddress(
+                fn, tx.channel, tx.rank, tx.bankgroup, tx.bank, row));
+        cfg.sender_addr = cfg.sender_sequence.front();
+        cfg.sender_gaps = {scenario.sender_gap};
     }
 
     if (scenario.window)
@@ -227,18 +249,17 @@ crossDefenseScenario(DefenseKind kind)
         return scenario;
     }
     scenario.kind = ChannelKind::kRfm;
-    if (kind == DefenseKind::kPrfm) {
-        scenario.system = prfmAttackSystem();
-    } else if (kind == DefenseKind::kGraphene ||
-               kind == DefenseKind::kHydra) {
-        scenario.system = trackerAttackSystem(kind);
+    // NRH = 160 matches the PRAC attack studies' threat level (the
+    // trackers derive a targeted-refresh threshold of 80).
+    scenario.system = kind == DefenseKind::kPrfm
+                          ? prfmAttackSystem()
+                          : sys::SystemConfig::paper(kind, 160);
+    if (kind == DefenseKind::kGraphene || kind == DefenseKind::kHydra) {
         // The slow-event threshold sits at the VRR window (shorter
         // than a full RFM), keeping Hydra's sub-band counter fetches
         // out of the detection class.
         scenario.trecv = 2;
         scenario.rfm_min = 200'000;
-    } else {
-        scenario.system = sys::SystemConfig::paper(kind, 160);
     }
     return scenario;
 }
@@ -260,24 +281,9 @@ runScenario(const CovertScenario &scenario)
 {
     LEAKY_ASSERT(!scenario.pairs.empty(), "scenario has no pairs");
     LEAKY_ASSERT(!scenario.bits.empty(), "scenario has no payload");
-    sys::System system(scenario.system);
-
     // Noise microbenchmark in pair 0's sender bank (§6.3).
-    std::unique_ptr<attack::NoiseAgent> noise;
-    if (scenario.noise_sleep > 0) {
-        const BankPlacement &bank = scenario.pairs.front().sender;
-        attack::NoiseConfig noise_cfg;
-        // Six rows: more counters than one back-off recovery can reset,
-        // so noise-side counters survive preventive actions.
-        noise_cfg.addrs = attack::rowsInBank(
-            system.mapper(), bank.channel, bank.rank, bank.bankgroup,
-            bank.bank, 3000, 6, 512);
-        noise_cfg.sleep = scenario.noise_sleep;
-        noise = std::make_unique<attack::NoiseAgent>(system, noise_cfg);
-        noise->start();
-    }
-    const auto background = attachBackground(
-        system, scenario.background, scenario.large_caches);
+    Simulation sim(scenario, scenario.pairs.front().sender);
+    sys::System &system = sim.system;
 
     std::vector<attack::CovertConfig> pairs;
     for (std::size_t p = 0; p < scenario.pairs.size(); ++p)
@@ -317,27 +323,15 @@ FingerprintSample
 collectOneFingerprint(const FingerprintSpec &spec, std::uint32_t site,
                       std::uint32_t load)
 {
-    sys::SystemConfig sys_cfg =
-        sys::SystemConfig::paper(DefenseKind::kPrac, spec.nrh);
-    sys::System system(sys_cfg);
-    const auto nbo = defense::nboFor(spec.nrh);
-
+    Environment env;
+    env.system = sys::SystemConfig::paper(DefenseKind::kPrac, spec.nrh);
     // The victim browser.
-    workload::WebsiteTraceConfig web_cfg;
-    web_cfg.site = site;
-    web_cfg.load = load;
-    web_cfg.base_seed = spec.seed;
-    web_cfg.duration = spec.duration;
-    auto trace = workload::generateWebsiteTrace(web_cfg, system.mapper());
-
-    sys::CoreConfig core_cfg;
-    core_cfg.inst_budget = ~std::uint64_t{0} >> 1;
-    if (spec.large_caches) {
-        core_cfg.caches = sys::CacheHierarchyConfig::largeHierarchy();
-        core_cfg.enable_prefetcher = true;
-    }
-    sys::TraceCore browser(system, core_cfg, std::move(trace), 1);
-    browser.start();
+    env.browser = workload::WebsiteTraceConfig{site, load, spec.seed,
+                                               spec.duration};
+    env.large_caches = spec.large_caches;
+    Simulation sim(env);
+    sys::System &system = sim.system;
+    const auto nbo = defense::nboFor(spec.nrh);
 
     // The attacker's probe, placed away from the browser's rows;
     // back-offs are channel-wide so colocation within the victim's
@@ -353,13 +347,9 @@ collectOneFingerprint(const FingerprintSpec &spec, std::uint32_t site,
     probe_cfg.t_accesses = nbo > 1 ? nbo - 1 : 1;
     probe_cfg.duration = spec.duration;
     probe_cfg.classifier =
-        attack::LatencyClassifier::forTiming(sys_cfg.ctrl.dram.timing);
+        attack::LatencyClassifier::forTiming(env.system.ctrl.dram.timing);
     attack::FingerprintProbe probe(system, probe_cfg);
-
-    bool done = false;
-    probe.start([&done] { done = true; });
-    while (!done)
-        system.run(sim::kMs);
+    sim.runAgent([&probe](auto done) { probe.start(std::move(done)); });
 
     FingerprintSample sample;
     sample.site = site;
@@ -401,8 +391,9 @@ fingerprintDataset(const std::vector<FingerprintSample> &raw,
 CounterLeakTrial
 runCounterLeakTrial(std::uint32_t secret)
 {
-    sys::SystemConfig cfg = pracAttackSystem();
-    sys::System system(cfg);
+    const Environment env; // The PRAC attack system, nothing beside.
+    Simulation sim(env);
+    sys::System &system = sim.system;
 
     attack::CounterLeakConfig leak_cfg;
     leak_cfg.channel = 0; // Single-channel system; keep it explicit.
@@ -418,21 +409,20 @@ runCounterLeakTrial(std::uint32_t secret)
     leak_cfg.conflict_addr = attacker_conflict;
     leak_cfg.nbo = 128;
     leak_cfg.classifier =
-        attack::LatencyClassifier::forTiming(cfg.ctrl.dram.timing);
+        attack::LatencyClassifier::forTiming(env.system.ctrl.dram.timing);
 
     attack::CounterLeakVictim victim(system, shared, victim_conflict);
     attack::CounterLeakAttacker attacker(system, leak_cfg);
 
     attack::CounterLeakResult result;
-    bool done = false;
-    victim.prime(secret, [&] {
-        attacker.leak([&](const attack::CounterLeakResult &r) {
-            result = r;
-            done = true;
+    sim.runAgent([&](auto done) {
+        victim.prime(secret, [&, done = std::move(done)] {
+            attacker.leak([&, done](const attack::CounterLeakResult &r) {
+                result = r;
+                done();
+            });
         });
     });
-    while (!done)
-        system.run(sim::kMs);
 
     CounterLeakTrial trial;
     trial.secret = secret;
@@ -494,26 +484,19 @@ MappingRecoveryCellResult
 runMappingRecoveryCell(const dram::MappingSpec &mapping,
                        DefenseKind defense, std::uint64_t seed)
 {
-    sys::SystemConfig sys_cfg = sys::SystemConfig::paper(defense, 160);
-    sys_cfg.mapping = mapping;
-    sys::System system(sys_cfg);
+    Environment env;
+    env.system = sys::SystemConfig::paper(defense, 160);
+    env.system.mapping = mapping;
+    Simulation sim(env);
+    sys::System &system = sim.system;
 
     attack::MappingRecoveryConfig cfg;
     cfg.classifier = attack::LatencyClassifier::forTiming(
-        sys_cfg.ctrl.dram.timing);
+        env.system.ctrl.dram.timing);
     cfg.pairs_per_round = 192;
     cfg.seed = seed;
     attack::MappingRecovery attacker(system, cfg);
-
-    bool done = false;
-    attacker.start([&done] { done = true; });
-    // Generous ceiling: even the xor-far cell solves in well under a
-    // simulated second; a wedged attacker fails loudly instead of
-    // spinning forever.
-    const Tick deadline = system.now() + 60'000 * sim::kMs;
-    while (!done && system.now() < deadline)
-        system.run(sim::kMs);
-    LEAKY_ASSERT(done, "mapping recovery did not terminate");
+    sim.runAgent([&attacker](auto done) { attacker.start(std::move(done)); });
 
     MappingRecoveryCellResult out;
     out.recovered = attacker.result();
@@ -551,39 +534,34 @@ runMappingRecoveryCell(const dram::MappingSpec &mapping,
 
 namespace {
 
-/** Run until all cores retire their budget or the cap elapses. */
-void
-runCoresToBudget(sys::System &system,
-                 std::vector<std::unique_ptr<sys::TraceCore>> &cores,
-                 Tick cap)
-{
-    const Tick start = system.now();
-    while (system.now() - start < cap) {
-        bool all_done = true;
-        for (const auto &core : cores)
-            all_done = all_done && core->budgetDone();
-        if (all_done)
-            break;
-        system.run(500 * sim::kUs);
-    }
-}
-
-std::vector<std::unique_ptr<sys::TraceCore>>
-makeCores(sys::System &system, const workload::Mix &mix,
-          std::uint64_t insts_per_core)
-{
-    std::vector<std::unique_ptr<sys::TraceCore>> cores;
-    std::int32_t source = 0;
-    for (const auto &app : mix.apps) {
-        sys::CoreConfig core_cfg;
-        core_cfg.inst_budget = insts_per_core;
-        core_cfg.mshrs = app.mlp;
-        cores.push_back(startAppCore(system, core_cfg, app, source++));
-    }
-    return cores;
-}
-
 constexpr Tick kPerfRunCap = 80 * sim::kMs;
+
+/** IPC of each app of @p apps, sharing one @p system, once all of
+ *  them retire @p insts_per_core or the cap elapses. */
+std::vector<double>
+appIpcs(const sys::SystemConfig &system,
+        const std::vector<workload::AppSpec> &apps,
+        std::uint64_t insts_per_core)
+{
+    Environment env;
+    env.system = system;
+    env.background = apps;
+    env.inst_budget = insts_per_core;
+    Simulation sim(env);
+    const auto &cores = sim.cores;
+    sim.runUntil(
+        [&cores] {
+            return std::all_of(cores.begin(), cores.end(),
+                               [](const auto &core) {
+                                   return core->budgetDone();
+                               });
+        },
+        500 * sim::kUs, kPerfRunCap);
+    std::vector<double> ipcs;
+    for (const auto &core : cores)
+        ipcs.push_back(core->ipcAt(sim.system.now()));
+    return ipcs;
+}
 
 /** Weighted speedup of @p mix on a system with @p kind at @p nrh. */
 double
@@ -595,13 +573,8 @@ sharedWs(DefenseKind kind, std::uint32_t nrh, const workload::Mix &mix,
     // The performance study models a mid-lifetime slice of a long run:
     // PRAC counters are warm (see defense/prac.hh).
     cfg.defense.warm_counters = true;
-    sys::System system(cfg);
-    auto cores = makeCores(system, mix, insts_per_core);
-    runCoresToBudget(system, cores, kPerfRunCap);
-    std::vector<double> ipc_shared;
-    for (const auto &core : cores)
-        ipc_shared.push_back(core->ipcAt(system.now()));
-    return stats::weightedSpeedup(ipc_shared, ipc_alone);
+    return stats::weightedSpeedup(appIpcs(cfg, mix.apps, insts_per_core),
+                                  ipc_alone);
 }
 
 } // namespace
@@ -610,15 +583,11 @@ PerfReference
 perfReference(const workload::Mix &mix, std::uint64_t insts_per_core)
 {
     PerfReference ref;
-    for (const auto &app : mix.apps) {
-        sys::SystemConfig cfg =
-            sys::SystemConfig::paper(DefenseKind::kNone, 1024);
-        sys::System system(cfg);
-        workload::Mix solo{mix.name + "-solo", {app}};
-        auto cores = makeCores(system, solo, insts_per_core);
-        runCoresToBudget(system, cores, kPerfRunCap);
-        ref.ipc_alone.push_back(cores[0]->ipcAt(system.now()));
-    }
+    const sys::SystemConfig alone =
+        sys::SystemConfig::paper(DefenseKind::kNone, 1024);
+    for (const auto &app : mix.apps)
+        ref.ipc_alone.push_back(
+            appIpcs(alone, {app}, insts_per_core).front());
     // No defense reads NRH, so any threshold gives the same bits.
     ref.ws_base = sharedWs(DefenseKind::kNone, 1024, mix, ref.ipc_alone,
                            insts_per_core);

@@ -1,11 +1,12 @@
 /**
  * @file
  * High-level experiment runners, shared by the figure registry, the
- * demos and the benchmarks. Each runner builds a fresh System (paper
- * Table 1 configuration), attaches the necessary agents/cores, runs
- * the event queue, and returns the numbers the corresponding
- * figure/table plots. Every covert-channel result is a CovertScenario
- * run by the one covert runner, runScenario.
+ * demos, the fuzzer and the benchmarks. Each runner declares an
+ * Environment (the Table 1 system and the traffic beside it), builds
+ * it as a Simulation, runs its measured agent on the one loop, and
+ * returns the numbers the corresponding figure/table plots. Every
+ * covert-channel result is a CovertScenario run by the one covert
+ * runner, runScenario.
  *
  * Scale knobs: every runner takes explicit sizes; the figure registry
  * (src/runner/figures*.cc) picks them per smoke / default / full scale
@@ -16,6 +17,8 @@
 #define LEAKY_CORE_EXPERIMENTS_HH
 
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -24,10 +27,13 @@
 #include "attack/fingerprint.hh"
 #include "attack/mapping_recovery.hh"
 #include "attack/message.hh"
+#include "attack/noise.hh"
 #include "attack/probe.hh"
 #include "ml/dataset.hh"
+#include "sys/core.hh"
 #include "sys/system.hh"
 #include "workload/synthetic.hh"
+#include "workload/website.hh"
 
 namespace leaky::core {
 
@@ -40,29 +46,9 @@ sys::SystemConfig pracAttackSystem();
 /** Paper §7 system: PRFM with TRFM = 40. */
 sys::SystemConfig prfmAttackSystem();
 
-/** Tracker-family system (Graphene / Hydra) at the attack-study
- *  operating point: NRH = 160, targeted-refresh threshold 80. */
-sys::SystemConfig trackerAttackSystem(defense::DefenseKind kind);
+// ------------------------------------------------- the one builder
 
-// ------------------------------------------------------------- Fig. 2
-
-/** Fig. 2: latencies of consecutive requests under PRAC (Listing 1). */
-struct LatencyTraceResult {
-    std::vector<attack::LatencySample> samples;
-    attack::LatencyClassifier classifier;
-    std::uint64_t backoffs = 0; ///< Ground truth.
-    std::uint64_t refreshes = 0;
-    double mean_backoff_latency_ns = 0.0;
-    double mean_conflict_latency_ns = 0.0;
-    double mean_refresh_latency_ns = 0.0;
-};
-
-LatencyTraceResult runLatencyTrace(std::uint32_t iterations = 512,
-                                   std::uint32_t rfms_per_backoff = 4);
-
-// ------------------------------------------- covert-channel scenarios
-
-/** One endpoint's bank: memory channel, rank, bank group, bank. */
+/** One bank: memory channel, rank, bank group, bank. */
 struct BankPlacement {
     std::uint32_t channel = 0;
     std::uint32_t rank = 0;
@@ -77,6 +63,70 @@ struct BankPlacement {
     }
 };
 
+/**
+ * Everything that runs beside the measured agent, declared as data:
+ * the system and the traffic sharing it — the Eq.-2 noise agent
+ * (§6.3), the §8 victim browser, and SPEC-like apps (§6.3, §10.3,
+ * Fig. 13).
+ */
+struct Environment {
+    /** The operating point: defense and its overrides, channel count,
+     *  mapping, seed, deterministic refresh. */
+    sys::SystemConfig system = pracAttackSystem();
+    /** Eq.-2 noise microbenchmark sleep (0 = no noise agent). */
+    Tick noise_sleep = 0;
+    /** The victim browser's page load (unset = no browser). */
+    std::optional<workload::WebsiteTraceConfig> browser;
+    /** Concurrent SPEC-like apps, one core each. */
+    std::vector<workload::AppSpec> background;
+    std::uint64_t inst_budget = 0; ///< Per core, Fig. 13 (0 = none).
+    bool large_caches = false; ///< §10.3 hierarchy with prefetching.
+};
+
+/**
+ * A built Environment — the one place a System is built for a run:
+ * the System, with the noise agent, the browser and the apps started
+ * in that order and kept alive with it.
+ */
+struct Simulation {
+    /** Noise rows go in @p noise_bank. */
+    explicit Simulation(const Environment &env,
+                        const BankPlacement &noise_bank = {});
+
+    /** The one run loop: advance in @p slice steps until @p done()
+     *  holds or @p limit of simulated time has passed; returns
+     *  done(). */
+    bool runUntil(const std::function<bool()> &done, Tick slice,
+                  Tick limit);
+
+    /** Start the measured agent — @p start hands it the callback to
+     *  call once it has finished — and run in 1 ms slices until it
+     *  has, asserting that it does within a simulated minute. */
+    void runAgent(const std::function<void(std::function<void()>)> &start);
+
+    sys::System system;
+    std::unique_ptr<attack::NoiseAgent> noise;
+    /** The browser's core (if any), then one per app in order. */
+    std::vector<std::unique_ptr<sys::TraceCore>> cores;
+};
+
+// ------------------------------------------------------------- Fig. 2
+
+/** Fig. 2: latencies of consecutive requests under PRAC (Listing 1). */
+struct LatencyTraceResult {
+    std::vector<attack::LatencySample> samples;
+    attack::LatencyClassifier classifier;
+    ctrl::CtrlStats stats; ///< Ground truth when the probe finished.
+    double mean_backoff_latency_ns = 0.0;
+    double mean_conflict_latency_ns = 0.0;
+    double mean_refresh_latency_ns = 0.0;
+};
+
+LatencyTraceResult runLatencyTrace(std::uint32_t iterations = 512,
+                                   std::uint32_t rfms_per_backoff = 4);
+
+// ------------------------------------------- covert-channel scenarios
+
 /** One sender/receiver pair: the sender hammers row 1000 of its bank,
  *  the receiver reads row 2000 of its own. */
 struct CovertPair {
@@ -85,12 +135,14 @@ struct CovertPair {
 };
 
 /**
- * One covert-channel scenario, declared as data. Every covert result
- * the paper reports — the PRAC and RFM channels (§6.3, §7.3) with
- * their noise, app-noise, multibit and sensitivity studies, and the
- * colocation, countermeasure and trigger studies (Table 3, §11.4, §12)
- * — is one of these at a different operating point, run by
- * runScenario. Everything else is derived, not declared:
+ * One covert-channel scenario, declared as data: an Environment plus
+ * the sender/receiver pairs it carries. Every covert result the paper
+ * reports — the PRAC and RFM channels (§6.3, §7.3) with their noise,
+ * app-noise, multibit and sensitivity studies, and the colocation,
+ * countermeasure and trigger studies (Table 3, §11.4, §12) — is one of
+ * these at a different operating point, run by runScenario, and so is
+ * every pattern the fuzzer (src/fuzz) scores. Everything else is
+ * derived, not declared:
  *
  *  - a pair whose receiver bank differs from its sender bank
  *    self-conflicts (§9.1): the sender alternates rows 1000 and 1064,
@@ -98,15 +150,10 @@ struct CovertPair {
  *    charge the counters;
  *  - the receiver filters refreshes (§10.1) exactly when
  *    `system.ctrl.deterministic_refresh` is set;
- *  - pair p's sender and receiver use source ids 200 + 2p / 201 + 2p;
  *  - noise rows go in pair 0's sender bank;
  *  - multibit cut points are calibrated when `levels > 2`.
  */
-struct CovertScenario {
-    /** The operating point: defense and its overrides, channel count,
-     *  mapping, seed, deterministic refresh. */
-    sys::SystemConfig system = pracAttackSystem();
-
+struct CovertScenario : Environment {
     // Receiver strategy; a zero override keeps the derived value.
     attack::ChannelKind kind = attack::ChannelKind::kPrac;
     std::uint32_t levels = 2;
@@ -121,12 +168,11 @@ struct CovertScenario {
      *  reverse-engineered mapping (§5.2). Unset: the system's own. */
     std::optional<dram::MappingSpec> assumed_mapping;
 
-    /** Eq.-2 noise microbenchmark sleep (0 = no noise agent). */
-    Tick noise_sleep = 0;
-    /** Concurrent SPEC-like apps, on the §10.3 large cache hierarchy
-     *  with prefetching when @ref large_caches is set. */
-    std::vector<workload::AppSpec> background;
-    bool large_caches = false;
+    /** A fuzzer pattern: when set, each sender walks these rows of its
+     *  bank cyclically in logic-1 windows instead of hammering row
+     *  1000, pausing @ref sender_gap between accesses. */
+    std::vector<std::uint32_t> sender_rows;
+    Tick sender_gap = 0;
 
     std::vector<bool> bits; ///< The payload.
 };
@@ -152,8 +198,8 @@ struct ScenarioResult {
     ctrl::CtrlStats aggregate;                ///< Summed over channels.
 };
 
-/** Build the scenario's system, start its noise and background cores,
- *  then transmit the payload over every pair concurrently. */
+/** Build the scenario's Simulation, then transmit the payload over
+ *  every pair concurrently. */
 ScenarioResult runScenario(const CovertScenario &scenario);
 
 /** Average metrics over the four message patterns (§6.3, §7.3). */
@@ -168,8 +214,7 @@ struct PatternSweepResult {
 PatternSweepResult runPatternSweep(CovertScenario scenario,
                                    std::size_t n_bits);
 
-/** crossDefenseScenario(kind)'s system. The pattern fuzzer (src/fuzz)
- *  evaluates generated patterns in exactly this cell. */
+/** crossDefenseScenario(kind)'s system. */
 sys::SystemConfig crossDefenseSystemConfig(defense::DefenseKind kind);
 
 /** crossDefenseScenario(kind)'s sender/receiver pair on @p system. */

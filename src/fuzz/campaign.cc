@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "attack/dram_addr.hh"
 #include "attack/message.hh"
 #include "core/experiments.hh"
 #include "sim/logging.hh"
@@ -64,28 +63,16 @@ EvalResult evaluatePattern(const HammerPattern &p, const EvalSpec &spec)
     LEAKY_ASSERT(p.validate(&error), "cannot evaluate invalid pattern: %s",
                  error.c_str());
 
-    sys::SystemConfig sys_cfg = core::crossDefenseSystemConfig(spec.defense);
-    sys_cfg.defense.seed = spec.seed;
-    sys::System system(sys_cfg);
-
-    attack::CovertConfig cfg =
-        core::crossDefenseChannelConfig(system, spec.defense);
-    const std::vector<std::uint32_t> slots = p.expand();
-    cfg.sender_sequence.clear();
-    cfg.sender_sequence.reserve(slots.size());
-    for (const std::uint32_t slot : slots) {
-        cfg.sender_sequence.push_back(attack::rowAddress(
-            system.mapper(), cfg.sender_channel, 0, 0, 0,
-            kPatternRowBase + kPatternRowStride * slot));
-    }
-    cfg.sender_addr = cfg.sender_sequence.front();
-    cfg.sender_gaps = {p.gap};
-
-    const std::vector<bool> bits = attack::patternBits(
-        attack::MessagePattern::kCheckered0, spec.message_bytes * 8);
+    core::CovertScenario scenario = core::crossDefenseScenario(spec.defense);
+    scenario.system.defense.seed = spec.seed;
+    for (const std::uint32_t slot : p.expand())
+        scenario.sender_rows.push_back(kPatternRowBase +
+                                       kPatternRowStride * slot);
+    scenario.sender_gap = p.gap;
+    scenario.bits = attack::patternBits(attack::MessagePattern::kCheckered0,
+                                        spec.message_bytes * 8);
     EvalResult out;
-    out.channel = attack::runCovertChannel(system, cfg,
-                                           attack::symbolsFromBits(bits, 2));
+    out.channel = core::runScenario(scenario).pairs.front();
     out.score = scoreResult(out.channel);
     const std::size_t windows =
         out.channel.sent.empty() ? 1 : out.channel.sent.size();

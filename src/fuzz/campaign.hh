@@ -1,7 +1,7 @@
 /**
  * @file
  * The fuzzing loop (ROADMAP item 1): drive generated HammerPatterns
- * through sys::System against the defense families and score them by
+ * through the covert channel against the defense families and score them by
  * covert capacity + preventive-action leakage. One fuzz::Campaign is a
  * small evolutionary search against ONE defense — deliberately
  * sequential, so a campaign is a pure function of its config and runs
@@ -9,11 +9,11 @@
  * fan the seven campaigns out over the work-stealing SweepPool, which
  * makes the whole search bit-identical for any thread count.
  *
- * The evaluation cell is exactly core::crossDefenseScenario's system
- * and receiver (crossDefenseSystemConfig / crossDefenseChannelConfig);
- * only the sender differs: it replays the pattern's expanded access
- * sequence (CovertConfig::sender_sequence) instead of the hand-written
- * single-row hammer, with the pattern's gap as pacing.
+ * A pattern is evaluated as core::crossDefenseScenario of the target
+ * defense, run by core::runScenario; only the sender differs: it walks
+ * the pattern's expanded rows (CovertScenario::sender_rows) instead of
+ * the hand-written single-row hammer, with the pattern's gap as
+ * pacing.
  */
 
 #ifndef LEAKY_FUZZ_CAMPAIGN_HH

@@ -51,35 +51,19 @@ runQuickstartDemo(int argc, char **argv, bool help)
     if (parser.parseOrPrintHelp(argc, argv, help))
         return 0;
 
-    // 1. A DDR5 system (paper Table 1) protected by PRAC with the
-    //    attack-study operating point NBO = 128.
-    sys::SystemConfig cfg = core::pracAttackSystem();
-    sys::System system(cfg);
+    // A DDR5 system (paper Table 1) protected by PRAC at the attack-
+    // study operating point NBO = 128, probed by two attacker rows in
+    // one bank: alternating loads force a row-buffer conflict -- and
+    // thus an activation -- on every access, charging the counters.
+    const auto trace = core::runLatencyTrace(512);
 
-    // 2. Two attacker-controlled rows in the same bank. Alternating
-    //    loads force a row-buffer conflict -- and thus an activation --
-    //    on every access, charging the PRAC counters.
-    attack::ProbeConfig probe_cfg;
-    probe_cfg.addrs = {
-        attack::rowAddress(system.mapper(), 0, 0, 0, 0, 1000),
-        attack::rowAddress(system.mapper(), 0, 0, 0, 0, 2000)};
-    probe_cfg.iterations = 512;
-
-    attack::LatencyProbe probe(system, probe_cfg);
-    bool done = false;
-    probe.start([&done] { done = true; });
-    while (!done)
-        system.run(sim::kMs);
-
-    // 3. Classify what the user-space loop observed.
-    const auto classifier =
-        attack::LatencyClassifier::forTiming(cfg.ctrl.dram.timing);
+    // Classify what the user-space loop observed.
     std::uint64_t by_class[5] = {0, 0, 0, 0, 0};
-    for (const auto &sample : probe.samples())
-        by_class[static_cast<int>(classifier.classify(sample.latency))]++;
+    for (const auto &sample : trace.samples)
+        by_class[static_cast<int>(trace.classifier.classify(
+            sample.latency))]++;
 
-    std::printf("Observed %zu request latencies:\n",
-                probe.samples().size());
+    std::printf("Observed %zu request latencies:\n", trace.samples.size());
     const char *names[5] = {"fast (row hit)", "row conflict",
                             "RFM window", "periodic refresh",
                             "PRAC back-off"};
@@ -87,16 +71,15 @@ runQuickstartDemo(int argc, char **argv, bool help)
         std::printf("  %-18s %5llu\n", names[c],
                     static_cast<unsigned long long>(by_class[c]));
 
-    const auto &stats = system.stats(0);
     std::printf("\nGround truth from the controller:\n");
     std::printf("  back-offs: %llu, refreshes: %llu, reads: %llu\n",
-                static_cast<unsigned long long>(stats.backoffs),
-                static_cast<unsigned long long>(stats.refreshes),
-                static_cast<unsigned long long>(stats.reads_served));
+                static_cast<unsigned long long>(trace.stats.backoffs),
+                static_cast<unsigned long long>(trace.stats.refreshes),
+                static_cast<unsigned long long>(trace.stats.reads_served));
     std::printf("\nFirst samples (ns): ");
-    for (std::size_t i = 0; i < 12 && i < probe.samples().size(); ++i)
+    for (std::size_t i = 0; i < 12 && i < trace.samples.size(); ++i)
         std::printf("%llu ", static_cast<unsigned long long>(
-                                 probe.samples()[i].latency / 1000));
+                                 trace.samples[i].latency / 1000));
     std::printf("\n");
     return 0;
 }

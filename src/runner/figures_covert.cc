@@ -68,8 +68,8 @@ latencyFigure()
                      trace.mean_conflict_latency_ns,
                      trace.mean_refresh_latency_ns,
                      trace.mean_backoff_latency_ns,
-                     static_cast<double>(trace.backoffs),
-                     static_cast<double>(trace.refreshes)}};
+                     static_cast<double>(trace.stats.backoffs),
+                     static_cast<double>(trace.stats.refreshes)}};
         };
         return spec;
     };

@@ -10,7 +10,9 @@ namespace leaky::runner {
 bool
 parseUint64(const std::string &text, std::uint64_t *value)
 {
-    if (text.empty() || text[0] == '-' || text[0] == '+')
+    // strtoull skips leading whitespace and accepts a sign (negating a
+    // '-' input), so anything but a leading digit is rejected up front.
+    if (text.empty() || text[0] < '0' || text[0] > '9')
         return false;
     errno = 0;
     char *end = nullptr;

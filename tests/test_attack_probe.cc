@@ -102,7 +102,7 @@ TEST(LatencyProbe, DetectsBackoffAtNboPeriod)
     }
     ASSERT_GE(backoff_positions.size(), 1u);
     EXPECT_NEAR(static_cast<double>(backoff_positions[0]), 255.0, 8.0);
-    EXPECT_GE(result.backoffs, 1u);
+    EXPECT_GE(result.stats.backoffs, 1u);
 }
 
 TEST(LatencyProbe, BackoffLatencyNearPaperValue)

@@ -114,6 +114,35 @@ TEST(Experiments, OnePairPerChannelAtOneChannelIsTheSinglePair)
                                  attack::symbolsFromBits(single.bits, 2)));
 }
 
+/** Metamorphic: channels are identical replicas, so on a 2-channel
+ *  system one colocated pair on channel 1 sees exactly what it sees on
+ *  channel 0. PRAC-RIAC is left out: each channel's defense draws its
+ *  own seed from sim::seedFanout, so the randomized re-arm differs
+ *  between channels by design. */
+TEST(Experiments, ChannelOnePairMirrorsChannelZero)
+{
+    for (const auto kind :
+         {defense::DefenseKind::kPrac, defense::DefenseKind::kPrfm,
+          defense::DefenseKind::kGraphene, defense::DefenseKind::kHydra}) {
+        core::CovertScenario scenario = core::crossDefenseScenario(kind);
+        scenario.system.channels = 2;
+        scenario.bits =
+            attack::patternBits(attack::MessagePattern::kCheckered0, 64);
+        scenario.pairs = {{{1, 0, 0, 0}, {1, 0, 0, 0}}};
+        const auto one = core::runScenario(scenario).pairs.front();
+        scenario.pairs = {{{0, 0, 0, 0}, {0, 0, 0, 0}}};
+        const auto zero = core::runScenario(scenario).pairs.front();
+
+        const char *name = defense::defenseName(kind);
+        EXPECT_EQ(one.received, zero.received) << name;
+        EXPECT_EQ(one.detections, zero.detections) << name;
+        EXPECT_EQ(one.backoffs, zero.backoffs) << name;
+        EXPECT_EQ(one.rfms, zero.rfms) << name;
+        EXPECT_EQ(one.targeted_refreshes, zero.targeted_refreshes) << name;
+        EXPECT_EQ(one.counter_fetches, zero.counter_fetches) << name;
+    }
+}
+
 TEST(Experiments, PerfCellBaselineIsNearUnity)
 {
     // No defense vs its own reference runs the same deterministic

@@ -166,6 +166,34 @@ class GrammarTable(unittest.TestCase):
         ("covert_run_loop_accepted", "src/core/foo.cc",
          "auto r = attack::runCovertChannel(system, cfg, symbols);\n",
          []),
+        # ------------------------------------- single-system-builder
+        ("system_in_runner_rejected", "src/runner/foo.cc",
+         "void f(const sys::SystemConfig &c) { sys::System system(c); }\n",
+         ["single-system-builder"]),
+        ("system_in_fuzz_rejected", "src/fuzz/foo.cc",
+         "auto s = std::make_unique<sys::System>(cfg);\n",
+         ["single-system-builder"]),
+        ("system_member_rejected", "src/runner/foo.hh",
+         "struct Rig { sys::System system_; };\n",
+         ["single-system-builder"]),
+        ("system_reference_accepted", "src/runner/foo.cc",
+         "void f(sys::System &s);\n"
+         "void g(const sys::System &s) { s.stats(0); }\n",
+         []),
+        ("system_pointer_accepted", "src/fuzz/foo.cc",
+         "sys::System *current = nullptr;\n",
+         []),
+        ("system_builder_home_accepted", "src/core/experiments.cc",
+         "Simulation::Simulation(const Environment &env)"
+         " : system_(env.system) {}\n"
+         "struct Keep { sys::System system_; };\n",
+         []),
+        ("system_covert_home_accepted", "src/attack/covert.cc",
+         "void f(const sys::SystemConfig &c) { sys::System system(c); }\n",
+         []),
+        ("system_in_tests_accepted", "tests/foo.cc",
+         "void f(const sys::SystemConfig &c) { sys::System system(c); }\n",
+         []),
         # ------------------------------------------- no-raw-assert
         ("raw_assert_rejected", "src/sim/foo.cc",
          "void f(int x) { assert(x > 0); }\n",

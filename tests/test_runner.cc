@@ -361,6 +361,11 @@ TEST(Flags, RejectsBadInputInsteadOfFallingBack)
     EXPECT_FALSE(parser.parse(2, const_cast<char **>(negative),
                               &error));
 
+    // strtoull would skip the blank and accept the digits after it.
+    const char *leading_blank[] = {"--n", " 3"};
+    EXPECT_FALSE(parser.parse(2, const_cast<char **>(leading_blank),
+                              &error));
+
     const char *missing[] = {"--n"};
     EXPECT_FALSE(parser.parse(1, const_cast<char **>(missing), &error));
 
@@ -371,6 +376,15 @@ TEST(Flags, RejectsBadInputInsteadOfFallingBack)
     const char *overflow[] = {"--n", "4294967296"};
     EXPECT_FALSE(parser.parse(2, const_cast<char **>(overflow),
                               &error));
+
+    // strtoull skips the blank, then negates: " -1" would wrap to
+    // 2^64 - 1 instead of being rejected.
+    std::uint64_t seed = 7;
+    parser.addUint64("seed", &seed, "");
+    const char *blank_negative[] = {"--seed", " -1"};
+    EXPECT_FALSE(parser.parse(2, const_cast<char **>(blank_negative),
+                              &error));
+    EXPECT_EQ(seed, 7u);
 }
 
 } // namespace

@@ -25,7 +25,7 @@ docs/LINTING.md cross-check cover them:
                      waivers are themselves contract violations
 """
 
-from . import assertions, channels, covert, determinism, signals
+from . import assertions, builder, channels, covert, determinism, signals
 
 #: Rule ids the engine emits without a rule object.
 META_RULE_IDS = ("bad-waiver", "unused-waiver")
@@ -44,6 +44,7 @@ ALL_RULES = (
     determinism.NoUnorderedIterationInResultPaths(),
     channels.ExplicitChannel(),
     covert.SingleCovertLoop(),
+    builder.SingleSystemBuilder(),
     assertions.NoRawAssert(),
     assertions.NoSideEffectDchecks(),
     signals.SignalHandlerSafety(),
