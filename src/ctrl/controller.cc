@@ -72,12 +72,26 @@ MemoryController::enqueue(Request &&req)
     if (q.size() >= depth)
         return false;
 
+    const Tick now = eq_.now();
     QueueEntry entry;
-    entry.arrival = eq_.now();
+    entry.arrival = now;
     entry.req = std::move(req); // push() annotates the address.
     q.push(std::move(entry));
-    last_activity_ = eq_.now();
-    scheduleWake(std::max(eq_.now(), next_cmd_at_));
+    last_activity_ = now;
+    ++epoch_;
+
+    // In-place arrival: when the wake-up would be due now and fire
+    // next anyway, run it here instead of a round trip through the
+    // queue. Every arrival still wakes the controller: PRFM, PARA,
+    // Graphene and Hydra keep no timer while an RFM waits
+    // (nextEventTick() == kTickMax), so whichever wake-up comes next
+    // picks it up.
+    if (now >= next_cmd_at_ && eq_.advanceIfNext(now)) {
+        eq_.deschedule(tick_event_);
+        tick();
+    } else {
+        scheduleWake(std::max(now, next_cmd_at_));
+    }
     return true;
 }
 
@@ -148,7 +162,6 @@ MemoryController::tick()
 {
     Tick now = eq_.now();
     while (true) {
-        idle_pick_valid_ = false;
         refresh_.update(now);
 
         // Batched issue: drain every command issuable at this tick in
@@ -284,8 +297,7 @@ MemoryController::progressDrain(Tick now)
             chan_.earliestIssue(Command::kPreAll, a) > now) {
             continue;
         }
-        chan_.issue(Command::kPreAll, a, now);
-        next_cmd_at_ = now + cfg_.cmd_gap;
+        issueCommand(Command::kPreAll, a, now);
         return true;
     }
     if (now < d.at)
@@ -297,10 +309,9 @@ MemoryController::progressDrain(Tick now)
             chan_.earliestIssue(d.cmd, a) > now) {
             continue;
         }
-        d.end = std::max(d.end, chan_.issue(d.cmd, a, now, d.latency,
-                                            d.during_backoff));
+        d.end = std::max(d.end, issueCommand(d.cmd, a, now, d.latency,
+                                             d.during_backoff));
         drain_left_[r] -= 1;
-        next_cmd_at_ = now + cfg_.cmd_gap;
         if (d.scheduled && r == 0 && now > d.at)
             stats_.precise_slips += 1;
         if (std::any_of(drain_left_.begin(), drain_left_.end(),
@@ -320,6 +331,7 @@ MemoryController::progressDrain(Tick now)
         } else {
             drain_.reset();
             sched_.resetStreaks();
+            ++epoch_;
             maybeStartAbo();
         }
         return true;
@@ -359,8 +371,7 @@ MemoryController::progressBankTasks(Tick now)
                 continue;
             any_open = true;
             if (chan_.earliestIssue(Command::kPre, b) <= now) {
-                chan_.issue(Command::kPre, b, now);
-                next_cmd_at_ = now + cfg_.cmd_gap;
+                issueCommand(Command::kPre, b, now);
                 return true;
             }
         }
@@ -369,12 +380,11 @@ MemoryController::progressBankTasks(Tick now)
 
         if (chan_.earliestIssue(task.rfm.kind, task.rfm.target) > now)
             continue;
-        const Tick end = chan_.issue(task.rfm.kind, task.rfm.target, now,
-                                     task.rfm.latency_override,
-                                     task.from_alert);
+        const Tick end = issueCommand(task.rfm.kind, task.rfm.target, now,
+                                      task.rfm.latency_override,
+                                      task.from_alert);
         if (task.start == 0)
             task.start = now;
-        next_cmd_at_ = now + cfg_.cmd_gap;
         task.remaining -= 1;
         if (task.remaining == 0) {
             PreventiveEvent ev = PreventiveEvent::kBankBackoff;
@@ -457,27 +467,38 @@ bool
 MemoryController::serveQueues(Tick now)
 {
     auto &q = activeQueue();
-    if (q.empty()) {
-        idle_pick_.reset();
-        idle_pick_valid_ = true;
+    const auto decision = decide(q, now);
+    if (!decision || decision->earliest > now)
         return false;
-    }
-
-    const auto decision = sched_.pick(q, chan_, bankFilter(now), now);
-    if (!decision || decision->earliest > now) {
-        // Nothing issued, so no state changed between here and the
-        // wake-up computation at the end of this tick: let it reuse
-        // the decision instead of re-scanning the queue.
-        idle_pick_ = decision;
-        idle_pick_valid_ = true;
-        return false;
-    }
 
     QueueEntry &entry = q[decision->index];
     issueAndAccount(decision->cmd, entry, now);
-    if (decision->cmd == Command::kRd || decision->cmd == Command::kWr)
+    if (decision->cmd == Command::kRd || decision->cmd == Command::kWr) {
         q.erase(decision->index);
+        ++epoch_;
+    }
     return true;
+}
+
+std::optional<SchedDecision>
+MemoryController::decide(const RequestQueue &q, Tick now)
+{
+    // A bank task's filter depends on the tick: scan afresh.
+    if (!bank_tasks_.empty())
+        return sched_.pick(q, chan_, bankFilter(now), now);
+    if (kept_epoch_ != epoch_) {
+        kept_ = sched_.pick(q, chan_, BankFilter{}, now);
+        kept_epoch_ = epoch_;
+        return kept_;
+    }
+    // Unchanged inputs give the same entry and command; only the
+    // clamp of the earliest issue tick to the clock moves.
+    std::optional<SchedDecision> d = kept_;
+    if (d)
+        d->earliest = std::max(d->earliest, now);
+    LEAKY_DCHECK(d == sched_.pick(q, chan_, BankFilter{}, now),
+                 "kept scheduler decision differs from a fresh pick");
+    return d;
 }
 
 void
@@ -498,8 +519,7 @@ MemoryController::issueAndAccount(Command cmd, QueueEntry &entry, Tick now)
         }
     }
 
-    const Tick done = chan_.issue(cmd, addr, now);
-    next_cmd_at_ = now + cfg_.cmd_gap;
+    const Tick done = issueCommand(cmd, addr, now);
     sched_.onIssue(addr, cmd, was_hit);
 
     if (cmd == Command::kAct) {
@@ -515,6 +535,16 @@ MemoryController::issueAndAccount(Command cmd, QueueEntry &entry, Tick now)
     } else if (cmd == Command::kWr) {
         stats_.writes_served += 1;
     }
+}
+
+Tick
+MemoryController::issueCommand(Command cmd, const Address &addr, Tick now,
+                               Tick latency, bool during_backoff)
+{
+    const Tick end = chan_.issue(cmd, addr, now, latency, during_backoff);
+    next_cmd_at_ = now + cfg_.cmd_gap;
+    ++epoch_;
+    return end;
 }
 
 Tick
@@ -537,12 +567,8 @@ MemoryController::computeNextWake(Tick now)
         if (now < drain_->at)
             consider(drain_->at);
     } else {
-        // Queued requests. If serveQueues() already ran this tick and
-        // issued nothing, its decision is still valid; otherwise scan.
-        auto &q = activeQueue();
-        const std::optional<SchedDecision> d =
-            idle_pick_valid_ ? idle_pick_
-                             : sched_.pick(q, chan_, bankFilter(now), now);
+        // Queued requests.
+        const auto d = decide(activeQueue(), now);
         if (d) {
             // Early out: the final wake is max(min(candidates),
             // next_cmd_at_), so any candidate at or before

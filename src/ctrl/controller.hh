@@ -94,6 +94,13 @@ class MemoryController final : public dram::AlertSink
      * be re-presented without copying). A read's on_complete event is
      * scheduled return_latency after its data burst ends; writes are
      * posted and signal nothing.
+     *
+     * Inside a running EventQueue::runUntil(), when the controller's
+     * wake-up for this arrival would be the next event, enqueue() runs
+     * that wake-up in place: it may issue commands and advance the
+     * clock before it returns. The caller must do nothing after it
+     * that reads the clock or schedules an event, and the controller's
+     * own callbacks (listener, defense hooks) must not call it.
      */
     bool enqueue(Request &&req);
 
@@ -162,6 +169,9 @@ class MemoryController final : public dram::AlertSink
     bool progressDrain(Tick now);
     bool progressBankTasks(Tick now);
     bool serveQueues(Tick now);
+    /** pick() over @p q (the active queue) at @p now: kept_ when still
+     *  valid, with its earliest tick moved up to @p now. */
+    std::optional<SchedDecision> decide(const RequestQueue &q, Tick now);
     void pollDefense(Tick now);
     void maybeStartAbo();
     const std::vector<Address> &taskBanks(const BankTask &task) const;
@@ -171,6 +181,10 @@ class MemoryController final : public dram::AlertSink
     static bool bankFilterThunk(const void *ctx, const Address &addr);
     Tick computeNextWake(Tick now);
     void issueAndAccount(dram::Command cmd, QueueEntry &entry, Tick now);
+    /** Issue @p cmd on the channel. Every command goes through here:
+     *  it also spaces the next one by cmd_gap and moves epoch_. */
+    Tick issueCommand(dram::Command cmd, const Address &addr, Tick now,
+                      Tick latency = 0, bool during_backoff = false);
     RequestQueue &activeQueue();
     bool servingWrites();
     Address rankAddress(std::uint32_t rank) const;
@@ -194,14 +208,15 @@ class MemoryController final : public dram::AlertSink
     bool draining_writes_ = false;
 
     /**
-     * pick() result carried from serveQueues() to computeNextWake()
-     * within one tick(). Valid only when serveQueues() ran this tick
-     * and issued nothing: then neither the queues nor the bank state
-     * changed, so the wake-up computation can reuse the decision
-     * instead of re-scanning the queue. Cleared at every tick() entry.
+     * The last pick() over the active queue (none: no schedulable
+     * entry), kept while its inputs stand still. epoch_ moves with
+     * every input of pick() -- an arrival, a command issued, a queue
+     * erase, the streak reset at a drain's end -- and kept_ is valid
+     * while kept_epoch_ == epoch_ and no bank task filters the scan.
      */
-    std::optional<SchedDecision> idle_pick_;
-    bool idle_pick_valid_ = false;
+    std::optional<SchedDecision> kept_;
+    std::uint64_t kept_epoch_ = 0;
+    std::uint64_t epoch_ = 1;
 
     Tick next_cmd_at_ = 0;
     Tick last_activity_ = 0;

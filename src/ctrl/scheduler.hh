@@ -116,6 +116,13 @@ struct SchedDecision {
     Tick earliest = 0;          ///< When the command may issue.
 };
 
+/** Field-wise equality (the controller's kept-decision cross-check). */
+inline bool
+operator==(const SchedDecision &a, const SchedDecision &b)
+{
+    return a.index == b.index && a.cmd == b.cmd && a.earliest == b.earliest;
+}
+
 /**
  * FR-FCFS with a per-bank consecutive-row-hit cap. pick() is one
  * forward scan over the queue's age-ordered mirrors: the first row hit

@@ -135,8 +135,11 @@ GrapheneDefense::onRfmIssued(const RfmRequest &, Tick, Tick)
 Tick
 GrapheneDefense::nextEventTick(Tick) const
 {
-    // Tables only move on activations, which already wake the
-    // controller; no timer needed.
+    // No timer. An activation does not wake the controller at its next
+    // command slot, so a VRR queued by onActivate() waits for the
+    // controller's next wake-up, and arrivals move that wake-up: when it
+    // issues depends on the traffic around it. The figure goldens pin this
+    // timing.
     return sim::kTickMax;
 }
 

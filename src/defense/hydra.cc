@@ -216,6 +216,11 @@ HydraDefense::onRfmIssued(const RfmRequest &, Tick, Tick)
 Tick
 HydraDefense::nextEventTick(Tick) const
 {
+    // No timer. An activation does not wake the controller at its next
+    // command slot, so a VRR or counter fetch queued by onActivate() waits
+    // for the controller's next wake-up, and arrivals move that wake-up:
+    // when it issues depends on the traffic around it. The figure goldens
+    // pin this timing.
     return sim::kTickMax;
 }
 

@@ -38,6 +38,11 @@ ParaDefense::onRfmIssued(const RfmRequest &, Tick, Tick)
 Tick
 ParaDefense::nextEventTick(Tick) const
 {
+    // No timer. An activation does not wake the controller at its next
+    // command slot, so a victim refresh queued by onActivate() waits for the
+    // controller's next wake-up, and arrivals move that wake-up: when it
+    // issues depends on the traffic around it. The figure goldens pin this
+    // timing.
     return sim::kTickMax;
 }
 

@@ -335,6 +335,14 @@ class EventQueue
      * are always refused. An advance counts in KernelStats::events_run.
      * @return true when the clock moved to @p t; the caller then does
      * at once what its callback at @p t would have done.
+     *
+     * The memory controller calls this at the end of each wake-up and,
+     * with @p t == now(), from enqueue() inside an arrival's event
+     * (System::dispatch): the wake-up it would schedule at the current
+     * tick fires right after the running callback, so it runs there
+     * instead. Whatever the running callback does after such an
+     * in-place call sees the clock the call left; it must not read the
+     * clock or schedule an event.
      */
     bool
     advanceIfNext(Tick t)

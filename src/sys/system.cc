@@ -141,6 +141,8 @@ System::dispatch(InFlight &slot)
         return;
     }
     const bool is_read = slot.req.type == ctrl::Request::Type::kRead;
+    // enqueue() may run the controller's wake-up in place and advance
+    // the clock: nothing after it may read the clock or schedule.
     const bool accepted = controller.enqueue(std::move(slot.req));
     LEAKY_ASSERT(accepted, "enqueue failed with queue space available");
     if (!is_read)

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <optional>
 
 #include "attack/dram_addr.hh"
@@ -16,7 +17,9 @@
 #include "defense/prac.hh"
 #include "defense/prfm.hh"
 #include "sim/event_queue.hh"
+#include "sys/core.hh"
 #include "sys/system.hh"
+#include "workload/synthetic.hh"
 #include "testing_alloc_counter.hh"
 
 namespace {
@@ -174,6 +177,53 @@ TEST_F(ControllerTest, QueueFullRejectsRequest)
     extra.type = Request::Type::kRead;
     extra.addr = addr(0, 0, 12345);
     EXPECT_FALSE(ctrl_.enqueue(extra));
+}
+
+TEST_F(ControllerTest, EnqueueOutsideRunKeepsScheduledWake)
+{
+    // Outside runUntil() an arrival cannot run the controller in
+    // place: it schedules the wake-up at the arrival tick, and the
+    // read is served once the queue runs again.
+    eq_.runUntil(1'000);
+    std::optional<Tick> done;
+    Completions reads(eq_, [&done](Tick t) { done = t; });
+    ASSERT_TRUE(reads.enqueue(ctrl_, addr(0, 0, 10)));
+    EXPECT_EQ(eq_.nextEventTick(), eq_.now());
+    EXPECT_EQ(ctrl_.channel().commandCount(leaky::dram::Command::kAct), 0u);
+    eq_.runUntil(eq_.now() + leaky::sim::kUs);
+    ASSERT_TRUE(done.has_value());
+    EXPECT_EQ(ctrl_.stats().reads_served, 1u);
+}
+
+TEST_F(ControllerTest, SameTickArrivalsKeepFireOrder)
+{
+    // Two arrivals at one tick, then another event at that tick. The
+    // controller wakes after all three, so it sees both requests: the
+    // younger row hit goes before the older conflict, and the third
+    // event observes no command issued yet.
+    using leaky::dram::Command;
+    ASSERT_TRUE(readAndWait(addr(0, 0, 20)).has_value());
+    const auto &chan = ctrl_.channel();
+    const auto pres = chan.commandCount(Command::kPre);
+    const auto rds = chan.commandCount(Command::kRd);
+
+    std::optional<Tick> conflict_done, hit_done;
+    Completions conflict(eq_, [&](Tick t) { conflict_done = t; });
+    Completions hit(eq_, [&](Tick t) { hit_done = t; });
+    const Tick at = eq_.now() + 500'000;
+    bool observed = false;
+    eq_.schedule(at, [&] { conflict.enqueue(ctrl_, addr(0, 0, 10)); });
+    eq_.schedule(at, [&] { hit.enqueue(ctrl_, addr(0, 0, 20, 1)); });
+    eq_.schedule(at, [&] {
+        observed = true;
+        EXPECT_EQ(chan.commandCount(Command::kPre), pres);
+        EXPECT_EQ(chan.commandCount(Command::kRd), rds);
+    });
+    eq_.runUntil(at + leaky::sim::kUs);
+    ASSERT_TRUE(observed);
+    ASSERT_TRUE(conflict_done.has_value());
+    ASSERT_TRUE(hit_done.has_value());
+    EXPECT_LT(*hit_done, *conflict_done);
 }
 
 TEST_F(ControllerTest, IdleSystemRefreshesEveryTrefi)
@@ -551,6 +601,119 @@ TEST_F(ControllerTest, PreventiveTimelinePinned)
         EXPECT_EQ(tl.counts, c.counts);
         EXPECT_EQ(tl.catch_up_refs, c.catch_up_refs);
         EXPECT_EQ(tl.digest, c.digest);
+    }
+}
+
+/**
+ * A MemoryPort in front of a System that folds every read's issue tick
+ * and completion tick into an FNV-1a digest, in completion order.
+ */
+class ServiceRecorder final : public leaky::sys::MemoryPort
+{
+  public:
+    explicit ServiceRecorder(leaky::sys::System &system) : sys_(system) {}
+
+    Tick now() const override { return sys_.now(); }
+    void
+    schedule(Tick delay, std::function<void()> fn) override
+    {
+        sys_.schedule(delay, std::move(fn));
+    }
+    void
+    schedule(Tick delay, leaky::sim::Event &ev) override
+    {
+        sys_.schedule(delay, ev);
+    }
+    void
+    issueRead(std::uint64_t phys_addr, std::int32_t source,
+              ReadCallback cb) override
+    {
+        sys_.issueRead(phys_addr, source,
+                       [this, issued = sys_.now(),
+                        cb = std::move(cb)](Tick done) {
+                           tl_.mix(issued, 8);
+                           tl_.mix(done, 8);
+                           reads_ += 1;
+                           cb(done);
+                       });
+    }
+    void
+    issueWrite(std::uint64_t phys_addr, std::int32_t source) override
+    {
+        sys_.issueWrite(phys_addr, source);
+    }
+    const leaky::dram::MappingFunction &
+    mapper() const override
+    {
+        return sys_.mapper();
+    }
+
+    std::uint64_t digest() const { return tl_.digest; }
+    std::uint64_t reads() const { return reads_; }
+
+  private:
+    leaky::sys::System &sys_;
+    Timeline tl_;
+    std::uint64_t reads_ = 0;
+};
+
+TEST_F(ControllerTest, ServiceTimelinePinned)
+{
+    // Exact service timing of every DRAM read in a short Fig. 13-style
+    // four-core read/write mix (warm counters), one case per defense
+    // family at a threshold where it acts. It pins the interleaving of
+    // arrivals, scheduler decisions and preventive actions that the
+    // timeline above leaves out: a wake-up that moves by one tick moves
+    // some read's completion. An arrival that stopped waking the
+    // controller when it could issue nothing at once changes the PRAC
+    // and PRFM digests.
+    using leaky::defense::DefenseKind;
+    struct Case {
+        DefenseKind kind;
+        std::uint32_t nrh;
+        std::uint64_t digest;
+        std::uint64_t reads;
+        std::uint64_t writes;     ///< CtrlStats::writes_served.
+        std::uint64_t preventive; ///< CtrlStats::preventiveActions().
+    };
+    const Case cases[] = {
+        {DefenseKind::kPrac, 1024, 13469624282640009387ULL, 72775, 793, 51},
+        {DefenseKind::kPrfm, 256, 1972112869671764489ULL, 72753, 772, 641},
+        {DefenseKind::kPara, 1024, 11572473067724227063ULL, 73097, 840,
+         808},
+        {DefenseKind::kGraphene, 256, 4576312800434407979ULL, 68734, 567,
+         10112},
+        {DefenseKind::kHydra, 64, 6706305139847396522ULL, 73057, 840, 114},
+        {DefenseKind::kFrRfm, 256, 17800067615440630708ULL, 54912, 103,
+         2604},
+    };
+    const leaky::workload::Mix mix = leaky::workload::makeMixes(1).front();
+    for (const Case &c : cases) {
+        SCOPED_TRACE(leaky::defense::defenseName(c.kind));
+        auto cfg = leaky::sys::SystemConfig::paper(c.kind, c.nrh);
+        cfg.defense.warm_counters = true;
+        leaky::sys::System system(cfg);
+        ServiceRecorder port(system);
+        std::vector<std::unique_ptr<leaky::sys::TraceCore>> cores;
+        for (const auto &app : mix.apps) {
+            leaky::sys::CoreConfig core_cfg;
+            core_cfg.mshrs = app.mlp;
+            cores.push_back(std::make_unique<leaky::sys::TraceCore>(
+                port, core_cfg,
+                [stream = leaky::workload::AppTraceStream(
+                     app, system.mapper())]() mutable {
+                    return stream.next();
+                },
+                leaky::workload::kAppTracePeriod,
+                static_cast<std::int32_t>(cores.size())));
+        }
+        for (const auto &core : cores)
+            core->start();
+        system.run(2 * leaky::sim::kMs);
+        EXPECT_EQ(port.reads(), c.reads);
+        EXPECT_EQ(system.stats(0).writes_served, c.writes);
+        EXPECT_EQ(system.stats(0).preventiveActions(), c.preventive);
+        EXPECT_EQ(port.digest(), c.digest);
     }
 }
 
