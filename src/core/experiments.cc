@@ -1,6 +1,5 @@
 #include "core/experiments.hh"
 
-#include <algorithm>
 #include <optional>
 
 #include "attack/counter_leak.hh"
@@ -76,28 +75,34 @@ Simulation::Simulation(const Environment &env,
             workload::kAppTracePeriod,
             static_cast<std::int32_t>(cores.size())));
     }
+    if (env.inst_budget) {
+        budgets_left_ = cores.size();
+        for (const auto &core : cores)
+            core->onBudgetDone(&Simulation::budgetDone, this);
+    }
     for (const auto &core : cores)
         core->start();
 }
 
-bool
-Simulation::runUntil(const std::function<bool()> &done, Tick slice,
-                     Tick limit)
+void
+Simulation::budgetDone(void *self)
 {
-    const Tick end = system.now() + limit;
-    while (!done() && system.now() < end)
-        system.run(slice);
-    return done();
+    auto &sim = *static_cast<Simulation *>(self);
+    if (--sim.budgets_left_ == 0)
+        sim.system.stop();
 }
 
 void
 Simulation::runAgent(const std::function<void(std::function<void()>)> &start)
 {
     bool done = false;
-    start([&done] { done = true; });
-    const bool finished =
-        runUntil([&done] { return done; }, sim::kMs, kAgentDeadline);
-    LEAKY_ASSERT(finished, "measured agent missed its deadline");
+    start([this, &done] {
+        done = true;
+        system.stop();
+    });
+    if (!done) // An agent may finish inside start(), outside any run.
+        system.run(kAgentDeadline);
+    LEAKY_ASSERT(done, "measured agent missed its deadline");
 }
 
 // ------------------------------------------------------------- Fig. 2
@@ -120,6 +125,10 @@ runLatencyTrace(std::uint32_t iterations, std::uint32_t rfms_per_backoff)
     probe_cfg.iterations = iterations;
     attack::LatencyProbe probe(system, probe_cfg);
     sim.runAgent([&probe](auto done) { probe.start(std::move(done)); });
+    // Run on to the next whole millisecond: the stats below (Fig. 2's
+    // ground truth, quickstart's counts) include this idle tail.
+    // ROADMAP item 2 drops it with a golden re-pin.
+    system.run((sim::kMs - system.now() % sim::kMs) % sim::kMs);
 
     LatencyTraceResult result;
     result.samples = probe.samples();
@@ -548,17 +557,11 @@ appIpcs(const sys::SystemConfig &system,
     env.background = apps;
     env.inst_budget = insts_per_core;
     Simulation sim(env);
-    const auto &cores = sim.cores;
-    sim.runUntil(
-        [&cores] {
-            return std::all_of(cores.begin(), cores.end(),
-                               [](const auto &core) {
-                                   return core->budgetDone();
-                               });
-        },
-        500 * sim::kUs, kPerfRunCap);
+    // The last core to retire its budget stops the run; a finished
+    // core's IPC reads only its finishTick().
+    sim.system.run(kPerfRunCap);
     std::vector<double> ipcs;
-    for (const auto &core : cores)
+    for (const auto &core : sim.cores)
         ipcs.push_back(core->ipcAt(sim.system.now()));
     return ipcs;
 }

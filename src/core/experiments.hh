@@ -87,27 +87,33 @@ struct Environment {
  * A built Environment — the one place a System is built for a run:
  * the System, with the noise agent, the browser and the apps started
  * in that order and kept alive with it.
+ *
+ * A run ends at the event that fixes its result: with an
+ * `inst_budget`, the event in which the last core retires it stops
+ * `system.run()` (Fig. 13), and runAgent() stops at the event in which
+ * the measured agent finishes. The clock is left at that event's tick
+ * (sys::System::stop()).
  */
 struct Simulation {
     /** Noise rows go in @p noise_bank. */
     explicit Simulation(const Environment &env,
                         const BankPlacement &noise_bank = {});
 
-    /** The one run loop: advance in @p slice steps until @p done()
-     *  holds or @p limit of simulated time has passed; returns
-     *  done(). */
-    bool runUntil(const std::function<bool()> &done, Tick slice,
-                  Tick limit);
-
     /** Start the measured agent — @p start hands it the callback to
-     *  call once it has finished — and run in 1 ms slices until it
-     *  has, asserting that it does within a simulated minute. */
+     *  call once it has finished — and run until it has, asserting
+     *  that it does within a simulated minute. */
     void runAgent(const std::function<void(std::function<void()>)> &start);
 
     sys::System system;
     std::unique_ptr<attack::NoiseAgent> noise;
     /** The browser's core (if any), then one per app in order. */
     std::vector<std::unique_ptr<sys::TraceCore>> cores;
+
+  private:
+    /** A core retired its budget: the last one stops the run. */
+    static void budgetDone(void *self);
+
+    std::size_t budgets_left_ = 0;
 };
 
 // ------------------------------------------------------------- Fig. 2

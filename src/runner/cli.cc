@@ -29,7 +29,7 @@ constexpr int kInterrupted = 3;
 /** Help for every --full flag: all 29 figures at paper scale took
  *  about 3.5 min of wall time on a 4-CPU host. */
 constexpr const char *kFullHelp =
-    "paper scale (about 3.5 min for every figure on 4 CPUs)";
+    "paper scale (about 2.5 min for every figure on 4 CPUs)";
 
 // --------------------------------------------------------------- list
 

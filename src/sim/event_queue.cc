@@ -321,12 +321,14 @@ EventQueue::runUntil(Tick limit)
 {
     const Tick outer = horizon_;
     horizon_ = limit == kTickMax ? kTickMax : limit + 1;
-    while (runNext(limit)) {
+    stopped_ = false;
+    while (!stopped_ && runNext(limit)) {
     }
     horizon_ = outer;
-    // All remaining events (if any) lie strictly after the limit, so the
-    // clock can safely advance to it.
-    if (limit != kTickMax && now_ < limit)
+    // Unless stopped (events of the stopping tick may still be pending),
+    // all remaining events lie strictly after the limit, so the clock
+    // can safely advance to it.
+    if (!stopped_ && limit != kTickMax && now_ < limit)
         now_ = limit;
 }
 

@@ -320,8 +320,26 @@ class EventQueue
     /** Run a single event. @return false if the queue was empty. */
     bool step();
 
-    /** Run until empty or until @p limit is reached (inclusive). */
+    /** Run until empty, until @p limit is reached (inclusive) or
+     *  until a callback calls stop(). Unless stopped, the clock ends
+     *  at @p limit. */
     void runUntil(Tick limit);
+
+    /**
+     * End the running runUntil() (or run()) once the calling callback
+     * returns. The clock stays at that callback's tick instead of
+     * moving on to the limit, events still pending at that tick stay
+     * queued, and advanceIfNext() refuses for the rest of the
+     * callback, so a later runUntil() resumes in the same (tick, seq)
+     * order an unbroken run would have kept. A stop() made outside a
+     * run ends nothing: every runUntil() starts unstopped.
+     */
+    void
+    stop()
+    {
+        stopped_ = true;
+        horizon_ = 0;
+    }
 
     /** Run until the queue is empty. */
     void run() { runUntil(kTickMax); }
@@ -513,8 +531,10 @@ class EventQueue
     static constexpr HeapEntry kNoFront{kTickMax, 0, kNoFreeSlot};
     HeapEntry front_ = kNoFront;
     /** advanceIfNext() moves the clock only to ticks below this: the
-     *  running runUntil()'s limit + 1, or 0 outside a run. */
+     *  running runUntil()'s limit + 1, or 0 outside a run and after a
+     *  stop(). */
     Tick horizon_ = 0;
+    bool stopped_ = false; ///< Set by stop(), cleared as runUntil() starts.
     /** Tail of the newest run of each tick, at [when % kTailSlots]. */
     std::array<std::uint32_t, kTailSlots> tails_ = emptyTails();
     KernelStats stats_;

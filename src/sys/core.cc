@@ -57,8 +57,11 @@ void
 TraceCore::retire(std::uint64_t insts)
 {
     insts_retired_ += insts;
-    if (finish_tick_ == 0 && insts_retired_ >= cfg_.inst_budget)
+    if (finish_tick_ == 0 && insts_retired_ >= cfg_.inst_budget) {
         finish_tick_ = std::max<Tick>(port_.now(), ready_time_);
+        if (const BudgetDoneFn fn = std::exchange(budget_done_, nullptr))
+            fn(budget_done_ctx_);
+    }
 }
 
 double

@@ -61,6 +61,18 @@ class TraceCore
     TraceCore(MemoryPort &port, const CoreConfig &cfg,
               std::vector<TraceEntry> trace, std::int32_t source_id);
 
+    /** Called once, from inside the event that retires the budget. */
+    using BudgetDoneFn = void (*)(void *ctx);
+
+    /** Call @p fn(@p ctx) when the budget is retired; set before
+     *  start(). */
+    void
+    onBudgetDone(BudgetDoneFn fn, void *ctx)
+    {
+        budget_done_ = fn;
+        budget_done_ctx_ = ctx;
+    }
+
     /** Begin execution at the current simulation time. */
     void start();
 
@@ -134,6 +146,8 @@ class TraceCore
     sim::Event wake_; ///< Resumes dispatch() at the dispatch clock.
     Tick start_tick_ = 0;
     Tick finish_tick_ = 0;
+    BudgetDoneFn budget_done_ = nullptr;
+    void *budget_done_ctx_ = nullptr;
     std::uint64_t mem_reads_ = 0;
     std::uint64_t mem_writes_ = 0;
 };

@@ -76,8 +76,13 @@ class System final : public MemoryPort
     void setPreventiveListener(std::uint32_t ch,
                                ctrl::MemoryController::Listener listener);
 
-    /** Advance simulation by @p duration ticks. */
+    /** Advance simulation by @p duration ticks, or until a callback
+     *  calls stop(). */
     void run(Tick duration);
+
+    /** End the running run() once the calling callback returns, with
+     *  the clock left at its tick (sim::EventQueue::stop()). */
+    void stop() { eq_.stop(); }
 
     // MemoryPort
     Tick now() const override { return eq_.now(); }

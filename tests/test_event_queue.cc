@@ -142,6 +142,73 @@ TEST(EventQueue, RunUntilStopsAtLimitAndAdvancesClock)
     EXPECT_EQ(fired, 2);
 }
 
+TEST(EventQueue, StopEndsTheRunAfterTheCallingCallback)
+{
+    EventQueue eq;
+    std::vector<int> order;
+    eq.schedule(10, [&] { order.push_back(1); });
+    eq.schedule(10, [&] {
+        order.push_back(2);
+        eq.stop();
+        // The rest of the stopping callback still runs.
+        order.push_back(3);
+    });
+    eq.schedule(10, [&] { order.push_back(4); });
+    eq.schedule(20, [&] { order.push_back(5); });
+    eq.runUntil(100);
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+    EXPECT_EQ(eq.now(), 10u); // Not the limit.
+    EXPECT_EQ(eq.size(), 2u);
+
+    // The events left at the stopping tick fire first, in order.
+    eq.schedule(10, [&] { order.push_back(6); });
+    eq.runUntil(100);
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 6, 5}));
+    EXPECT_EQ(eq.now(), 100u);
+    EXPECT_TRUE(eq.empty());
+}
+
+TEST(EventQueue, AdvanceIfNextRefusesAfterStop)
+{
+    EventQueue eq;
+    std::vector<bool> got;
+    eq.schedule(50, [] {});
+    eq.schedule(10, [&] {
+        got.push_back(eq.advanceIfNext(20));
+        eq.stop();
+        got.push_back(eq.advanceIfNext(30)); // Allowed before the stop.
+        got.push_back(eq.now() == 20);
+    });
+    eq.runUntil(100);
+    EXPECT_EQ(got, (std::vector<bool>{true, false, true}));
+    EXPECT_EQ(eq.now(), 20u);
+
+    // The next run advances in place again.
+    got.clear();
+    eq.schedule(25, [&] { got.push_back(eq.advanceIfNext(30)); });
+    eq.runUntil(100);
+    EXPECT_EQ(got, (std::vector<bool>{true}));
+    EXPECT_EQ(eq.now(), 100u);
+}
+
+TEST(EventQueue, StopOutsideARunDoesNotEndTheNextRun)
+{
+    EventQueue eq;
+    int fired = 0;
+    eq.stop();
+    // Nor does one from a callback that step() runs.
+    eq.schedule(5, [&] {
+        fired += 1;
+        eq.stop();
+    });
+    EXPECT_TRUE(eq.step());
+    for (Tick t : {10, 20, 30})
+        eq.schedule(t, [&] { fired += 1; });
+    eq.runUntil(50);
+    EXPECT_EQ(fired, 4);
+    EXPECT_EQ(eq.now(), 50u);
+}
+
 TEST(EventQueue, EventsCanScheduleMoreEvents)
 {
     EventQueue eq;
@@ -446,11 +513,15 @@ class Differential
         cancelAt(static_cast<std::size_t>(it - model_.begin()));
     }
 
-    /** Run both up to @p limit (inclusive). */
+    /** Run both up to @p limit (inclusive). When pending event
+     *  @p stop_id fires, it calls stop(): the run ends after it, with
+     *  the clock at its tick, and later events stay pending. */
     void
-    runUntil(Tick limit)
+    runUntil(Tick limit, int stop_id = -1)
     {
+        stop_id_ = stop_id;
         eq.runUntil(limit);
+        stop_id_ = -1;
         std::vector<Pending> due;
         for (std::size_t i = 0; i < model_.size();) {
             if (model_[i].when <= limit) {
@@ -466,12 +537,23 @@ class Differential
                       return a.when != b.when ? a.when < b.when
                                               : a.seq < b.seq;
                   });
-        for (const Pending &p : due)
+        bool stopped = false;
+        for (const Pending &p : due) {
+            if (stopped) {
+                model_.push_back(p);
+                continue;
+            }
             expected.push_back(p.id);
+            if (p.id == stop_id) {
+                stopped = true;
+                EXPECT_EQ(eq.now(), p.when) << "stopped at " << p.id;
+            }
+        }
     }
 
     std::size_t pending() const { return model_.size(); }
     Tick pendingWhen(std::size_t k) const { return model_[k].when; }
+    int pendingId(std::size_t k) const { return model_[k].id; }
 
     /** Model index of the first-firing pending event (the front run's
      *  head), or with @p tail the last one at that tick (its tail). */
@@ -505,6 +587,8 @@ class Differential
     fire(int id, bool spawn)
     {
         fired.push_back(id);
+        if (id == stop_id_)
+            eq.stop();
         // The child joins the model mid-run; it fires inside the same
         // runUntil() slice, after every pending event of this tick.
         if (spawn)
@@ -514,6 +598,7 @@ class Differential
     std::vector<Pending> model_;
     std::uint64_t seq_ = 0;
     int next_id_ = 0;
+    int stop_id_ = -1; ///< Pending event that calls stop() (-1: none).
 };
 
 TEST(EventQueueProperty, MatchesReferenceOrder)
@@ -704,6 +789,48 @@ TEST(EventQueueProperty, FrontRunTrafficMatchesReferenceOrder)
     }
     EXPECT_GT(front_runs, 1000u);
     EXPECT_GT(run_appends, 1000u);
+}
+
+TEST(EventQueueProperty, StopsAtRandomEventsResumeInReferenceOrder)
+{
+    // A randomized schedule split at random stop points: each stopping
+    // run ends at a pending event (often one of a same-tick run, with
+    // spawners adding children at its tick) and the next run resumes
+    // in exactly the reference order.
+    std::uint64_t stops = 0;
+    for (const std::uint64_t seed : {13u, 14u, 15u}) {
+        leaky::sim::Rng rng(seed);
+        Differential d;
+        for (int step = 0; step < 2000; ++step) {
+            const std::uint64_t op = rng.below(100);
+            if (op < 50 || d.pending() == 0) {
+                const int burst = 1 + static_cast<int>(rng.below(6));
+                const Tick span = rng.below(2) == 0 ? 4 : 400;
+                for (int b = 0; b < burst; ++b)
+                    d.add(d.eq.now() + rng.below(span),
+                          rng.below(4) == 0);
+            } else if (op < 60) {
+                d.cancelAt(rng.below(d.pending()));
+            } else if (op < 90) {
+                const std::size_t k = rng.below(d.pending());
+                const Tick when = d.pendingWhen(k);
+                d.runUntil(when + rng.below(64), d.pendingId(k));
+                ASSERT_EQ(d.fired, d.expected) << "seed " << seed
+                                               << " step " << step;
+                ASSERT_EQ(d.eq.now(), when);
+                stops += 1;
+            } else {
+                const std::size_t k = rng.below(d.pending());
+                d.runUntil(d.pendingWhen(k) + rng.below(64));
+                ASSERT_EQ(d.fired, d.expected) << "seed " << seed
+                                               << " step " << step;
+            }
+        }
+        d.runUntil(kTickMax);
+        ASSERT_EQ(d.fired, d.expected) << "seed " << seed;
+        EXPECT_TRUE(d.eq.empty());
+    }
+    EXPECT_GT(stops, 1000u);
 }
 
 TEST(EventQueue, AdvanceIfNextRefusesOutsideARun)

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 
+#include "attack/dram_addr.hh"
 #include "core/experiments.hh"
 #include "core/report.hh"
 
@@ -29,6 +31,53 @@ TEST(Experiments, LatencyTraceSeparatesBands)
               result.mean_refresh_latency_ns);
     EXPECT_GT(result.mean_refresh_latency_ns,
               result.mean_conflict_latency_ns);
+}
+
+/** A polling loop would end a run on a multiple of this slice. */
+constexpr sim::Tick kPollSlice = 500 * sim::kUs;
+
+TEST(Experiments, RunAgentStopsAtTheEventThatReportsDone)
+{
+    core::Simulation sim{core::Environment{}};
+    sys::System &system = sim.system;
+    attack::ProbeConfig cfg;
+    cfg.channel = 0;
+    cfg.addrs = {attack::rowAddress(system.mapper(), 0, 0, 0, 0, 1000),
+                 attack::rowAddress(system.mapper(), 0, 0, 0, 0, 2000)};
+    cfg.iterations = 300;
+    attack::LatencyProbe probe(system, cfg);
+    sim::Tick done_at = 0;
+    sim.runAgent([&](auto done) {
+        probe.start([&, done = std::move(done)] {
+            done_at = system.now();
+            done();
+        });
+    });
+    ASSERT_GT(done_at, 0u);
+    EXPECT_EQ(system.now(), done_at);
+    EXPECT_NE(done_at % kPollSlice, 0u);
+}
+
+TEST(Experiments, BudgetedRunStopsWhereItsLastCoreFinished)
+{
+    // Fig. 13's shape: four budgeted app cores under a cap.
+    core::Environment env;
+    env.system = sys::SystemConfig::paper(defense::DefenseKind::kNone, 1024);
+    env.background = workload::makeMixes(1, 4, 42).front().apps;
+    env.inst_budget = 50'000;
+    core::Simulation sim(env);
+    sim.system.run(80 * sim::kMs);
+    sim::Tick last = 0;
+    for (const auto &core : sim.cores) {
+        ASSERT_TRUE(core->budgetDone());
+        last = std::max(last, core->finishTick());
+    }
+    // The last core's finish tick may run ahead of the retiring event
+    // by that record's compute burst, never by a microsecond.
+    const sim::Tick now = sim.system.now();
+    EXPECT_LE(now, last);
+    EXPECT_GT(now + sim::kUs, last);
+    EXPECT_NE(now % kPollSlice, 0u);
 }
 
 /** A 4-byte checkered payload on the default PRAC scenario. */

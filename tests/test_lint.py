@@ -194,6 +194,32 @@ class GrammarTable(unittest.TestCase):
         ("system_in_tests_accepted", "tests/foo.cc",
          "void f(const sys::SystemConfig &c) { sys::System system(c); }\n",
          []),
+        # ----------------------------------------- single-run-loop
+        ("run_loop_in_runner_rejected", "src/runner/foo.cc",
+         "void f(sys::System &s) { while (!done) s.run(kMs); }\n",
+         ["single-run-loop"]),
+        ("run_loop_through_pointer_rejected", "src/fuzz/foo.cc",
+         "void f(sys::System *s) { s->run(kMs); }\n",
+         ["single-run-loop"]),
+        ("run_until_on_queue_rejected", "src/core/foo.cc",
+         "void f(sys::System &s) { s.eventQueue().runUntil(t); }\n",
+         ["single-run-loop"]),
+        ("run_declaration_accepted", "src/sys/foo.hh",
+         "struct Rig { void run(Tick duration); };\n"
+         "void Rig::run(Tick duration) {}\n",
+         []),
+        ("run_in_experiments_accepted", "src/core/experiments.cc",
+         "void f(Simulation &sim) { sim.system.run(kPerfRunCap); }\n",
+         []),
+        ("run_in_covert_loop_accepted", "src/attack/covert.cc",
+         "void f(sys::System &system) { system.run(window); }\n",
+         []),
+        ("run_in_system_accepted", "src/sys/system.cc",
+         "void System::run(Tick d) { eq_.runUntil(eq_.now() + d); }\n",
+         []),
+        ("run_in_tests_accepted", "tests/foo.cc",
+         "void f(sys::System &s) { s.run(kMs); }\n",
+         []),
         # ------------------------------------------- no-raw-assert
         ("raw_assert_rejected", "src/sim/foo.cc",
          "void f(int x) { assert(x > 0); }\n",

@@ -45,6 +45,7 @@ ALL_RULES = (
     channels.ExplicitChannel(),
     covert.SingleCovertLoop(),
     builder.SingleSystemBuilder(),
+    builder.SingleRunLoop(),
     assertions.NoRawAssert(),
     assertions.NoSideEffectDchecks(),
     signals.SignalHandlerSafety(),
