@@ -41,7 +41,7 @@ struct CounterLeakResult {
 };
 
 /** The attacker process of §9.1. */
-class CounterLeakAttacker
+class CounterLeakAttacker final : private AccessLoop::Agent
 {
   public:
     CounterLeakAttacker(sys::MemoryPort &port,
@@ -51,13 +51,14 @@ class CounterLeakAttacker
     void leak(std::function<void(const CounterLeakResult &)> on_done);
 
   private:
-    void iterate();
+    std::optional<std::uint64_t> step() override;
+    void onRead(Tick issued, Tick done, Tick latency) override;
 
     sys::MemoryPort &port_;
     CounterLeakConfig cfg_;
+    AccessLoop loop_;
     std::function<void(const CounterLeakResult &)> on_done_;
     Tick start_ = 0;
-    Tick mark_ = 0;
     bool next_shared_ = true;
     std::uint32_t shared_activations_ = 0;
 };
@@ -66,7 +67,7 @@ class CounterLeakAttacker
  * A scripted victim that activates the shared row a secret number of
  * times (priming the counter), then hands control to @p on_done.
  */
-class CounterLeakVictim
+class CounterLeakVictim final : private AccessLoop::Agent
 {
   public:
     CounterLeakVictim(sys::MemoryPort &port, std::uint64_t shared_addr,
@@ -76,10 +77,12 @@ class CounterLeakVictim
 
   private:
     void iterate();
+    std::optional<std::uint64_t> step() override;
+    void onRead(Tick issued, Tick done, Tick latency) override;
 
-    sys::MemoryPort &port_;
     std::uint64_t shared_addr_;
     std::uint64_t conflict_addr_;
+    AccessLoop loop_;
     std::function<void()> on_done_;
     std::uint32_t remaining_ = 0;
     bool next_shared_ = true;

@@ -15,20 +15,20 @@ namespace {
 /** Refresh-blackout drain lead-in before the REF (§10.1 filter). */
 constexpr Tick kBlackoutPre = 150'000;
 
-/** Requestor ids the sender and the receiver issue under. */
-constexpr std::int32_t kSenderSource = 200;
-constexpr std::int32_t kReceiverSource = 201;
-
 } // namespace
 
 // ---------------------------------------------------------------- sender
 
 CovertSender::CovertSender(sys::MemoryPort &port, const CovertConfig &cfg)
-    : port_(port), cfg_(cfg)
+    : port_(port), cfg_(cfg), loop_(port, *this)
 {
     LEAKY_ASSERT(cfg_.sender_addr != 0, "sender address not configured");
     LEAKY_ASSERT(cfg_.sender_gaps.size() + 1 >= cfg_.levels,
                  "need a sender gap per non-zero symbol");
+    // Every window start re-arms (moves) the step, so each window must
+    // fit at least one access.
+    LEAKY_ASSERT(cfg_.window > kIterOverhead,
+                 "covert window shorter than one access");
 }
 
 void
@@ -36,7 +36,6 @@ CovertSender::transmit(std::vector<std::uint8_t> symbols, Tick epoch)
 {
     symbols_ = std::move(symbols);
     epoch_ = epoch;
-    window_index_ = 0;
     const Tick now = port_.now();
     LEAKY_ASSERT(epoch_ >= now, "epoch in the past");
     port_.schedule(epoch_ - now, [this] { windowStart(0); });
@@ -47,14 +46,13 @@ CovertSender::windowStart(std::size_t index)
 {
     if (index >= symbols_.size())
         return;
-    window_index_ = index;
+    window_begin_ = port_.now();
     window_end_ = epoch_ + (index + 1) * cfg_.window;
     port_.schedule(window_end_ - port_.now(),
                    [this, index] { windowStart(index + 1); });
 
     const std::uint8_t symbol = symbols_[index];
-    loop_id_ += 1; // Invalidate any loop still draining in flight.
-    seq_pos_ = 0;  // Fuzz patterns restart at the head every window.
+    seq_pos_ = 0; // Fuzz patterns restart at the head every window.
     if (symbol == 0) {
         active_ = false; // Idle window transmits logic-0.
         return;
@@ -62,52 +60,56 @@ CovertSender::windowStart(std::size_t index)
     gap_ = cfg_.sender_gaps[std::min<std::size_t>(
         symbol - 1, cfg_.sender_gaps.size() - 1)];
     active_ = true;
-    mark_ = port_.now();
-    accessLoop();
+    loop_.restart();
+    next(); // Moves a gapped step the last window left pending.
 }
 
 void
-CovertSender::accessLoop()
+CovertSender::next()
 {
-    if (!active_ || port_.now() + kIterOverhead >= window_end_)
+    if (active_ && port_.now() + kIterOverhead < window_end_)
+        loop_.arm(gap_);
+}
+
+std::optional<std::uint64_t>
+CovertSender::step()
+{
+    if (!active_ || port_.now() >= window_end_)
+        return std::nullopt;
+    if (!cfg_.sender_sequence.empty()) {
+        const std::uint64_t addr = cfg_.sender_sequence[seq_pos_];
+        seq_pos_ = (seq_pos_ + 1) % cfg_.sender_sequence.size();
+        return addr;
+    }
+    return (cfg_.sender_addr2 != 0 && (accesses_ & 1)) ? cfg_.sender_addr2
+                                                       : cfg_.sender_addr;
+}
+
+void
+CovertSender::onRead(Tick issued, Tick, Tick latency)
+{
+    accesses_ += 1;
+    // A read issued before this window started still counts (above)
+    // and still ends an iteration (the loop's latency mark), but its
+    // window's loop is over: the new window armed its own.
+    if (issued < window_begin_)
         return;
-    const std::uint64_t id = loop_id_;
-    port_.schedule(kIterOverhead + gap_, [this, id] {
-        if (id != loop_id_ || !active_ || port_.now() >= window_end_)
-            return;
-        std::uint64_t addr = (cfg_.sender_addr2 != 0 && (accesses_ & 1))
-                                 ? cfg_.sender_addr2
-                                 : cfg_.sender_addr;
-        if (!cfg_.sender_sequence.empty()) {
-            addr = cfg_.sender_sequence[seq_pos_];
-            seq_pos_ = (seq_pos_ + 1) % cfg_.sender_sequence.size();
-        }
-        port_.issueRead(addr, kSenderSource,
-                        [this, id](Tick done) {
-            accesses_ += 1;
-            const Tick latency = done - mark_;
-            mark_ = done;
-            if (id != loop_id_)
-                return;
-            // After its own back-off observation the sender sleeps for
-            // the rest of the window (paper §6.3) -- the bit is already
-            // delivered and more activations would waste counter state.
-            if (cfg_.kind == ChannelKind::kPrac &&
-                cfg_.classifier.classify(latency) ==
-                    LatencyClass::kBackoff) {
-                active_ = false;
-                return;
-            }
-            accessLoop();
-        });
-    });
+    // After its own back-off observation the sender sleeps for the rest
+    // of the window (paper §6.3) -- the bit is already delivered and
+    // more activations would waste counter state.
+    if (cfg_.kind == ChannelKind::kPrac &&
+        cfg_.classifier.classify(latency) == LatencyClass::kBackoff) {
+        active_ = false;
+        return;
+    }
+    next();
 }
 
 // -------------------------------------------------------------- receiver
 
 CovertReceiver::CovertReceiver(sys::MemoryPort &port,
                                const CovertConfig &cfg)
-    : port_(port), cfg_(cfg)
+    : port_(port), cfg_(cfg), loop_(port, *this)
 {
     LEAKY_ASSERT(cfg_.receiver_addr != 0,
                  "receiver address not configured");
@@ -120,9 +122,13 @@ CovertReceiver::listen(std::size_t n_symbols, Tick epoch,
     n_symbols_ = n_symbols;
     epoch_ = epoch;
     on_done_ = std::move(on_done);
+    // Reserved up front: finalizing a window allocates nothing.
     decoded_.clear();
+    decoded_.reserve(n_symbols);
     backoff_counts_.clear();
+    backoff_counts_.reserve(n_symbols);
     detections_.clear();
+    detections_.reserve(n_symbols);
     const Tick now = port_.now();
     LEAKY_ASSERT(epoch_ >= now, "epoch in the past");
     port_.schedule(epoch_ - now, [this] { windowStart(0); });
@@ -139,7 +145,6 @@ CovertReceiver::windowStart(std::size_t index)
             on_done_();
         return;
     }
-    window_index_ = index;
     window_end_ = epoch_ + (index + 1) * cfg_.window;
     access_count_ = 0;
     backoffs_seen_ = 0;
@@ -148,57 +153,59 @@ CovertReceiver::windowStart(std::size_t index)
     port_.schedule(window_end_ - port_.now(),
                    [this, index] { windowStart(index + 1); });
 
-    mark_ = port_.now();
+    loop_.restart();
     if (!listening_) {
         listening_ = true;
-        accessLoop();
+        next();
     }
 }
 
 void
-CovertReceiver::accessLoop()
+CovertReceiver::next()
 {
     if (!listening_ || port_.now() + kIterOverhead >= window_end_) {
         listening_ = false;
         return;
     }
-    port_.schedule(kIterOverhead, [this] {
-        if (!listening_)
+    loop_.arm();
+}
+
+std::optional<std::uint64_t>
+CovertReceiver::step()
+{
+    return listening_ ? std::optional(cfg_.receiver_addr) : std::nullopt;
+}
+
+void
+CovertReceiver::onRead(Tick, Tick done, Tick latency)
+{
+    access_count_ += 1;
+    // §10.1 refresh filter: drop events inside the calibrated
+    // periodic-refresh blackout.
+    if (cfg_.refresh_blackout) {
+        const Tick phase = done % cfg_.refi;
+        if (phase < cfg_.blackout_post || phase > cfg_.refi - kBlackoutPre) {
+            next();
             return;
-        port_.issueRead(cfg_.receiver_addr, kReceiverSource,
-                        [this](Tick done) {
-            const Tick latency = done - mark_;
-            mark_ = done;
-            access_count_ += 1;
-            // §10.1 refresh filter: drop events inside the calibrated
-            // periodic-refresh blackout.
-            if (cfg_.refresh_blackout) {
-                const Tick phase = done % cfg_.refi;
-                if (phase < cfg_.blackout_post ||
-                    phase > cfg_.refi - kBlackoutPre) {
-                    accessLoop();
-                    return;
-                }
+        }
+    }
+    const LatencyClass cls = cfg_.classifier.classify(latency);
+    if (cfg_.kind == ChannelKind::kPrac) {
+        if (cls == LatencyClass::kBackoff) {
+            backoffs_seen_ += 1;
+            if (backoffs_seen_ == 1) {
+                count_at_backoff_ = access_count_;
+                // Bit determined: sleep until the window ends to avoid
+                // incrementing counters further (§6.3).
+                listening_ = false;
+                return;
             }
-            const LatencyClass cls = cfg_.classifier.classify(latency);
-            if (cfg_.kind == ChannelKind::kPrac) {
-                if (cls == LatencyClass::kBackoff) {
-                    backoffs_seen_ += 1;
-                    if (backoffs_seen_ == 1) {
-                        count_at_backoff_ = access_count_;
-                        // Bit determined: sleep until the window ends to
-                        // avoid incrementing counters further (§6.3).
-                        listening_ = false;
-                        return;
-                    }
-                }
-            } else {
-                if (cls == LatencyClass::kRfm)
-                    rfm_events_ += 1;
-            }
-            accessLoop();
-        });
-    });
+        }
+    } else {
+        if (cls == LatencyClass::kRfm)
+            rfm_events_ += 1;
+    }
+    next();
 }
 
 std::uint8_t
@@ -231,8 +238,8 @@ CovertReceiver::finalizeWindow()
     // sleep after an early decode.
     if (!listening_) {
         listening_ = true;
-        mark_ = port_.now();
-        accessLoop();
+        loop_.restart();
+        next();
     }
 }
 

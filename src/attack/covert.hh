@@ -94,7 +94,7 @@ struct CovertConfig {
 };
 
 /** Sender process: modulates activation counters per window. */
-class CovertSender
+class CovertSender final : private AccessLoop::Agent
 {
   public:
     CovertSender(sys::MemoryPort &port, const CovertConfig &cfg);
@@ -102,28 +102,28 @@ class CovertSender
     /** Transmit @p symbols in consecutive windows starting at @p epoch. */
     void transmit(std::vector<std::uint8_t> symbols, Tick epoch);
 
-    std::uint64_t accessCount() const { return accesses_; }
-
   private:
     void windowStart(std::size_t index);
-    void accessLoop();
+    /** Arm the next access if it still fits the window. */
+    void next();
+    std::optional<std::uint64_t> step() override;
+    void onRead(Tick issued, Tick done, Tick latency) override;
 
     sys::MemoryPort &port_;
     CovertConfig cfg_;
+    AccessLoop loop_;
     std::vector<std::uint8_t> symbols_;
     Tick epoch_ = 0;
-    std::size_t window_index_ = 0;
+    Tick window_begin_ = 0; ///< Reads issued before it are stale.
     Tick window_end_ = 0;
     Tick gap_ = 0;
     bool active_ = false;
-    std::uint64_t loop_id_ = 0; ///< Guards against duplicate loops.
-    Tick mark_ = 0;
-    std::uint64_t accesses_ = 0;
+    std::uint64_t accesses_ = 0; ///< Its parity alternates sender_addr2.
     std::size_t seq_pos_ = 0; ///< Cursor into cfg_.sender_sequence.
 };
 
 /** Receiver process: measures its own latencies and decodes. */
-class CovertReceiver
+class CovertReceiver final : private AccessLoop::Agent
 {
   public:
     CovertReceiver(sys::MemoryPort &port, const CovertConfig &cfg);
@@ -151,19 +151,21 @@ class CovertReceiver
   private:
     void windowStart(std::size_t index);
     void finalizeWindow();
-    void accessLoop();
+    /** Arm the next access, or stop listening if none fits. */
+    void next();
+    std::optional<std::uint64_t> step() override;
+    void onRead(Tick issued, Tick done, Tick latency) override;
     std::uint8_t decodeSymbol() const;
 
     sys::MemoryPort &port_;
     CovertConfig cfg_;
+    AccessLoop loop_;
     std::size_t n_symbols_ = 0;
     Tick epoch_ = 0;
     std::function<void()> on_done_;
 
-    std::size_t window_index_ = 0;
     Tick window_end_ = 0;
     bool listening_ = false; ///< Issuing accesses in this window.
-    Tick mark_ = 0;
 
     std::uint32_t access_count_ = 0;
     std::uint32_t backoffs_seen_ = 0;

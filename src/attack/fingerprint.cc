@@ -7,16 +7,9 @@
 
 namespace leaky::attack {
 
-namespace {
-
-/** Requestor id of this agent's reads. */
-constexpr std::int32_t kFingerprintSource = 400;
-
-} // namespace
-
 FingerprintProbe::FingerprintProbe(sys::MemoryPort &port,
                                    FingerprintConfig cfg)
-    : port_(port), cfg_(std::move(cfg))
+    : port_(port), cfg_(std::move(cfg)), loop_(port, *this)
 {
     LEAKY_ASSERT(!cfg_.rows.empty(), "probe needs test rows");
     LEAKY_ASSERT(cfg_.t_accesses > 0, "T must be positive");
@@ -34,39 +27,38 @@ FingerprintProbe::start(std::function<void()> on_done)
     on_done_ = std::move(on_done);
     start_ = port_.now();
     end_ = start_ + cfg_.duration;
-    mark_ = start_;
+    loop_.restart();
     iterate();
 }
 
 void
 FingerprintProbe::iterate()
 {
-    if (port_.now() >= end_) {
-        if (!done_reported_) {
-            done_reported_ = true;
-            if (on_done_)
-                on_done_();
-        }
-        return;
-    }
+    if (port_.now() < end_)
+        loop_.arm();
+    else if (on_done_)
+        on_done_();
+}
+
+std::optional<std::uint64_t>
+FingerprintProbe::step()
+{
     const std::uint64_t addr = cfg_.rows[row_index_];
     access_in_row_ += 1;
     if (access_in_row_ >= cfg_.t_accesses) {
         access_in_row_ = 0;
         row_index_ = (row_index_ + 1) % cfg_.rows.size();
     }
-    port_.schedule(kIterOverhead, [this, addr] {
-        port_.issueRead(addr, kFingerprintSource, [this](Tick done) {
-            const Tick latency = done - mark_;
-            mark_ = done;
-            accesses_ += 1;
-            if (cfg_.classifier.classify(latency) ==
-                LatencyClass::kBackoff) {
-                backoffs_.push_back(done - start_);
-            }
-            iterate();
-        });
-    });
+    return addr;
+}
+
+void
+FingerprintProbe::onRead(Tick, Tick done, Tick latency)
+{
+    accesses_ += 1;
+    if (cfg_.classifier.classify(latency) == LatencyClass::kBackoff)
+        backoffs_.push_back(done - start_);
+    iterate();
 }
 
 FingerprintFeatures

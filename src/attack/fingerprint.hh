@@ -34,7 +34,7 @@ struct FingerprintConfig {
 };
 
 /** The attacker's measurement process. */
-class FingerprintProbe
+class FingerprintProbe final : private AccessLoop::Agent
 {
   public:
     FingerprintProbe(sys::MemoryPort &port, FingerprintConfig cfg);
@@ -49,18 +49,19 @@ class FingerprintProbe
 
   private:
     void iterate();
+    std::optional<std::uint64_t> step() override;
+    void onRead(Tick issued, Tick done, Tick latency) override;
 
     sys::MemoryPort &port_;
     FingerprintConfig cfg_;
+    AccessLoop loop_;
     std::function<void()> on_done_;
     Tick start_ = 0;
     Tick end_ = 0;
-    Tick mark_ = 0;
     std::size_t row_index_ = 0;
     std::uint32_t access_in_row_ = 0;
     std::uint64_t accesses_ = 0;
     std::vector<Tick> backoffs_;
-    bool done_reported_ = false;
 };
 
 /** Fixed-length feature vector from a back-off timestamp trace. */

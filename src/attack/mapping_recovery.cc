@@ -19,8 +19,6 @@ constexpr std::uint32_t kValidationPairs = 12;
 constexpr std::uint32_t kMaxRounds = 64;
 /** Cap on pairwise-XOR refinement probes in the row phase. */
 constexpr std::uint32_t kMaxRefineTests = 64;
-/** Requestor id of this agent's reads. */
-constexpr std::int32_t kRecoverySource = 150;
 
 std::uint32_t
 log2OfPow2(std::uint64_t v)
@@ -37,13 +35,13 @@ log2OfPow2(std::uint64_t v)
 
 MappingRecovery::MappingRecovery(sys::MemoryPort &port,
                                  MappingRecoveryConfig cfg)
-    : port_(port), cfg_(std::move(cfg)), rng_(cfg_.seed)
+    : cfg_(std::move(cfg)), loop_(port, *this), rng_(cfg_.seed)
 {
     LEAKY_ASSERT(!cfg_.windows.empty(), "need a window schedule");
     // Datasheet knowledge only: the module's capacity and geometry
     // counts. Which physical bits feed which coordinate — the mapping
     // function itself — is what the probing below has to discover.
-    const dram::MappingFunction &mapper = port_.mapper();
+    const dram::MappingFunction &mapper = port.mapper();
     total_bits_ = log2OfPow2(mapper.capacityBytes() /
                              dram::MappingFunction::kLineBytes);
     const dram::Organization &org = mapper.org();
@@ -109,7 +107,7 @@ MappingRecovery::measurePair(std::uint64_t line_a, std::uint64_t line_b,
     min_latency_ = 0;
     measure_cb_ = std::move(cb);
     result_.probes += 1;
-    mark_ = port_.now();
+    loop_.restart();
     measureStep();
 }
 
@@ -131,19 +129,22 @@ MappingRecovery::measureStep()
         cb(conflict);
         return;
     }
-    const std::uint64_t addr = pair_[reads_done_ & 1];
-    reads_done_ += 1;
-    port_.schedule(kIterOverhead, [this, addr] {
-        port_.issueRead(addr, kRecoverySource, [this](Tick done) {
-            const Tick latency = done - mark_;
-            mark_ = done;
-            result_.accesses += 1;
-            if (reads_done_ > 2 &&
-                (min_latency_ == 0 || latency < min_latency_))
-                min_latency_ = latency;
-            measureStep();
-        });
-    });
+    loop_.arm();
+}
+
+std::optional<std::uint64_t>
+MappingRecovery::step()
+{
+    return pair_[reads_done_++ & 1];
+}
+
+void
+MappingRecovery::onRead(Tick, Tick, Tick latency)
+{
+    result_.accesses += 1;
+    if (reads_done_ > 2 && (min_latency_ == 0 || latency < min_latency_))
+        min_latency_ = latency;
+    measureStep();
 }
 
 // ------------------------------------------- phase 1: bank functions

@@ -69,7 +69,7 @@ struct RecoveredMapping {
 };
 
 /** The event-driven recovery agent (one per attacking process). */
-class MappingRecovery
+class MappingRecovery final : private AccessLoop::Agent
 {
   public:
     MappingRecovery(sys::MemoryPort &port, MappingRecoveryConfig cfg);
@@ -99,6 +99,8 @@ class MappingRecovery
     void measurePair(std::uint64_t line_a, std::uint64_t line_b,
                      std::function<void(bool)> cb);
     void measureStep();
+    std::optional<std::uint64_t> step() override;
+    void onRead(Tick issued, Tick done, Tick latency) override;
 
     void startCollectRound();
     void collectNext();
@@ -113,8 +115,8 @@ class MappingRecovery
     void refineNext();
     void finish();
 
-    sys::MemoryPort &port_;
     MappingRecoveryConfig cfg_;
+    AccessLoop loop_;
     std::function<void()> on_done_;
     sim::Rng rng_;
     RecoveredMapping result_;
@@ -131,7 +133,6 @@ class MappingRecovery
     // In-flight measurement state.
     std::uint64_t pair_[2] = {0, 0};
     std::uint32_t reads_done_ = 0;
-    Tick mark_ = 0;
     Tick min_latency_ = 0;
     std::function<void(bool)> measure_cb_;
 

@@ -1,19 +1,11 @@
 #include "attack/noise.hh"
 
-#include "attack/probe.hh"
 #include "sim/logging.hh"
 
 namespace leaky::attack {
 
-namespace {
-
-/** Requestor id of this agent's reads. */
-constexpr std::int32_t kNoiseSource = 300;
-
-} // namespace
-
 NoiseAgent::NoiseAgent(sys::MemoryPort &port, const NoiseConfig &cfg)
-    : port_(port), cfg_(cfg)
+    : cfg_(cfg), loop_(port, *this)
 {
     LEAKY_ASSERT(cfg_.addrs.size() >= 2,
                  "noise agent needs at least two row addresses");
@@ -25,27 +17,24 @@ NoiseAgent::start()
     if (running_)
         return;
     running_ = true;
-    loop();
+    loop_.arm(cfg_.sleep);
+}
+
+std::optional<std::uint64_t>
+NoiseAgent::step()
+{
+    if (!running_)
+        return std::nullopt;
+    const std::uint64_t addr = cfg_.addrs[next_];
+    next_ = (next_ + 1) % cfg_.addrs.size();
+    loop_.arm(cfg_.sleep);
+    return addr;
 }
 
 void
-NoiseAgent::loop()
+NoiseAgent::onRead(Tick, Tick, Tick)
 {
-    if (!running_)
-        return;
-    // Unlike the attack loops, the noise microbenchmark paces itself by
-    // wall clock (sleep between activations), not by load-to-use
-    // dependencies, so its request rate is sleep-controlled even when
-    // DRAM is slow.
-    port_.schedule(kIterOverhead + cfg_.sleep, [this] {
-        if (!running_)
-            return;
-        const std::uint64_t addr = cfg_.addrs[next_];
-        next_ = (next_ + 1) % cfg_.addrs.size();
-        port_.issueRead(addr, kNoiseSource,
-                        [this](Tick) { accesses_ += 1; });
-        loop();
-    });
+    accesses_ += 1;
 }
 
 } // namespace leaky::attack

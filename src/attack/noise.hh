@@ -13,11 +13,10 @@
 #include <cstdint>
 #include <vector>
 
+#include "attack/probe.hh"
 #include "sys/port.hh"
 
 namespace leaky::attack {
-
-using sim::Tick;
 
 /** Noise microbenchmark parameters. */
 struct NoiseConfig {
@@ -32,8 +31,14 @@ struct NoiseConfig {
     Tick sleep = 2 * sim::kUs;  ///< Between consecutive activations.
 };
 
-/** Endless interference generator targeting one bank. */
-class NoiseAgent
+/**
+ * Endless interference generator targeting one bank. Unlike the attack
+ * loops, the noise microbenchmark paces itself by wall clock (sleep
+ * between activations), not by load-to-use dependencies: each step
+ * re-arms the next at issue time, so its request rate is
+ * sleep-controlled even when DRAM is slow.
+ */
+class NoiseAgent final : private AccessLoop::Agent
 {
   public:
     NoiseAgent(sys::MemoryPort &port, const NoiseConfig &cfg);
@@ -44,10 +49,11 @@ class NoiseAgent
     std::uint64_t accessCount() const { return accesses_; }
 
   private:
-    void loop();
+    std::optional<std::uint64_t> step() override;
+    void onRead(Tick issued, Tick done, Tick latency) override;
 
-    sys::MemoryPort &port_;
     NoiseConfig cfg_;
+    AccessLoop loop_;
     bool running_ = false;
     std::size_t next_ = 0;
     std::uint64_t accesses_ = 0;

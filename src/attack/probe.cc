@@ -4,12 +4,30 @@
 
 namespace leaky::attack {
 
-namespace {
+AccessLoop::AccessLoop(sys::MemoryPort &port, Agent &agent)
+    : port_(port), agent_(agent),
+      step_(sim::memberEvent<&AccessLoop::fire>(this))
+{
+}
 
-/** Requestor id of this agent's reads. */
-constexpr std::int32_t kProbeSource = 100;
+void
+AccessLoop::arm(Tick gap)
+{
+    port_.schedule(kIterOverhead + gap, step_);
+}
 
-} // namespace
+void
+AccessLoop::fire()
+{
+    const std::optional<std::uint64_t> addr = agent_.step();
+    if (!addr)
+        return;
+    port_.issueRead(*addr, 0, [this, issued = port_.now()](Tick done) {
+        const Tick latency = done - mark_;
+        mark_ = done;
+        agent_.onRead(issued, done, latency);
+    });
+}
 
 LatencyClassifier
 LatencyClassifier::forTiming(const dram::Timing &timing, Tick base_latency,
@@ -30,13 +48,13 @@ LatencyClassifier::forTiming(const dram::Timing &timing, Tick base_latency,
 }
 
 LatencyProbe::LatencyProbe(sys::MemoryPort &port, ProbeConfig cfg)
-    : port_(port), cfg_(std::move(cfg))
+    : cfg_(std::move(cfg)), loop_(port, *this)
 {
     LEAKY_ASSERT(!cfg_.addrs.empty(), "probe needs at least one address");
     // The channel field is the collector's contract (stats are read
     // from it); every probe row must actually decode onto it.
     for (auto addr : cfg_.addrs)
-        LEAKY_ASSERT(port_.mapper().decode(addr).channel == cfg_.channel,
+        LEAKY_ASSERT(port.mapper().decode(addr).channel == cfg_.channel,
                      "probe address does not decode onto channel %u",
                      cfg_.channel);
     samples_.reserve(cfg_.iterations);
@@ -46,7 +64,7 @@ void
 LatencyProbe::start(std::function<void()> on_done)
 {
     on_done_ = std::move(on_done);
-    mark_ = port_.now();
+    loop_.restart();
     iterate();
 }
 
@@ -58,16 +76,20 @@ LatencyProbe::iterate()
             on_done_();
         return;
     }
-    const std::uint64_t addr = cfg_.addrs[iter_ % cfg_.addrs.size()];
-    iter_ += 1;
-    // clflush + loop overhead, then the (cache-bypassing) access.
-    port_.schedule(kIterOverhead, [this, addr] {
-        port_.issueRead(addr, kProbeSource, [this](Tick done) {
-            samples_.push_back({done, done - mark_});
-            mark_ = done;
-            iterate();
-        });
-    });
+    loop_.arm();
+}
+
+std::optional<std::uint64_t>
+LatencyProbe::step()
+{
+    return cfg_.addrs[iter_++ % cfg_.addrs.size()];
+}
+
+void
+LatencyProbe::onRead(Tick, Tick done, Tick latency)
+{
+    samples_.push_back({done, latency});
+    iterate();
 }
 
 } // namespace leaky::attack

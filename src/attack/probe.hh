@@ -1,10 +1,11 @@
 /**
  * @file
- * Memory-request latency measurement routine (paper Listing 1) and the
- * latency classifier used by every LeakyHammer attack. The probe
- * replicates the userspace loop: clflush + load + timestamp, with the
- * previous iteration's end timestamp reused as the next start, so each
- * sample is (loop overhead + memory latency) exactly as in §6.2.
+ * Memory-request latency measurement routine (paper Listing 1), the
+ * access loop every LeakyHammer attack agent runs it on, and the
+ * latency classifier they all share. The loop replicates the userspace
+ * routine: clflush + load + timestamp, with the previous iteration's
+ * end timestamp reused as the next start, so each sample is (loop
+ * overhead + memory latency) exactly as in §6.2.
  */
 
 #ifndef LEAKY_ATTACK_PROBE_HH
@@ -12,9 +13,11 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "dram/config.hh"
+#include "sim/event_queue.hh"
 #include "sys/port.hh"
 
 namespace leaky::attack {
@@ -69,9 +72,60 @@ struct LatencyClassifier {
 };
 
 /** Non-memory work per attack-loop iteration: clflush + timer + loop
- *  control. Every attack agent (probe, covert sender and receiver,
- *  noise, fingerprint, counter leak, mapping recovery) pays it. */
+ *  control. AccessLoop::arm() charges it to every step of every attack
+ *  agent (probe, covert sender and receiver, noise, fingerprint,
+ *  counter leak, mapping recovery). */
 inline constexpr Tick kIterOverhead = 15'000;
+
+/**
+ * The Listing-1 loop, written once for every attack agent. The agent
+ * arms a step; when it fires, the agent names the address to read (or
+ * none), the loop issues the cache-bypassing read, and on completion
+ * hands the agent the latency since the previous completion. Whether
+ * and when to arm again is always the agent's call: a load-to-use
+ * agent arms from onRead(), the paced noise generator from step().
+ * The step is one member-bound event, so an access builds no callable
+ * for the kernel.
+ */
+class AccessLoop
+{
+  public:
+    /** The side an attack agent implements. */
+    class Agent
+    {
+      public:
+        /** The armed step fired: the address to read now, or
+         *  std::nullopt to read nothing. */
+        virtual std::optional<std::uint64_t> step() = 0;
+
+        /** The read issued at @p issued returned at @p done, @p latency
+         *  after the previous read's return (or the last restart()). */
+        virtual void onRead(Tick issued, Tick done, Tick latency) = 0;
+
+      protected:
+        ~Agent() = default;
+    };
+
+    AccessLoop(sys::MemoryPort &port, Agent &agent);
+    // The step event and every read in flight point back at the loop.
+    AccessLoop(const AccessLoop &) = delete;
+    AccessLoop &operator=(const AccessLoop &) = delete;
+
+    /** Take now as the previous iteration's end (a loop's start). */
+    void restart() { mark_ = port_.now(); }
+
+    /** Fire the next step kIterOverhead + @p gap from now, moving a
+     *  step that is still pending. */
+    void arm(Tick gap = 0);
+
+  private:
+    void fire();
+
+    sys::MemoryPort &port_;
+    Agent &agent_;
+    sim::Event step_;
+    Tick mark_ = 0;
+};
 
 /** Listing-1 probe configuration. */
 struct ProbeConfig {
@@ -83,7 +137,7 @@ struct ProbeConfig {
 };
 
 /** The paper's Listing-1 measurement routine as a simulation agent. */
-class LatencyProbe
+class LatencyProbe final : private AccessLoop::Agent
 {
   public:
     LatencyProbe(sys::MemoryPort &port, ProbeConfig cfg);
@@ -95,13 +149,14 @@ class LatencyProbe
 
   private:
     void iterate();
+    std::optional<std::uint64_t> step() override;
+    void onRead(Tick issued, Tick done, Tick latency) override;
 
-    sys::MemoryPort &port_;
     ProbeConfig cfg_;
+    AccessLoop loop_;
     std::function<void()> on_done_;
     std::vector<LatencySample> samples_;
     std::uint32_t iter_ = 0;
-    Tick mark_ = 0;
 };
 
 } // namespace leaky::attack

@@ -37,9 +37,9 @@ class MemoryPort
     /** Run @p fn after @p delay ticks (models compute/sleep phases). */
     virtual void schedule(Tick delay, std::function<void()> fn) = 0;
 
-    /** Run bound event @p ev after @p delay ticks; it must not be
-     *  pending. A component's own recurring timer schedules this way
-     *  without building a callable each time. */
+    /** Run bound event @p ev after @p delay ticks, moving it if it is
+     *  still pending. A component's own recurring timer schedules this
+     *  way without building a callable each time. */
     virtual void schedule(Tick delay, sim::Event &ev) = 0;
 
     /**

@@ -90,7 +90,7 @@ class System final : public MemoryPort
     void
     schedule(Tick delay, sim::Event &ev) override
     {
-        eq_.scheduleAfter(ev, delay);
+        eq_.reschedule(ev, eq_.now() + delay);
     }
     void issueRead(std::uint64_t phys_addr, std::int32_t source,
                    ReadCallback cb) override;

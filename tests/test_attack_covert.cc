@@ -7,6 +7,8 @@
 #include "attack/message.hh"
 #include "attack/noise.hh"
 #include "core/experiments.hh"
+#include "sys/system.hh"
+#include "testing_alloc_counter.hh"
 
 namespace {
 
@@ -41,6 +43,42 @@ TEST(CovertChannel, PracTransmitsMicroErrorFree)
             EXPECT_EQ(run.detections[i], 1u) << "window " << i;
         else
             EXPECT_EQ(run.detections[i], 0u) << "window " << i;
+    }
+}
+
+// The covert counterpart of Prac.SteadyStateDoesNotAllocate: once the
+// first windows have grown the kernel's slabs, the System's in-flight
+// slots, the controller queues and the defense counters, a pair runs
+// window after window without reaching the heap (each access is the
+// loop's bound step plus a read callback that fits std::function's
+// small buffer; the receiver reserved its per-window results).
+TEST(CovertChannel, SteadyStateDoesNotAllocate)
+{
+    for (const ChannelKind kind : {ChannelKind::kPrac, ChannelKind::kRfm}) {
+        SCOPED_TRACE(kind == ChannelKind::kPrac ? "PRAC" : "PRFM");
+        sys::System system(kind == ChannelKind::kPrac
+                               ? core::pracAttackSystem()
+                               : core::prfmAttackSystem());
+        const auto cfg = attack::makeChannelConfig(system, kind);
+        std::vector<std::uint8_t> symbols(64);
+        for (std::size_t i = 0; i < symbols.size(); ++i)
+            symbols[i] = static_cast<std::uint8_t>((i * 5 + i / 3) & 1);
+        // lint:allow(single-covert-loop): counts allocations after listen()
+        attack::CovertSender sender(system, cfg);
+        // lint:allow(single-covert-loop): counts allocations after listen()
+        attack::CovertReceiver receiver(system, cfg);
+        const sim::Tick epoch = system.now() + 2 * sim::kUs;
+        sender.transmit(symbols, epoch);
+        bool done = false;
+        receiver.listen(symbols.size(), epoch, [&done] { done = true; });
+        system.run(epoch - system.now() + 8 * cfg.window); // Warm-up.
+
+        const std::uint64_t before = leaky_test_heap_allocs.load();
+        system.run(symbols.size() * cfg.window);
+        const std::uint64_t after = leaky_test_heap_allocs.load();
+        EXPECT_EQ(after, before);
+        ASSERT_TRUE(done);
+        EXPECT_EQ(receiver.decoded(), symbols);
     }
 }
 

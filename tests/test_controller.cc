@@ -9,8 +9,14 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <vector>
 
+#include "attack/counter_leak.hh"
+#include "attack/covert.hh"
 #include "attack/dram_addr.hh"
+#include "attack/fingerprint.hh"
+#include "attack/mapping_recovery.hh"
+#include "attack/noise.hh"
 #include "attack/probe.hh"
 #include "core/experiments.hh"
 #include "ctrl/controller.hh"
@@ -713,6 +719,204 @@ TEST_F(ControllerTest, ServiceTimelinePinned)
         EXPECT_EQ(port.reads(), c.reads);
         EXPECT_EQ(system.stats(0).writes_served, c.writes);
         EXPECT_EQ(system.stats(0).preventiveActions(), c.preventive);
+        EXPECT_EQ(port.digest(), c.digest);
+    }
+}
+
+/** Run @p system until an agent's completion stops it. */
+void
+runToDone(leaky::sys::System &system, const bool &done)
+{
+    system.run(100 * leaky::sim::kMs);
+    EXPECT_TRUE(done);
+}
+
+/** One covert pair over @p port, from a shared epoch 2 us out.
+ *  attack::runCovertChannel drives a System directly, so the pair is
+ *  built here to put the recording port between it and the System. */
+void
+runPair(leaky::sys::System &system, ServiceRecorder &port,
+        const leaky::attack::CovertConfig &cfg,
+        const std::vector<std::uint8_t> &symbols)
+{
+    // lint:allow(single-covert-loop): endpoints on a recording port
+    leaky::attack::CovertSender sender(port, cfg);
+    // lint:allow(single-covert-loop): endpoints on a recording port
+    leaky::attack::CovertReceiver receiver(port, cfg);
+    const Tick epoch = system.now() + 2 * leaky::sim::kUs;
+    sender.transmit(symbols, epoch);
+    bool done = false;
+    receiver.listen(symbols.size(), epoch, [&] {
+        done = true;
+        system.stop();
+    });
+    runToDone(system, done);
+}
+
+TEST(AttackAgents, ReadTimelinePinned)
+{
+    // Exact issue and completion tick of every read each attack agent
+    // makes: the Listing-1 probe, covert pairs (binary, multibit with
+    // sender gaps that straddle a window start, PRFM with the refresh
+    // blackout, a fuzz-sequence sender), the counter-leak victim and
+    // attacker, the fingerprint probe beside a noise generator, and
+    // mapping recovery. The golden CSVs see these agents only through
+    // decoded figure cells; this pins when each read happens.
+    using namespace leaky;
+    using Setup = std::function<void(sys::System &, ServiceRecorder &)>;
+    const std::vector<std::uint8_t> binary = {1, 0, 1, 1, 0, 0, 1, 0,
+                                              1, 1, 1, 0, 1, 0, 0, 1};
+    struct Case {
+        const char *name;
+        sys::SystemConfig cfg;
+        Setup setup;
+        std::uint64_t digest;
+        std::uint64_t reads;
+    };
+    const Case cases[] = {
+        {"probe", core::pracAttackSystem(),
+         [](sys::System &system, ServiceRecorder &port) {
+             attack::ProbeConfig cfg;
+             cfg.addrs = attack::rowsInBank(system.mapper(), 0, 0, 0, 0,
+                                            1000, 2, 1000);
+             cfg.iterations = 2000;
+             attack::LatencyProbe probe(port, cfg);
+             bool done = false;
+             probe.start([&] {
+                 done = true;
+                 system.stop();
+             });
+             runToDone(system, done);
+         },
+         1139030537325682017ULL, 2000},
+        {"prac-binary", core::pracAttackSystem(),
+         [&binary](sys::System &system, ServiceRecorder &port) {
+             runPair(system, port,
+                     attack::makeChannelConfig(
+                         system, attack::ChannelKind::kPrac),
+                     binary);
+         },
+         1547486318318609886ULL, 5269},
+        {"prac-4-level", core::pracAttackSystem(),
+         [](sys::System &system, ServiceRecorder &port) {
+             // A 15 us window ends before most slow-symbol back-offs,
+             // so gapped sender steps and reads straddle window starts.
+             auto cfg = attack::makeChannelConfig(
+                 system, attack::ChannelKind::kPrac, 4);
+             cfg.window = 15 * sim::kUs;
+             runPair(system, port, cfg,
+                     {3, 1, 0, 2, 1, 3, 2, 0, 3, 3, 1, 2,
+                      1, 1, 2, 0, 1, 2, 1, 3, 0, 1, 2, 1});
+         },
+         7248375558489858300ULL, 4581},
+        {"prac-4-level-two-rows", core::pracAttackSystem(),
+         [](sys::System &system, ServiceRecorder &port) {
+             // A receiver in another bank (§9.1) and a second sender
+             // row: each sender read's row, and so whether it hits,
+             // follows the count of returned reads, stale ones included.
+             auto cfg = attack::makeChannelConfig(
+                 system, attack::ChannelKind::kPrac, 4);
+             cfg.window = 15 * sim::kUs;
+             cfg.sender_addr2 =
+                 attack::rowAddress(system.mapper(), 0, 0, 0, 0, 1500);
+             cfg.receiver_addr =
+                 attack::rowAddress(system.mapper(), 0, 0, 1, 0, 2000);
+             runPair(system, port, cfg,
+                     {3, 1, 0, 2, 1, 3, 2, 0, 3, 3, 1, 2,
+                      1, 1, 2, 0, 1, 2, 1, 3, 0, 1, 2, 1});
+         },
+         15726048814708382527ULL, 6760},
+        {"prfm-blackout", core::prfmAttackSystem(),
+         [&binary](sys::System &system, ServiceRecorder &port) {
+             auto cfg = attack::makeChannelConfig(
+                 system, attack::ChannelKind::kRfm);
+             cfg.refresh_blackout = true;
+             runPair(system, port, cfg, binary);
+         },
+         2390210053248923298ULL, 5389},
+        {"fuzz-sequence", core::pracAttackSystem(),
+         [&binary](sys::System &system, ServiceRecorder &port) {
+             auto cfg = attack::makeChannelConfig(
+                 system, attack::ChannelKind::kPrac);
+             cfg.sender_sequence = attack::rowsInBank(
+                 system.mapper(), 0, 0, 0, 0, 1000, 3, 64);
+             cfg.sender_sequence.push_back(
+                 attack::rowAddress(system.mapper(), 0, 0, 1, 0, 500));
+             runPair(system, port, cfg, binary);
+         },
+         8429965043057350309ULL, 6011},
+        {"counter-leak", core::pracAttackSystem(),
+         [](sys::System &system, ServiceRecorder &port) {
+             attack::CounterLeakConfig cfg;
+             cfg.shared_addr =
+                 attack::rowAddress(system.mapper(), 0, 0, 0, 0, 1000);
+             cfg.conflict_addr =
+                 attack::rowAddress(system.mapper(), 0, 0, 0, 0, 3000);
+             cfg.classifier = attack::LatencyClassifier::forTiming(
+                 system.config().ctrl.dram.timing);
+             attack::CounterLeakVictim victim(
+                 port, cfg.shared_addr,
+                 attack::rowAddress(system.mapper(), 0, 0, 0, 0, 2000));
+             attack::CounterLeakAttacker attacker(port, cfg);
+             bool done = false;
+             victim.prime(40, [&] {
+                 attacker.leak([&](const attack::CounterLeakResult &) {
+                     done = true;
+                     system.stop();
+                 });
+             });
+             runToDone(system, done);
+         },
+         11778495741420233972ULL, 259},
+        {"fingerprint+noise", core::pracAttackSystem(),
+         [](sys::System &system, ServiceRecorder &port) {
+             attack::NoiseConfig noise_cfg;
+             noise_cfg.addrs = attack::rowsInBank(system.mapper(), 0, 0, 0,
+                                                  0, 3000, 6, 512);
+             noise_cfg.sleep = 200'000;
+             attack::NoiseAgent noise(port, noise_cfg);
+             attack::FingerprintConfig cfg;
+             cfg.rows = attack::rowsInBank(system.mapper(), 0, 1, 7, 3, 500,
+                                           8, 64);
+             cfg.t_accesses = 127;
+             cfg.duration = 300 * sim::kUs;
+             cfg.classifier = attack::LatencyClassifier::forTiming(
+                 system.config().ctrl.dram.timing);
+             attack::FingerprintProbe probe(port, cfg);
+             noise.start();
+             bool done = false;
+             probe.start([&] {
+                 noise.stop();
+                 done = true;
+                 system.stop();
+             });
+             runToDone(system, done);
+             EXPECT_FALSE(probe.backoffTimes().empty());
+         },
+         16128606314004214233ULL, 6394},
+        {"mapping-recovery",
+         sys::SystemConfig::paper(defense::DefenseKind::kPrac, 160),
+         [](sys::System &system, ServiceRecorder &port) {
+             attack::MappingRecoveryConfig cfg;
+             cfg.classifier = attack::LatencyClassifier::forTiming(
+                 system.config().ctrl.dram.timing);
+             attack::MappingRecovery attacker(port, cfg);
+             bool done = false;
+             attacker.start([&] {
+                 done = true;
+                 system.stop();
+             });
+             runToDone(system, done);
+             EXPECT_TRUE(attacker.result().bank_solved);
+         },
+         4395661734363552180ULL, 11040},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.name);
+        sys::System system(c.cfg);
+        ServiceRecorder port(system);
+        c.setup(system, port);
+        EXPECT_EQ(port.reads(), c.reads);
         EXPECT_EQ(port.digest(), c.digest);
     }
 }

@@ -166,6 +166,24 @@ class GrammarTable(unittest.TestCase):
         ("covert_run_loop_accepted", "src/core/foo.cc",
          "auto r = attack::runCovertChannel(system, cfg, symbols);\n",
          []),
+        # ---------------------------------------- single-access-loop
+        ("access_read_in_agent_rejected", "src/attack/foo.cc",
+         "void f(sys::MemoryPort &p) { p.issueRead(a, 0, cb); }\n",
+         ["single-access-loop"]),
+        ("access_overhead_step_rejected", "src/attack/covert.cc",
+         "void f() { port_.schedule(kIterOverhead + gap_, [this] {}); }\n",
+         ["single-access-loop"]),
+        ("access_loop_home_accepted", "src/attack/probe.cc",
+         "void AccessLoop::arm(Tick gap)"
+         " { port_.schedule(kIterOverhead + gap, step_); }\n"
+         "void AccessLoop::fire() { port_.issueRead(a, 0, cb); }\n",
+         []),
+        ("access_window_timer_accepted", "src/attack/covert.cc",
+         "void f() { port_.schedule(window_end_ - port_.now(), cb); }\n",
+         []),
+        ("access_outside_attack_accepted", "src/sys/core.cc",
+         "void f(MemoryPort &p) { p.issueRead(a, source_, cb); }\n",
+         []),
         # ------------------------------------- single-system-builder
         ("system_in_runner_rejected", "src/runner/foo.cc",
          "void f(const sys::SystemConfig &c) { sys::System system(c); }\n",

@@ -25,7 +25,8 @@ docs/LINTING.md cross-check cover them:
                      waivers are themselves contract violations
 """
 
-from . import assertions, builder, channels, covert, determinism, signals
+from . import (access, assertions, builder, channels, covert, determinism,
+               signals)
 
 #: Rule ids the engine emits without a rule object.
 META_RULE_IDS = ("bad-waiver", "unused-waiver")
@@ -44,6 +45,7 @@ ALL_RULES = (
     determinism.NoUnorderedIterationInResultPaths(),
     channels.ExplicitChannel(),
     covert.SingleCovertLoop(),
+    access.SingleAccessLoop(),
     builder.SingleSystemBuilder(),
     builder.SingleRunLoop(),
     assertions.NoRawAssert(),
