@@ -3,7 +3,8 @@
  * google-benchmark microbenchmarks of the simulation substrate itself:
  * event-queue throughput (one-shot and member-bound reusable events),
  * schedule/cancel churn, figure-shaped traffic with few live events,
- * DRAM command issue, controller request service, cache-hierarchy
+ * DRAM command issue, controller request service (saturated and
+ * paced), cache-hierarchy
  * replay of an application trace, and end-to-end covert-channel window
  * simulation speed.
  *
@@ -194,6 +195,9 @@ BM_DramCommandIssue(benchmark::State &state)
 }
 BENCHMARK(BM_DramCommandIssue);
 
+/** The saturated controller: 2,000 reads arriving at one tick on a
+ *  PRAC System, and the retry storm that follows while its 64-entry
+ *  read queue stays full. */
 void
 BM_ControllerRequests(benchmark::State &state)
 {
@@ -222,6 +226,40 @@ BM_ControllerRequests(benchmark::State &state)
     }
 }
 BENCHMARK(BM_ControllerRequests)->Unit(benchmark::kMillisecond);
+
+/** The paced controller: one Listing-1 requester on a PRAC System
+ *  alternates two rows of one bank, issuing each read kIterOverhead
+ *  after the previous one returns -- the covert channel's access
+ *  pattern. Each read arrives at an idle controller (the in-place
+ *  arrival path) and is served from the kept scheduler decision. */
+void
+BM_ControllerPacedReads(benchmark::State &state)
+{
+    constexpr std::uint32_t kReads = 2000;
+    std::uint64_t reads = 0;
+    for (auto _ : state) {
+        state.PauseTiming();
+        sys::System system(
+            sys::SystemConfig::paper(defense::DefenseKind::kPrac));
+        attack::ProbeConfig cfg;
+        cfg.addrs = {
+            attack::rowAddress(system.mapper(), 0, 0, 0, 0, 1000),
+            attack::rowAddress(system.mapper(), 0, 0, 0, 0, 2000)};
+        cfg.iterations = kReads;
+        attack::LatencyProbe probe(system, cfg);
+        state.ResumeTiming();
+
+        probe.start([&system] { system.stop(); });
+        system.run(sim::kMs);
+        if (probe.samples().size() != kReads) {
+            state.SkipWithError("the requester did not finish in 1 ms");
+            return;
+        }
+        reads += kReads;
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(reads));
+}
+BENCHMARK(BM_ControllerPacedReads)->Unit(benchmark::kMillisecond);
 
 /**
  * Cache layer: a fixed 200k-record SPEC-like trace (lbm-like: streaming

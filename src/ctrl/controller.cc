@@ -467,38 +467,42 @@ bool
 MemoryController::serveQueues(Tick now)
 {
     auto &q = activeQueue();
-    const auto decision = decide(q, now);
-    if (!decision || decision->earliest > now)
+    const SchedDecision &d = decide(q, now);
+    if (d.index == SchedDecision::kNone || d.earliest > now)
         return false;
 
-    QueueEntry &entry = q[decision->index];
-    issueAndAccount(decision->cmd, entry, now);
-    if (decision->cmd == Command::kRd || decision->cmd == Command::kWr) {
-        q.erase(decision->index);
+    const std::uint32_t index = d.index;
+    const Command cmd = d.cmd;
+    issueAndAccount(cmd, q[index], now);
+    if (cmd == Command::kRd || cmd == Command::kWr) {
+        q.erase(index);
         ++epoch_;
     }
     return true;
 }
 
-std::optional<SchedDecision>
+const SchedDecision &
 MemoryController::decide(const RequestQueue &q, Tick now)
 {
-    // A bank task's filter depends on the tick: scan afresh.
-    if (!bank_tasks_.empty())
-        return sched_.pick(q, chan_, bankFilter(now), now);
-    if (kept_epoch_ != epoch_) {
+    if (!bank_tasks_.empty()) {
+        // A bank task's filter depends on the tick: scan afresh.
+        kept_ = sched_.pick(q, chan_, bankFilter(now), now);
+        kept_epoch_ = 0;
+    } else if (kept_epoch_ != epoch_) {
         kept_ = sched_.pick(q, chan_, BankFilter{}, now);
         kept_epoch_ = epoch_;
-        return kept_;
+    } else {
+#ifdef LEAKY_DCHECKS_ENABLED
+        // Unchanged inputs give the same entry and command; only the
+        // clamp of the earliest issue tick to the clock moves.
+        SchedDecision clamped = kept_;
+        if (clamped.index != SchedDecision::kNone)
+            clamped.earliest = std::max(clamped.earliest, now);
+        LEAKY_DCHECK(clamped == sched_.pick(q, chan_, BankFilter{}, now),
+                     "kept scheduler decision differs from a fresh pick");
+#endif
     }
-    // Unchanged inputs give the same entry and command; only the
-    // clamp of the earliest issue tick to the clock moves.
-    std::optional<SchedDecision> d = kept_;
-    if (d)
-        d->earliest = std::max(d->earliest, now);
-    LEAKY_DCHECK(d == sched_.pick(q, chan_, BankFilter{}, now),
-                 "kept scheduler decision differs from a fresh pick");
-    return d;
+    return kept_;
 }
 
 void
@@ -568,15 +572,16 @@ MemoryController::computeNextWake(Tick now)
             consider(drain_->at);
     } else {
         // Queued requests.
-        const auto d = decide(activeQueue(), now);
-        if (d) {
+        const SchedDecision &d = decide(activeQueue(), now);
+        if (d.index != SchedDecision::kNone) {
             // Early out: the final wake is max(min(candidates),
             // next_cmd_at_), so any candidate at or before
             // next_cmd_at_ pins it there exactly -- the remaining
             // candidates can only lower the (clamped-away) minimum.
-            if (d->earliest <= next_cmd_at_)
+            const Tick earliest = std::max(d.earliest, now);
+            if (earliest <= next_cmd_at_)
                 return next_cmd_at_;
-            consider(d->earliest);
+            consider(earliest);
         }
 
         // Bank tasks (RFMsb / bank back-offs).

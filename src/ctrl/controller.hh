@@ -169,9 +169,10 @@ class MemoryController final : public dram::AlertSink
     bool progressDrain(Tick now);
     bool progressBankTasks(Tick now);
     bool serveQueues(Tick now);
-    /** pick() over @p q (the active queue) at @p now: kept_ when still
-     *  valid, with its earliest tick moved up to @p now. */
-    std::optional<SchedDecision> decide(const RequestQueue &q, Tick now);
+    /** pick() over @p q (the active queue) at @p now, handed back in
+     *  kept_. A kept decision may be from an earlier tick: callers
+     *  clamp its earliest tick to @p now. */
+    const SchedDecision &decide(const RequestQueue &q, Tick now);
     void pollDefense(Tick now);
     void maybeStartAbo();
     const std::vector<Address> &taskBanks(const BankTask &task) const;
@@ -208,13 +209,15 @@ class MemoryController final : public dram::AlertSink
     bool draining_writes_ = false;
 
     /**
-     * The last pick() over the active queue (none: no schedulable
-     * entry), kept while its inputs stand still. epoch_ moves with
-     * every input of pick() -- an arrival, a command issued, a queue
-     * erase, the streak reset at a drain's end -- and kept_ is valid
-     * while kept_epoch_ == epoch_ and no bank task filters the scan.
+     * The last pick() over the active queue (index kNone: no
+     * schedulable entry), kept while its inputs stand still. epoch_
+     * moves with every input of pick() -- an arrival, a command issued,
+     * a queue erase, the streak reset at a drain's end -- and kept_ is
+     * reusable while kept_epoch_ == epoch_. A pick filtered by a bank
+     * task depends on the tick, so it leaves kept_epoch_ at 0 (never
+     * an epoch).
      */
-    std::optional<SchedDecision> kept_;
+    SchedDecision kept_;
     std::uint64_t kept_epoch_ = 0;
     std::uint64_t epoch_ = 1;
 

@@ -30,7 +30,7 @@ nextCommandFor(const Request &req, RowStatus status)
     sim::panic("bad row status");
 }
 
-std::optional<SchedDecision>
+SchedDecision
 FrFcfsScheduler::pick(const RequestQueue &queue,
                       const dram::DramChannel &chan,
                       const BankFilter &blocked, Tick now) const
@@ -83,11 +83,11 @@ FrFcfsScheduler::pick(const RequestQueue &queue,
     if (choice == n)
         choice = oldest;
     if (choice == n)
-        return std::nullopt;
+        return SchedDecision{};
 
     const auto &entry = queue[choice];
     SchedDecision d;
-    d.index = choice;
+    d.index = static_cast<std::uint32_t>(choice);
     d.cmd = nextCommandFor(entry.req,
                            chan.rowStatusFlat(fbs[choice], rows[choice]));
     d.earliest = std::max(now, chan.earliestIssue(d.cmd, entry.req.addr));

@@ -11,7 +11,7 @@
 #define LEAKY_CTRL_SCHEDULER_HH
 
 #include <cstdint>
-#include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "ctrl/request.hh"
@@ -109,12 +109,22 @@ struct BankFilter {
 /** First DRAM command needed to serve a request given row-buffer state. */
 dram::Command nextCommandFor(const Request &req, dram::RowStatus status);
 
-/** The scheduler's choice: which entry to serve and with which command. */
+/**
+ * The scheduler's choice: which entry to serve and with which command.
+ * Sixteen trivially copyable bytes, so pick() returns it in registers
+ * and the controller keeps its last one as a plain member.
+ */
 struct SchedDecision {
-    std::size_t index = 0;      ///< Index into the queue.
-    dram::Command cmd{};        ///< Next command for that request.
-    Tick earliest = 0;          ///< When the command may issue.
+    /** index of a decision that names no entry (nothing schedulable). */
+    static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+
+    std::uint32_t index = kNone; ///< Index into the queue, or kNone.
+    dram::Command cmd{};         ///< Next command for that request.
+    Tick earliest = 0;           ///< When the command may issue.
 };
+static_assert(sizeof(SchedDecision) == 16 &&
+                  std::is_trivially_copyable_v<SchedDecision>,
+              "SchedDecision must stay 16 trivially copyable bytes");
 
 /** Field-wise equality (the controller's kept-decision cross-check). */
 inline bool
@@ -141,10 +151,12 @@ class FrFcfsScheduler
      * @param blocked Predicate: true if the request's bank must not be
      *        scheduled (draining for RFM / bank-level back-off).
      * @param now Current tick.
-     * @return Decision with the earliest issue tick (possibly in the
-     *         future), or nullopt when the queue has no schedulable entry.
+     * @return Decision with the earliest issue tick (not before
+     *         @p now, possibly in the future); its index is
+     *         SchedDecision::kNone when the queue has no schedulable
+     *         entry.
      */
-    std::optional<SchedDecision>
+    SchedDecision
     pick(const RequestQueue &queue, const dram::DramChannel &chan,
          const BankFilter &blocked, Tick now) const;
 

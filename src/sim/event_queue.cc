@@ -6,15 +6,17 @@ namespace leaky::sim {
 
 EventQueue::~EventQueue()
 {
-    // Unbind pending member events so their destructors do not call
-    // back into this (already dying) queue.
-    for (Record &r : slab_) {
-        if (r.next_free == kLiveMark && r.bound) {
-            r.bound->handle_ = kNoEvent;
-            r.bound->queue_ = nullptr;
-        }
-    }
-    // fn_slab_ destruction runs ~SmallFn on any undelivered one-shots.
+    // Unschedule every pending event, so the destructors of bound
+    // events (and of the cells below) do not call back into this
+    // (already dying) queue.
+    const auto release = [](Event *ev) {
+        for (; ev != nullptr; ev = ev->run_next_)
+            ev->queue_ = nullptr;
+    };
+    release(front_.ev);
+    for (const HeapEntry &e : heap_)
+        release(e.ev);
+    // chunks_ destruction runs ~SmallFn on any undelivered one-shots.
 }
 
 void
@@ -25,47 +27,29 @@ EventQueue::failPast(Tick when) const
           static_cast<unsigned long long>(now_));
 }
 
-std::uint32_t
-EventQueue::claimSlot()
-{
-    if (free_head_ == kNoFreeSlot)
-        growPool();
-    const std::uint32_t idx = free_head_;
-    Record &r = record(idx);
-    free_head_ = r.next_free;
-    r.next_free = kLiveMark;
-    // Free-list invariant: bound == nullptr and has_fn == false already
-    // hold (freeSlot/growPool established them), so a claim writes
-    // nothing but the list link.
-    return idx;
-}
-
 void
-EventQueue::commitSlot(std::uint32_t idx, Tick when)
+EventQueue::commit(Event &ev, Tick when)
 {
-    Record &r = record(idx);
-    r.when = when;
-    r.seq = next_seq_++;
-    r.run_next = kNoFreeSlot;
-    std::uint32_t &tail = tails_[when & (kTailSlots - 1)];
-    if (tail != kNoFreeSlot && record(tail).when == when) {
-        // The cached tail ends its tick's newest run, and this record
+    ev.when_ = when;
+    ev.seq_ = next_seq_++;
+    ev.run_next_ = nullptr;
+    Event *&tail = tails_[when & (kTailSlots - 1)];
+    if (tail != nullptr && tail->when_ == when) {
+        // The cached tail ends its tick's newest run, and this event
         // carries the highest seq yet, so appending keeps every run of
         // the tick a disjoint seq range.
-        Record &t = record(tail);
-        LEAKY_DCHECK(t.when == when && t.run_next == kNoFreeSlot,
-                     "append to a run of tick %llu at tick %llu",
-                     static_cast<unsigned long long>(t.when),
+        LEAKY_DCHECK(tail->run_next_ == nullptr,
+                     "append behind a run's middle at tick %llu",
                      static_cast<unsigned long long>(when));
-        t.run_next = idx;
-        r.run_prev = tail;
-        r.heap_pos = kNoFreeSlot;
+        tail->run_next_ = &ev;
+        ev.run_prev_ = tail;
+        ev.heap_pos_ = kInRun;
         stats_.run_appends += 1;
     } else {
-        r.run_prev = kNoFreeSlot;
-        openRun(HeapEntry{when, r.seq, idx});
+        ev.run_prev_ = nullptr;
+        openRun(HeapEntry{when, ev.seq_, &ev});
     }
-    tail = idx;
+    tail = &ev;
     stats_.heap_events += 1;
     live_ += 1;
 }
@@ -76,12 +60,12 @@ EventQueue::openRun(const HeapEntry &e)
     // Strictly earlier only: a new run at the front run's own tick
     // carries higher seqs, so it must queue behind it in the heap.
     if (e.when < nextEventTick()) {
-        if (front_.idx != kNoFreeSlot) {
+        if (front_.ev != nullptr) {
             heap_.emplace_back();
             siftUp(heap_.size() - 1, front_);
         }
         front_ = e;
-        record(e.idx).heap_pos = kFrontPos;
+        e.ev->heap_pos_ = kFrontPos;
         stats_.front_runs += 1;
         return;
     }
@@ -90,45 +74,45 @@ EventQueue::openRun(const HeapEntry &e)
 }
 
 void
-EventQueue::abortClaim(std::uint32_t idx)
+EventQueue::freeCell(Cell &c)
 {
-    // The slot was never published; its generation never escaped, so
-    // no bump is needed.
-    Record &r = record(idx);
-    r.next_free = free_head_;
-    free_head_ = idx;
+    c.fn.reset();
+    c.gen += 1;
+    c.next_free = free_;
+    free_ = &c;
 }
 
 void
-EventQueue::freeSlot(std::uint32_t idx)
+EventQueue::runCell(void *cell)
 {
-    Record &r = record(idx);
-    if (r.has_fn) {
-        fn_slab_[idx].reset();
-        r.has_fn = false;
-    }
-    r.bound = nullptr;
-    r.gen += 1;
-    r.next_free = free_head_;
-    free_head_ = idx;
+    Cell &c = *static_cast<Cell *>(cell);
+    SmallFn fn = std::move(c.fn);
+    c.owner->freeCell(c);
+    fn();
 }
 
 void
 EventQueue::growPool()
 {
-    const std::size_t base = slab_.size();
-    LEAKY_ASSERT(base + kChunkSize < kLiveMark, "event pool exhausted");
-    slab_.resize(base + kChunkSize);
-    fn_slab_.resize(base + kChunkSize);
-    // Runs never outnumber live records, nor those the slots, so
-    // reserving the heap here keeps steady-state scheduling
+    const std::size_t base = poolCapacity();
+    LEAKY_ASSERT(base + kChunkSize <= ~std::uint32_t{0},
+                 "event pool exhausted");
+    chunks_.push_back(std::make_unique<Cell[]>(kChunkSize));
+    Cell *chunk = chunks_.back().get();
+    // Runs never outnumber pending events, so reserving the heap along
+    // with the pool keeps steady-state one-shot scheduling
     // allocation-free.
-    heap_.reserve(slab_.size());
+    heap_.reserve(poolCapacity());
     stats_.pool_chunks += 1;
-    // Link the fresh records onto the free list, preserving index order.
-    for (std::size_t i = base + kChunkSize; i > base; --i) {
-        slab_[i - 1].next_free = free_head_;
-        free_head_ = static_cast<std::uint32_t>(i - 1);
+    // Bind the fresh cells and link them onto the free list, preserving
+    // index order.
+    for (std::uint32_t i = kChunkSize; i-- > 0;) {
+        Cell &c = chunk[i];
+        c.ev.bind(&c, &EventQueue::runCell);
+        c.owner = this;
+        c.idx = static_cast<std::uint32_t>(base) + i;
+        c.next_free = free_;
+        free_ = &c;
     }
 }
 
@@ -164,34 +148,32 @@ EventQueue::siftDown(std::size_t hole, const HeapEntry &e)
 }
 
 inline void
-EventQueue::unlink(std::uint32_t idx)
+EventQueue::unlink(Event &ev)
 {
-    const Record &r = record(idx);
-    std::uint32_t &tail = tails_[r.when & (kTailSlots - 1)];
-    if (tail == idx)
-        tail = r.run_prev; // The run's new tail, or none.
-    if (r.heap_pos == kNoFreeSlot) {
+    Event *&tail = tails_[ev.when_ & (kTailSlots - 1)];
+    if (tail == &ev)
+        tail = ev.run_prev_; // The run's new tail, or none.
+    if (ev.heap_pos_ == kInRun) {
         // Inside a run: a plain list unlink. Only heads have no prev.
-        record(r.run_prev).run_next = r.run_next;
-        if (r.run_next != kNoFreeSlot)
-            record(r.run_next).run_prev = r.run_prev;
+        ev.run_prev_->run_next_ = ev.run_next_;
+        if (ev.run_next_ != nullptr)
+            ev.run_next_->run_prev_ = ev.run_prev_;
         return;
     }
-    const std::size_t pos = r.heap_pos;
-    if (r.run_next != kNoFreeSlot) {
+    const std::size_t pos = ev.heap_pos_;
+    if (Event *n = ev.run_next_) {
         // The successor's key grows but stays below every run ordered
         // after this head: runs of one tick hold disjoint seq ranges,
         // so a later run of the same tick holds only higher seqs. The
         // successor therefore keeps the slot (heap or front) with no
         // sift.
-        Record &n = record(r.run_next);
-        n.run_prev = kNoFreeSlot;
-        const HeapEntry e{n.when, n.seq, r.run_next};
+        n->run_prev_ = nullptr;
+        const HeapEntry e{n->when_, n->seq_, n};
         if (pos == kFrontPos) {
             LEAKY_DCHECK(heap_.empty() || e.before(heap_.front()),
                          "promoted front successor after the heap top");
             front_ = e;
-            n.heap_pos = kFrontPos;
+            n->heap_pos_ = kFrontPos;
             return;
         }
 #ifdef LEAKY_DCHECKS_ENABLED
@@ -224,18 +206,16 @@ EventQueue::cancel(EventHandle handle)
     const std::uint32_t idx =
         static_cast<std::uint32_t>(handle & 0xffffffffu) - 1;
     const std::uint32_t gen = static_cast<std::uint32_t>(handle >> 32);
-    if (idx >= slab_.size())
+    if (idx >= poolCapacity())
         return false;
-    Record &r = record(idx);
-    if (r.next_free != kLiveMark || r.gen != gen)
-        return false; // Stale: executed, cancelled, or slot reused.
-    if (r.bound) {
-        r.bound->handle_ = kNoEvent;
-        r.bound->queue_ = nullptr;
-    }
-    unlink(idx);
-    freeSlot(idx);
-    live_ -= 1;
+    Cell &c = chunks_[idx / kChunkSize][idx % kChunkSize];
+    // A cell is freed as it fires or is cancelled, which bumps its
+    // generation; a free cell's current generation was never handed
+    // out, so only a forged handle names it.
+    if (c.gen != gen || !c.ev.scheduled())
+        return false; // Stale: executed, cancelled, or cell reused.
+    deschedule(c.ev);
+    freeCell(c);
     return true;
 }
 
@@ -246,20 +226,14 @@ EventQueue::schedule(Event &ev, Tick when)
     LEAKY_ASSERT(!ev.scheduled(),
                  "event already scheduled (use reschedule)");
     checkFuture(when);
-    const std::uint32_t idx = claimSlot();
-    Record &r = record(idx);
-    r.bound = &ev;
     ev.queue_ = this;
-    ev.handle_ = makeHandle(idx, r.gen);
-    ev.when_ = when;
-    commitSlot(idx, when);
+    commit(ev, when);
 }
 
 void
 EventQueue::reschedule(Event &ev, Tick when)
 {
-    if (ev.scheduled())
-        deschedule(ev);
+    deschedule(ev);
     schedule(ev, when);
 }
 
@@ -270,43 +244,30 @@ EventQueue::deschedule(Event &ev)
         return false;
     LEAKY_ASSERT(ev.queue_ == this,
                  "descheduling an event pending on another queue");
-    const bool cancelled = cancel(ev.handle_);
-    LEAKY_ASSERT(cancelled, "scheduled event had a stale handle");
+    unlink(ev);
+    ev.queue_ = nullptr;
+    live_ -= 1;
     return true;
-}
-
-void
-EventQueue::runRecord(std::uint32_t idx)
-{
-    Record &r = record(idx);
-    if (Event *ev = r.bound) {
-        // Release the slot and clear the handle before invoking so the
-        // callback can immediately reschedule the same event.
-        freeSlot(idx);
-        ev->handle_ = kNoEvent;
-        ev->queue_ = nullptr;
-        ev->fn_(ev->ctx_);
-    } else {
-        SmallFn fn = std::move(fn_slab_[idx]);
-        freeSlot(idx);
-        fn();
-    }
 }
 
 bool
 EventQueue::runNext(Tick limit)
 {
-    const bool front = front_.idx != kNoFreeSlot;
+    const bool front = front_.ev != nullptr;
     if (!front && heap_.empty())
         return false;
     const HeapEntry top = front ? front_ : heap_.front();
     if (top.when > limit)
         return false;
-    unlink(top.idx);
+    Event &ev = *top.ev;
+    unlink(ev);
     now_ = top.when;
     live_ -= 1;
     stats_.events_run += 1;
-    runRecord(top.idx);
+    // Idle before the call, so the callback can at once reschedule the
+    // same event (a one-shot's thunk frees its cell first).
+    ev.queue_ = nullptr;
+    ev.fn_(ev.ctx_);
     return true;
 }
 

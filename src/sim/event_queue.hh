@@ -4,22 +4,25 @@
  * absolute ticks; the queue executes them in (tick, insertion-order)
  * order so simulations are fully deterministic.
  *
- * The kernel is intrusive and slab-allocated: every scheduled occurrence
- * lives in a pooled Record (chunked slab, free-list reuse) identified by
- * a generation-counted handle. Steady-state scheduling performs no heap
- * allocation:
+ * The kernel is intrusive: every scheduled occurrence is an Event that
+ * carries its own queue record -- its (tick, seq) key, its links within
+ * its same-tick run and, for a run head, its heap position. Steady-state
+ * scheduling performs no heap allocation:
  *
- *  - reusable, member-bound Events (see sim::Event) carry only an
- *    object pointer and a function-pointer thunk;
- *  - one-shot callables are stored in a small-buffer SmallFn; only
- *    captures larger than SmallFn::kInlineBytes spill to the heap
- *    (counted in KernelStats::one_shot_spills);
- *  - cancellation unlinks the record eagerly and bumps its generation,
- *    so stale handles are rejected without a lookup.
+ *  - a reusable, member-bound Event (see sim::Event) is its own record,
+ *    so scheduling, firing, rescheduling or cancelling it claims and
+ *    frees nothing;
+ *  - a one-shot callable lives in a pooled cell (chunked, never moved,
+ *    free-list reuse) that holds an Event plus a small-buffer SmallFn;
+ *    only captures larger than SmallFn::kInlineBytes spill to the heap
+ *    (counted in KernelStats::one_shot_spills). One-shots are named by
+ *    generation-counted handles, so stale handles are rejected without
+ *    a lookup;
+ *  - cancellation unlinks the event eagerly.
  *
  * Ordering is one binary min-heap of *runs*. A run is a FIFO of
- * same-tick records in schedule (seq) order, linked through the
- * records; only run heads sit in the heap, keyed by (tick, seq). A
+ * same-tick events in schedule (seq) order, linked through the
+ * events; only run heads sit in the heap, keyed by (tick, seq). A
  * small table caches the tail of the newest run per tick (indexed by
  * the tick's low bits), and a schedule whose tick matches the cached
  * tail appends to that run instead of sifting. Because appends only go
@@ -42,6 +45,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -52,7 +56,7 @@
 namespace leaky::sim {
 
 /** Identifier of one scheduled occurrence, usable for cancellation.
- *  Encodes (slot generation << 32) | (slot index + 1). */
+ *  Encodes (cell generation << 32) | (cell index + 1). */
 using EventHandle = std::uint64_t;
 
 /** Sentinel handle meaning "no event". */
@@ -98,9 +102,8 @@ class SmallFn
                       "SmallFn payload must be callable with no args");
         reset();
         // Inline storage requires a nothrow move: relocation happens
-        // inside noexcept moves (and slab growth); a throwing-move
-        // payload goes to the heap cell, whose relocation only copies
-        // a pointer.
+        // inside noexcept moves; a throwing-move payload goes to the
+        // heap cell, whose relocation only copies a pointer.
         if constexpr (sizeof(Fn) <= kInlineBytes &&
                       alignof(Fn) <= alignof(std::max_align_t) &&
                       std::is_nothrow_move_constructible_v<Fn>) {
@@ -173,11 +176,14 @@ const SmallFn::Ops SmallFn::kHeapOps = {
 /**
  * A reusable, member-bound event: one object a component owns for its
  * lifetime and schedules over and over (self-clock ticks, deadlines,
- * timers). Scheduling a bound Event never allocates: the kernel stores
- * only the (context, thunk) pair. An Event may be scheduled at most
- * once at a time; use EventQueue::reschedule to move a pending one.
+ * timers). The Event is its own queue record, so scheduling, firing,
+ * rescheduling or cancelling it never allocates and claims no pooled
+ * slot. An Event may be scheduled at most once at a time; use
+ * EventQueue::reschedule to move a pending one. It cannot be copied or
+ * moved: the queue links pending Events by address.
  *
- * Events must not outlive the queue they are scheduled on.
+ * Destroying a pending Event deschedules it; destroying a queue first
+ * leaves its pending Events unscheduled.
  */
 class Event
 {
@@ -198,7 +204,7 @@ class Event
         fn_ = fn;
     }
 
-    bool scheduled() const { return handle_ != kNoEvent; }
+    bool scheduled() const { return queue_ != nullptr; }
 
     /** Tick of the pending occurrence (valid only while scheduled()). */
     Tick when() const { return when_; }
@@ -208,9 +214,17 @@ class Event
 
     void *ctx_ = nullptr;
     Fn fn_ = nullptr;
+    /** The queue this Event is pending on; null while not scheduled. */
     EventQueue *queue_ = nullptr;
-    EventHandle handle_ = kNoEvent;
+    // The queue record, valid while scheduled: the ordering keys, the
+    // links within its same-tick run and, for a run head, its heap
+    // position (EventQueue::kFrontPos for the front run's head,
+    // EventQueue::kInRun behind a head).
     Tick when_ = 0;
+    std::uint64_t seq_ = 0; ///< Global schedule order (tie-break).
+    Event *run_prev_ = nullptr;
+    Event *run_next_ = nullptr;
+    std::uint32_t heap_pos_ = 0;
 };
 
 /** Build an Event bound to a member function of @p obj, e.g.
@@ -226,7 +240,8 @@ memberEvent(T *obj)
  * Deterministic discrete-event queue.
  *
  * Events with equal ticks run in schedule order. Cancellation unlinks
- * the record at once and bumps the slot's generation.
+ * the event at once; a cancelled one-shot's cell also bumps its
+ * generation.
  */
 class EventQueue
 {
@@ -236,7 +251,7 @@ class EventQueue
         /** Callbacks executed, plus in-place advances (advanceIfNext). */
         std::uint64_t events_run = 0;
         std::uint64_t one_shot_spills = 0; ///< Captures too big for SBO.
-        std::uint64_t pool_chunks = 0;     ///< Slab chunks allocated.
+        std::uint64_t pool_chunks = 0;     ///< One-shot cell chunks.
         std::uint64_t heap_events = 0;     ///< Every schedule.
         std::uint64_t run_appends = 0;     ///< Joined a same-tick run.
         /** Opened a run strictly before every pending one (took the
@@ -248,7 +263,9 @@ class EventQueue
         std::uint64_t wheel_cascades = 0;
     };
 
-    EventQueue() = default;
+    /** Reserves the run heap's first chunk, so a queue of bound events
+     *  alone sifts with no allocation until it holds kChunkSize runs. */
+    EventQueue() { heap_.reserve(kChunkSize); }
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
     ~EventQueue();
@@ -273,21 +290,22 @@ class EventQueue
         static_assert(std::is_invocable_v<std::decay_t<F> &>,
                       "event callback must be invocable with no args");
         checkFuture(when);
-        const std::uint32_t idx = claimSlot();
-        Record &r = record(idx);
-        // Store the callable before the slot is published on the heap:
-        // if construction throws (e.g. bad_alloc on a spilled capture),
-        // no live-but-empty record must be reachable.
+        Cell &c = claimCell();
+        // Store the callable before the cell is published: if
+        // construction throws (e.g. bad_alloc on a spilled capture), no
+        // pending-but-empty cell must be reachable. The cell's
+        // generation never escaped, so giving it back needs no bump.
         try {
-            if (!fn_slab_[idx].emplace(std::forward<F>(fn)))
+            if (!c.fn.emplace(std::forward<F>(fn)))
                 stats_.one_shot_spills += 1;
         } catch (...) {
-            abortClaim(idx);
+            c.next_free = free_;
+            free_ = &c;
             throw;
         }
-        r.has_fn = true;
-        commitSlot(idx, when);
-        return makeHandle(idx, r.gen);
+        c.ev.queue_ = this;
+        commit(c.ev, when);
+        return makeHandle(c.idx, c.gen);
     }
 
     /** Schedule @p fn to run @p delay ticks from now. */
@@ -313,7 +331,7 @@ class EventQueue
     /**
      * Cancel a previously scheduled event.
      * @return true if the event was live and is now cancelled; false for
-     * stale handles (already executed, cancelled, or slot reused).
+     * stale handles (already executed, cancelled, or cell reused).
      */
     bool cancel(EventHandle handle);
 
@@ -377,57 +395,52 @@ class EventQueue
     Tick
     nextEventTick() const
     {
-        if (front_.idx != kNoFreeSlot)
+        if (front_.ev != nullptr)
             return front_.when;
         return heap_.empty() ? kTickMax : heap_.front().when;
     }
 
     const KernelStats &kernelStats() const { return stats_; }
 
-    /** Total slots in the slab (grows in chunks, never shrinks). */
-    std::size_t poolCapacity() const { return slab_.size(); }
+    /** One-shot cells in the pool (grows in chunks, never shrinks).
+     *  Bound events take none. */
+    std::size_t
+    poolCapacity() const
+    {
+        return chunks_.size() * kChunkSize;
+    }
 
   private:
     static constexpr std::uint32_t kChunkSize = 256; ///< Pool growth step.
-    static constexpr std::uint32_t kNoFreeSlot = ~std::uint32_t{0};
-    /** next_free value marking a live (allocated) record. */
-    static constexpr std::uint32_t kLiveMark = kNoFreeSlot - 1;
+    /** Event::heap_pos_ of an event behind its run's head. */
+    static constexpr std::uint32_t kInRun = ~std::uint32_t{0};
+    /** Event::heap_pos_ of the run head held in the front slot. */
+    static constexpr std::uint32_t kFrontPos = kInRun - 1;
     /** Size of the newest-run tail table (a power of two). Collisions
      *  only open extra runs, so it affects speed, never order. */
     static constexpr std::uint32_t kTailSlots = 256;
-    /** heap_pos of the run head held in the front slot. */
-    static constexpr std::uint32_t kFrontPos = kLiveMark;
 
     /**
-     * One pooled occurrence: its ordering keys, its links within its
-     * same-tick run and, for a run head, its heap position.
-     *
-     * The record is exactly one cache line; a one-shot's SmallFn
-     * payload lives in the parallel fn_slab_ (same index) and is only
-     * touched when has_fn says so, so a member-bound event's whole
-     * schedule/cancel/run cycle stays within this line.
+     * A pooled one-shot: an Event bound to runCell() with the cell as
+     * its context, plus the callable it runs. Cells live in chunks that
+     * never move, so the queue can link their Events by address; the
+     * generation, bumped whenever the cell is freed, validates handles.
      */
-    struct alignas(64) Record {
-        std::uint32_t gen = 1;  ///< Bumped on free; validates handles.
-        std::uint32_t next_free = kNoFreeSlot;
-        Tick when = 0;
-        std::uint64_t seq = 0;  ///< Global schedule order (tie-break).
-        std::uint32_t run_prev = kNoFreeSlot; ///< Same-tick run links.
-        std::uint32_t run_next = kNoFreeSlot;
-        /** Heap index of a run head, kFrontPos for the front run's
-         *  head, kNoFreeSlot for a record behind a run head. */
-        std::uint32_t heap_pos = kNoFreeSlot;
-        bool has_fn = false;    ///< fn_slab_[idx] holds a payload.
-        Event *bound = nullptr; ///< Non-null for member-bound events.
+    struct Cell {
+        Event ev;
+        SmallFn fn;
+        EventQueue *owner = nullptr;
+        Cell *next_free = nullptr;
+        std::uint32_t idx = 0; ///< Position in the pool (handle index).
+        std::uint32_t gen = 1;
     };
-    static_assert(sizeof(Record) == 64, "Record must stay one line");
 
     /** A run head's heap entry. The keys are copied here so sift
-     *  compares never read the records. */
+     *  compares never read the events. */
     struct HeapEntry {
         Tick when;
         std::uint64_t seq;
-        std::uint32_t idx;
+        Event *ev;
 
         bool
         before(const HeapEntry &o) const
@@ -435,9 +448,6 @@ class EventQueue
             return when != o.when ? when < o.when : seq < o.seq;
         }
     };
-
-    Record &record(std::uint32_t idx) { return slab_[idx]; }
-    const Record &record(std::uint32_t idx) const { return slab_[idx]; }
 
     static EventHandle
     makeHandle(std::uint32_t idx, std::uint32_t gen)
@@ -456,56 +466,54 @@ class EventQueue
     }
     [[noreturn]] void failPast(Tick when) const;
 
-    /** Pop a free slot off the free list (growing the pool first if
-     *  needed) and mark it live. It is not yet ordered. */
-    std::uint32_t claimSlot();
+    /** Pop a free cell off the free list, growing the pool first if
+     *  needed. It is not yet ordered. */
+    Cell &
+    claimCell()
+    {
+        if (free_ == nullptr)
+            growPool();
+        Cell &c = *free_;
+        free_ = c.next_free;
+        return c;
+    }
 
-    /** Publish a claimed slot at @p when: append it to the tick's
-     *  newest run, or open a new run in the heap. */
-    void commitSlot(std::uint32_t idx, Tick when);
+    /** Release a cell: destroy its payload, bump its generation, link
+     *  it free. */
+    void freeCell(Cell &c);
 
-    /** Return a claimed-but-unpublished slot to the free list. */
-    void abortClaim(std::uint32_t idx);
-
-    /** Release a slot: destroy payload, bump generation, link free. */
-    void freeSlot(std::uint32_t idx);
+    /** The thunk of every cell's Event: free the cell, then run the
+     *  callable it held (so the callable may schedule into it). */
+    static void runCell(void *cell);
 
     void growPool();
 
-    static constexpr std::array<std::uint32_t, kTailSlots>
-    emptyTails()
-    {
-        std::array<std::uint32_t, kTailSlots> t{};
-        for (std::uint32_t &v : t)
-            v = kNoFreeSlot;
-        return t;
-    }
+    /** Publish pending event @p ev at @p when: append it to the tick's
+     *  newest run, or open a new run. */
+    void commit(Event &ev, Tick when);
 
-    /** Remove live record @p idx from its run, the heap or front slot,
+    /** Remove pending event @p ev from its run, the heap or front slot,
      *  and the tail table. A head's successor inherits its heap slot
-     *  (or the front slot) in place. Inline (defined in the .cc, its
-     *  only user) so the per-event pop in runNext() makes no call. */
-    inline void unlink(std::uint32_t idx);
+     *  (or the front slot) in place. Inline (defined in the .cc) so the
+     *  per-event pop in runNext() makes no call. */
+    inline void unlink(Event &ev);
 
-    /** Open a run at @p e.idx: in the front slot when it precedes
-     *  every pending run, else in the heap. */
+    /** Open a run at @p e.ev: in the front slot when it precedes every
+     *  pending run, else in the heap. */
     void openRun(const HeapEntry &e);
 
-    /** Move @p e up from @p hole to its place, tracking heap_pos. */
+    /** Move @p e up from @p hole to its place, tracking heap_pos_. */
     void siftUp(std::size_t hole, const HeapEntry &e);
-    /** Move @p e down from @p hole to its place, tracking heap_pos. */
+    /** Move @p e down from @p hole to its place, tracking heap_pos_. */
     void siftDown(std::size_t hole, const HeapEntry &e);
     /** Store @p e at heap index @p pos and record the position. */
     void
     place(std::size_t pos, const HeapEntry &e)
     {
         heap_[pos] = e;
-        record(e.idx).heap_pos = static_cast<std::uint32_t>(pos);
+        e.ev->heap_pos_ = static_cast<std::uint32_t>(pos);
     }
 
-    /** Execute record @p idx (slot is freed before invocation so the
-     *  callback can reschedule the same bound event). */
-    void runRecord(std::uint32_t idx);
     /** Run the earliest event if its tick is <= @p limit.
      *  @return false when nothing ran. */
     bool runNext(Tick limit);
@@ -513,36 +521,31 @@ class EventQueue
     Tick now_ = 0;
     std::uint64_t next_seq_ = 1;
     std::size_t live_ = 0;
-    std::uint32_t free_head_ = kNoFreeSlot;
-    /**
-     * Record pool. Indexed by handle, so it may reallocate on growth
-     * (records are movable); a chunk-sized reserve at a time keeps that
-     * rare and steady-state scheduling allocation-free.
-     */
-    std::vector<Record> slab_;
-    /** One-shot payloads, parallel to slab_ (same index). Kept out of
-     *  Record so bound events never touch these lines (see Record). */
-    std::vector<SmallFn> fn_slab_;
+    /** One-shot cell pool, kChunkSize cells per chunk; a handle's index
+     *  i names cell i % kChunkSize of chunk i / kChunkSize. */
+    std::vector<std::unique_ptr<Cell[]>> chunks_;
+    Cell *free_ = nullptr; ///< Free-list head (nullptr: pool full).
     /** Run heads, a binary min-heap by (when, seq). */
     std::vector<HeapEntry> heap_;
     /** The front run's head, when one was opened strictly before
-     *  every run in heap_ (front_ == kNoFront: none). Its key is below
-     *  every heap entry's, so it always fires first. */
-    static constexpr HeapEntry kNoFront{kTickMax, 0, kNoFreeSlot};
+     *  every run in heap_ (front_.ev == nullptr: none). Its key is
+     *  below every heap entry's, so it always fires first. */
+    static constexpr HeapEntry kNoFront{kTickMax, 0, nullptr};
     HeapEntry front_ = kNoFront;
     /** advanceIfNext() moves the clock only to ticks below this: the
      *  running runUntil()'s limit + 1, or 0 outside a run and after a
      *  stop(). */
     Tick horizon_ = 0;
     bool stopped_ = false; ///< Set by stop(), cleared as runUntil() starts.
-    /** Tail of the newest run of each tick, at [when % kTailSlots]. */
-    std::array<std::uint32_t, kTailSlots> tails_ = emptyTails();
+    /** Tail of the newest run of each tick, at [when % kTailSlots]; it
+     *  only ever names a pending event. */
+    std::array<Event *, kTailSlots> tails_{};
     KernelStats stats_;
 };
 
 inline Event::~Event()
 {
-    if (queue_ && handle_ != kNoEvent)
+    if (queue_ != nullptr)
         queue_->deschedule(*this);
 }
 

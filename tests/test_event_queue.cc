@@ -1,10 +1,11 @@
 /**
  * @file
  * EventQueue unit tests: ordering, cancellation, time limits, plus the
- * intrusive-kernel semantics -- generation-counted handles across slab
+ * intrusive-kernel semantics -- generation-counted handles across cell
  * reuse, member-bound events rescheduling themselves from their own
- * callbacks, pool growth, and the zero-allocation steady-state
- * invariant (verified by a test-binary-wide operator new counter).
+ * callbacks and owning their queue records, pool growth, and the
+ * zero-allocation steady-state invariant (verified by a test-binary-wide
+ * operator new counter).
  */
 
 #include <gtest/gtest.h>
@@ -12,7 +13,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <deque>
 #include <functional>
+#include <memory>
 #include <new>
 #include <vector>
 
@@ -398,6 +401,89 @@ TEST(EventQueue, BoundEventDestructorDeschedules)
     }
     eq.run(); // The destroyed ticker's occurrence must not run.
     EXPECT_EQ(fired, 1);
+}
+
+// ---------------------------------------------------------------------
+// Bound events are their own queue records.
+
+TEST(EventQueue, BoundEventsClaimNoPoolCells)
+{
+    EventQueue eq;
+    std::deque<SelfTicker> tickers;
+    for (int i = 0; i < 6; ++i)
+        tickers.emplace_back(eq).limit = 3;
+    // Same-tick runs, a front run and heap runs; moves within and
+    // across runs, cancels of heads, middles and tails.
+    for (std::size_t i = 0; i < tickers.size(); ++i)
+        eq.schedule(tickers[i].ev, 10 + (i % 2) * 5);
+    eq.reschedule(tickers[0].ev, 5);
+    eq.reschedule(tickers[2].ev, 15);
+    EXPECT_TRUE(eq.deschedule(tickers[4].ev));
+    EXPECT_TRUE(eq.deschedule(tickers[1].ev));
+    eq.reschedule(tickers[4].ev, 12);
+    eq.run();
+    for (std::size_t i = 0; i < tickers.size(); ++i)
+        EXPECT_EQ(tickers[i].ticks, i == 1 ? 0 : 3) << "ticker " << i;
+    EXPECT_EQ(eq.poolCapacity(), 0u);
+    EXPECT_EQ(eq.kernelStats().pool_chunks, 0u);
+}
+
+TEST(EventQueue, DestroyedBoundEventsLeaveNothingDangling)
+{
+    // Heap-allocated, so a link the queue kept to a destroyed event is
+    // a use-after-free the sanitizer builds report.
+    EventQueue eq;
+    std::vector<std::unique_ptr<SelfTicker>> tickers;
+    for (int i = 0; i < 8; ++i) {
+        tickers.push_back(std::make_unique<SelfTicker>(eq));
+        tickers.back()->limit = 2;
+    }
+    // Ticks 10, 20, 10, 20, ...: two runs of four; the idle ticker 7
+    // is never scheduled.
+    for (std::size_t i = 0; i < 7; ++i)
+        eq.schedule(tickers[i]->ev, 10 + 10 * (i % 2));
+    int fired = 0;
+    eq.schedule(15, [&fired] { fired += 1; });
+    // A run's head and middle, the other run's tail, and the idle one.
+    for (std::size_t i : {0u, 2u, 5u, 7u})
+        tickers[i].reset();
+    EXPECT_EQ(eq.size(), 5u);
+    // New events append to both runs' remaining tails.
+    SelfTicker late10(eq), late20(eq);
+    late10.limit = late20.limit = 1;
+    eq.schedule(late10.ev, 10);
+    eq.schedule(late20.ev, 20);
+    eq.run();
+    EXPECT_EQ(fired, 1);
+    for (std::size_t i : {1u, 3u, 4u, 6u})
+        EXPECT_EQ(tickers[i]->ticks, 2);
+    EXPECT_EQ(late10.ticks, 1);
+    EXPECT_EQ(late20.ticks, 1);
+    EXPECT_TRUE(eq.empty());
+}
+
+TEST(EventQueue, DestroyedQueueLeavesItsPendingEventsIdle)
+{
+    auto eq = std::make_unique<EventQueue>();
+    std::vector<std::unique_ptr<SelfTicker>> tickers;
+    for (int i = 0; i < 5; ++i)
+        tickers.push_back(std::make_unique<SelfTicker>(*eq));
+    // A front run, a same-tick run of three and a later heap run,
+    // beside pending one-shots with a capture to destroy.
+    eq->schedule(tickers[0]->ev, 5);
+    for (std::size_t i = 1; i < 4; ++i)
+        eq->schedule(tickers[i]->ev, 10);
+    eq->schedule(tickers[4]->ev, 30);
+    auto payload = std::make_shared<int>(0);
+    eq->schedule(10, [payload] { *payload += 1; });
+    eq->schedule(40, [payload] { *payload += 1; });
+    EXPECT_EQ(payload.use_count(), 3);
+    eq.reset();
+    EXPECT_EQ(payload.use_count(), 1); // Undelivered one-shots freed.
+    for (const auto &t : tickers)
+        EXPECT_FALSE(t->ev.scheduled());
+    tickers.clear(); // Their destructors must not reach the dead queue.
+    EXPECT_EQ(*payload, 0);
 }
 
 // ---------------------------------------------------------------------

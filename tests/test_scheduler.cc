@@ -17,6 +17,7 @@ using leaky::ctrl::FrFcfsScheduler;
 using leaky::ctrl::QueueEntry;
 using leaky::ctrl::Request;
 using leaky::ctrl::RequestQueue;
+using leaky::ctrl::SchedDecision;
 using leaky::dram::Address;
 using leaky::dram::Command;
 using leaky::dram::DramChannel;
@@ -66,16 +67,17 @@ class SchedulerTest : public ::testing::Test
 TEST_F(SchedulerTest, EmptyQueueYieldsNothing)
 {
     RequestQueue q(cfg_.org);
-    EXPECT_FALSE(sched_.pick(q, chan_, noneBlocked, 0).has_value());
+    EXPECT_EQ(sched_.pick(q, chan_, noneBlocked, 0).index,
+              SchedDecision::kNone);
 }
 
 TEST_F(SchedulerTest, ClosedBankGetsActivate)
 {
     auto q = queue(entry(0, 0, 5));
     const auto d = sched_.pick(q, chan_, noneBlocked, 0);
-    ASSERT_TRUE(d.has_value());
-    EXPECT_EQ(d->cmd, Command::kAct);
-    EXPECT_EQ(d->index, 0u);
+    ASSERT_NE(d.index, SchedDecision::kNone);
+    EXPECT_EQ(d.cmd, Command::kAct);
+    EXPECT_EQ(d.index, 0u);
 }
 
 TEST_F(SchedulerTest, RowHitBeatsOlderConflict)
@@ -85,9 +87,9 @@ TEST_F(SchedulerTest, RowHitBeatsOlderConflict)
     auto q = queue(entry(0, 0, 9), entry(0, 0, 5));
     const auto d = sched_.pick(q, chan_, noneBlocked,
                                cfg_.timing.tRCD);
-    ASSERT_TRUE(d.has_value());
-    EXPECT_EQ(d->index, 1u);
-    EXPECT_EQ(d->cmd, Command::kRd);
+    ASSERT_NE(d.index, SchedDecision::kNone);
+    EXPECT_EQ(d.index, 1u);
+    EXPECT_EQ(d.cmd, Command::kRd);
 }
 
 TEST_F(SchedulerTest, ConflictGetsPrecharge)
@@ -95,16 +97,16 @@ TEST_F(SchedulerTest, ConflictGetsPrecharge)
     chan_.issue(Command::kAct, entry(0, 0, 5).req.addr, 0);
     auto q = queue(entry(0, 0, 9));
     const auto d = sched_.pick(q, chan_, noneBlocked, 0);
-    ASSERT_TRUE(d.has_value());
-    EXPECT_EQ(d->cmd, Command::kPre);
+    ASSERT_NE(d.index, SchedDecision::kNone);
+    EXPECT_EQ(d.cmd, Command::kPre);
 }
 
 TEST_F(SchedulerTest, FcfsAmongEqualCandidates)
 {
     auto q = queue(entry(1, 0, 6), entry(2, 0, 7), entry(0, 0, 5));
     const auto d = sched_.pick(q, chan_, noneBlocked, 0);
-    ASSERT_TRUE(d.has_value());
-    EXPECT_EQ(d->index, 0u); // The first pushed entry is the oldest.
+    ASSERT_NE(d.index, SchedDecision::kNone);
+    EXPECT_EQ(d.index, 0u); // The first pushed entry is the oldest.
 }
 
 TEST_F(SchedulerTest, ColumnCapYieldsToOlderConflict)
@@ -119,9 +121,9 @@ TEST_F(SchedulerTest, ColumnCapYieldsToOlderConflict)
     // the conflict now.
     auto q = queue(entry(0, 0, 9), entry(0, 0, 5));
     const auto d = sched_.pick(q, chan_, noneBlocked, cfg_.timing.tRCD);
-    ASSERT_TRUE(d.has_value());
-    EXPECT_EQ(d->index, 0u);
-    EXPECT_EQ(d->cmd, Command::kPre);
+    ASSERT_NE(d.index, SchedDecision::kNone);
+    EXPECT_EQ(d.index, 0u);
+    EXPECT_EQ(d.cmd, Command::kPre);
 }
 
 TEST_F(SchedulerTest, CapIgnoredWithoutOlderConflict)
@@ -133,8 +135,8 @@ TEST_F(SchedulerTest, CapIgnoredWithoutOlderConflict)
     // Only hits (no older non-hit): keep streaming.
     auto q = queue(entry(0, 0, 5));
     const auto d = sched_.pick(q, chan_, noneBlocked, cfg_.timing.tRCD);
-    ASSERT_TRUE(d.has_value());
-    EXPECT_EQ(d->cmd, Command::kRd);
+    ASSERT_NE(d.index, SchedDecision::kNone);
+    EXPECT_EQ(d.cmd, Command::kRd);
 }
 
 TEST_F(SchedulerTest, ActivateResetsStreak)
@@ -147,8 +149,8 @@ TEST_F(SchedulerTest, ActivateResetsStreak)
 
     auto q = queue(entry(0, 0, 9), entry(0, 0, 5));
     const auto d = sched_.pick(q, chan_, noneBlocked, cfg_.timing.tRCD);
-    ASSERT_TRUE(d.has_value());
-    EXPECT_EQ(d->index, 1u); // Hit priority restored.
+    ASSERT_NE(d.index, SchedDecision::kNone);
+    EXPECT_EQ(d.index, 1u); // Hit priority restored.
 }
 
 TEST_F(SchedulerTest, BlockedBanksAreSkipped)
@@ -158,8 +160,8 @@ TEST_F(SchedulerTest, BlockedBanksAreSkipped)
         return a.bankgroup == 0 && a.bank == 0;
     }, nullptr};
     const auto d = sched_.pick(q, chan_, blocked, 0);
-    ASSERT_TRUE(d.has_value());
-    EXPECT_EQ(d->index, 1u);
+    ASSERT_NE(d.index, SchedDecision::kNone);
+    EXPECT_EQ(d.index, 1u);
 }
 
 TEST_F(SchedulerTest, AllBlockedYieldsNothing)
@@ -167,7 +169,21 @@ TEST_F(SchedulerTest, AllBlockedYieldsNothing)
     auto q = queue(entry(0, 0, 5));
     const BankFilter blocked{
         [](const void *, const Address &) { return true; }, nullptr};
-    EXPECT_FALSE(sched_.pick(q, chan_, blocked, 0).has_value());
+    EXPECT_EQ(sched_.pick(q, chan_, blocked, 0).index, SchedDecision::kNone);
+}
+
+TEST_F(SchedulerTest, NothingSchedulableIsTheNoneDecision)
+{
+    // The whole decision, not just its index, is the default one, so
+    // a kept "nothing to do" compares equal to a fresh one.
+    const SchedDecision none{};
+    EXPECT_EQ(none.index, SchedDecision::kNone);
+    const RequestQueue empty(cfg_.org);
+    EXPECT_TRUE(sched_.pick(empty, chan_, noneBlocked, 7) == none);
+    auto q = queue(entry(0, 0, 5), entry(1, 1, 6));
+    const BankFilter all{
+        [](const void *, const Address &) { return true; }, nullptr};
+    EXPECT_TRUE(sched_.pick(q, chan_, all, 7) == none);
 }
 
 TEST_F(SchedulerTest, WriteHitPicksWriteCommand)
@@ -178,8 +194,8 @@ TEST_F(SchedulerTest, WriteHitPicksWriteCommand)
     e.req.type = Request::Type::kWrite;
     auto q = queue(e);
     const auto d = sched_.pick(q, chan_, noneBlocked, cfg_.timing.tRCD);
-    ASSERT_TRUE(d.has_value());
-    EXPECT_EQ(d->cmd, Command::kWr);
+    ASSERT_NE(d.index, SchedDecision::kNone);
+    EXPECT_EQ(d.cmd, Command::kWr);
 }
 
 // ------------------------------------------- differential vs reference
@@ -209,7 +225,7 @@ class ReferenceScheduler
             hit_streak_[fb] = 0;
     }
 
-    std::optional<leaky::ctrl::SchedDecision>
+    SchedDecision
     pick(const RequestQueue &q, const DramChannel &chan,
          const BankFilter &blocked, Tick now) const
     {
@@ -244,9 +260,9 @@ class ReferenceScheduler
         const std::size_t choice = best_hit != kNone ? best_hit
                                                      : oldest_any;
         if (choice == kNone)
-            return std::nullopt;
-        leaky::ctrl::SchedDecision d;
-        d.index = choice;
+            return SchedDecision{};
+        SchedDecision d;
+        d.index = static_cast<std::uint32_t>(choice);
         d.cmd = leaky::ctrl::nextCommandFor(q[choice].req, *status[choice]);
         d.earliest =
             std::max(now, chan.earliestIssue(d.cmd, q[choice].req.addr));
@@ -347,14 +363,15 @@ TEST(SchedulerDifferential, OnePassMatchesTwoPassReference)
         const Tick now = t + rng.below(200);
         const auto got = sched.pick(q, chan, blocked, now);
         const auto want = ref.pick(q, chan, blocked, now);
-        ASSERT_EQ(got.has_value(), want.has_value()) << "case " << c;
-        if (!want)
+        ASSERT_EQ(got.index == SchedDecision::kNone,
+                  want.index == SchedDecision::kNone) << "case " << c;
+        if (want.index == SchedDecision::kNone)
             continue;
-        ASSERT_EQ(got->index, want->index) << "case " << c;
-        ASSERT_EQ(got->cmd, want->cmd) << "case " << c;
-        ASSERT_EQ(got->earliest, want->earliest) << "case " << c;
-        hits_chosen += want->cmd == Command::kRd ||
-                       want->cmd == Command::kWr;
+        ASSERT_EQ(got.index, want.index) << "case " << c;
+        ASSERT_EQ(got.cmd, want.cmd) << "case " << c;
+        ASSERT_EQ(got.earliest, want.earliest) << "case " << c;
+        hits_chosen += want.cmd == Command::kRd ||
+                       want.cmd == Command::kWr;
     }
     // The draw reaches both sides of the cap and both decision kinds.
     EXPECT_GT(capped_cases, 1000u);

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Docs gate: keep the documentation verifiably in sync with the code.
 
-Four checks, stdlib-only so CI and laptops run it with any Python 3:
+Five checks, stdlib-only so CI and laptops run it with any Python 3:
 
 1. **Figure catalogue coverage** (needs --names): every figure name the
    `leakyhammer` binary registers must have a `### `name`` entry in
@@ -29,6 +29,14 @@ Four checks, stdlib-only so CI and laptops run it with any Python 3:
    (http/https/mailto) links and pure #anchors are skipped; a trailing
    #fragment on a relative link is stripped before the check.
 
+5. **Seed reach** (always): every docs/FIGURES.md entry must carry a
+   `- **Seed:**` bullet, and the entries whose bullet says "inert" must
+   be exactly those whose CSV the two default-scale pins
+   (ci/default_scale.sha256 at the default seeds,
+   ci/default_scale.seed11.sha256 at figure seed 11) pin to the same
+   hash -- a figure cannot claim to ignore its seed while its output
+   moves with it, nor hide that it does.
+
 Exit status: 0 = docs in sync, 1 = at least one failure, 2 = bad
 invocation.
 """
@@ -43,6 +51,9 @@ HEADING_RE = re.compile(r"^###\s+`([^`]+)`")
 # too via the optional bang.
 LINK_RE = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)\)")
 EXTERNAL = ("http://", "https://", "mailto:")
+CSV_RE = re.compile(r"^- \*\*CSV:\*\*\s+`([^`]+)`")
+SEED_RE = re.compile(r"^- \*\*Seed:\*\*\s+(\S+)")
+SEED_PINS = ("default_scale.sha256", "default_scale.seed11.sha256")
 
 
 def repo_root():
@@ -59,10 +70,7 @@ def doc_files(root):
     return [f for f in files if os.path.isfile(f)]
 
 
-def check_catalogue(names_path, figures_md, failures):
-    registered = read_names(names_path, failures)
-    if registered is None:
-        return
+def check_catalogue(registered, figures_md, failures):
     try:
         with open(figures_md) as fh:
             documented = [m.group(1) for m in
@@ -101,10 +109,7 @@ def read_names(names_path, failures):
         return None
 
 
-def check_goldens(names_path, golden_dir, failures):
-    registered = read_names(names_path, failures)
-    if registered is None:
-        return
+def check_goldens(registered, golden_dir, failures):
     if not os.path.isdir(golden_dir):
         failures.append(
             "golden directory '%s' does not exist (run `leakyhammer "
@@ -172,6 +177,67 @@ def check_lint_rules(root, failures):
               % len(registered))
 
 
+def read_pins(path):
+    """csv name -> sha256 from a `sha256sum` listing."""
+    pins = {}
+    with open(path) as fh:
+        for line in fh:
+            if line.strip():
+                digest, name = line.split()
+                pins[name.lstrip("*")] = digest
+    return pins
+
+
+def check_seed_reach(root, failures):
+    """docs/FIGURES.md "Seed: inert" entries <-> seed-invariant pins."""
+    figures_md = os.path.join(root, "docs", "FIGURES.md")
+    try:
+        default, seed11 = (read_pins(os.path.join(root, "ci", name))
+                           for name in SEED_PINS)
+        with open(figures_md) as fh:
+            lines = fh.read().splitlines()
+    except (OSError, ValueError) as err:
+        failures.append("cannot read the seed pins or FIGURES.md: %s"
+                        % err)
+        return
+    entries = {}  # figure -> [csv, first word of the Seed bullet]
+    figure = None
+    for line in lines:
+        m = HEADING_RE.match(line)
+        if m:
+            figure = m.group(1)
+            entries[figure] = [None, None]
+        elif figure and CSV_RE.match(line):
+            entries[figure][0] = CSV_RE.match(line).group(1)
+        elif figure and SEED_RE.match(line):
+            entries[figure][1] = SEED_RE.match(line).group(1)
+    documented, invariant = set(), set()
+    for figure, (csv, seed) in sorted(entries.items()):
+        if csv is None or seed is None:
+            failures.append("docs/FIGURES.md entry '%s' lacks a %s bullet"
+                            % (figure, "CSV" if csv is None else "Seed"))
+            continue
+        if csv not in default or csv not in seed11:
+            failures.append("%s (figure '%s') is not pinned in both %s"
+                            % (csv, figure, " and ".join(SEED_PINS)))
+            continue
+        if seed.rstrip(":.,;") == "inert":
+            documented.add(figure)
+        if default[csv] == seed11[csv]:
+            invariant.add(figure)
+    for figure in sorted(documented - invariant):
+        failures.append("docs/FIGURES.md calls '%s' seed-inert, but its "
+                        "CSV differs between the default-seed and seed-11 "
+                        "pins" % figure)
+    for figure in sorted(invariant - documented):
+        failures.append("'%s' writes the same CSV at the default seed and "
+                        "seed 11, but docs/FIGURES.md does not call its "
+                        "seed inert" % figure)
+    if not failures:
+        print("check_docs: seed reach in sync (%d of %d figures inert)"
+              % (len(documented), len(entries)))
+
+
 def check_links(files, failures):
     checked = 0
     for path in files:
@@ -212,15 +278,19 @@ def main(argv):
 
     root = repo_root()
     failures = []
-    if args.names:
-        check_catalogue(args.names, os.path.join(root, "docs",
+    # Read once: --names may be a pipe (`--names <(leakyhammer list
+    # --names)`), which a second open would find empty.
+    registered = read_names(args.names, failures) if args.names else None
+    if registered is not None:
+        check_catalogue(registered, os.path.join(root, "docs",
                                                  "FIGURES.md"),
                         failures)
-        check_goldens(args.names,
+        check_goldens(registered,
                       args.golden_dir or os.path.join(root, "tests",
                                                       "golden"),
                       failures)
     check_lint_rules(root, failures)
+    check_seed_reach(root, failures)
     check_links(doc_files(root), failures)
 
     for failure in failures:
