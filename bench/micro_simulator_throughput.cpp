@@ -2,7 +2,8 @@
  * @file
  * google-benchmark microbenchmarks of the simulation substrate itself:
  * event-queue throughput (one-shot and member-bound reusable events),
- * schedule/cancel churn, figure-shaped traffic with few live events,
+ * schedule/cancel churn, lane rescheduling beside pending runs,
+ * figure-shaped traffic with few live events,
  * DRAM command issue, controller request service (saturated and
  * paced), cache-hierarchy
  * replay of an application trace, and end-to-end covert-channel window
@@ -23,6 +24,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -112,6 +114,56 @@ BM_EventQueueCancelReschedule(benchmark::State &state)
     state.SetItemsProcessed(static_cast<std::int64_t>(moves));
 }
 BENCHMARK(BM_EventQueueCancelReschedule);
+
+/** A lane moved the way the controller moves its wake-up: each fire
+ *  arms it, then moves it later, earlier and to its next tick. */
+struct LaneMover {
+    explicit LaneMover(sim::EventQueue &q)
+        : eq(q),
+          ev(sim::memberEvent<&LaneMover::tick>(this,
+                                                 sim::Event::Order::kLane))
+    {
+    }
+
+    void
+    tick()
+    {
+        fired += 1;
+        const sim::Tick now = eq.now();
+        eq.schedule(ev, now + 30);
+        eq.reschedule(ev, now + 60);
+        eq.reschedule(ev, now + 20);
+        eq.reschedule(ev, now + 10);
+    }
+
+    sim::EventQueue &eq;
+    sim::Event ev;
+    std::uint64_t fired = 0;
+};
+
+/** Lane reschedule cost: one lane, rescheduled three times per fire,
+ *  beside eight self-clocking run events that stay pending on the
+ *  same 10-tick period. Items are lane fires. */
+void
+BM_EventQueueLaneReschedule(benchmark::State &state)
+{
+    sim::EventQueue eq;
+    std::vector<std::unique_ptr<Ticker>> runs;
+    for (sim::Tick i = 0; i < 8; ++i) {
+        runs.push_back(std::make_unique<Ticker>(eq));
+        runs.back()->target = ~std::uint64_t{0};
+        eq.schedule(runs.back()->ev, i);
+    }
+    LaneMover lane(eq);
+    eq.schedule(lane.ev, 0);
+    for (auto _ : state) {
+        const std::uint64_t stop = lane.fired + 1000;
+        while (lane.fired < stop)
+            eq.step();
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(lane.fired));
+}
+BENCHMARK(BM_EventQueueLaneReschedule);
 
 /** One of a few self-clocking components, each tick also scheduling a
  *  one-shot completion that lands before its next tick. */

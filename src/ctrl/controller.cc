@@ -20,7 +20,8 @@ MemoryController::MemoryController(sim::EventQueue &eq, const CtrlConfig &cfg,
       write_q_(cfg_.dram.org, kWriteQueueDepth),
       drain_left_(cfg.dram.org.ranks, 0),
       next_det_ref_(cfg.dram.timing.tREFI),
-      tick_event_(sim::memberEvent<&MemoryController::tick>(this)),
+      tick_event_(sim::memberEvent<&MemoryController::tick>(
+          this, sim::Event::Order::kLane)),
       abo_timer_(sim::memberEvent<&MemoryController::onAboDeadline>(this))
 {
     // Self-clock from t=0 so timers (periodic refresh, FR-RFM grids)

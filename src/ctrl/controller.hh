@@ -238,7 +238,9 @@ class MemoryController final : public dram::AlertSink
 
     Tick next_det_ref_ = 0; ///< Next deterministic REF (FR-RFM systems).
 
-    /** Reusable self-clock event; rescheduled, never re-allocated. */
+    /** Reusable self-clock event; rescheduled, never re-allocated. A
+     *  queue lane: it moves about twice per read, so it stays out of
+     *  the run heap. */
     sim::Event tick_event_;
     /** Reusable ABO-deadline timer (channel-scope alerts). */
     sim::Event abo_timer_;

@@ -16,6 +16,7 @@ EventQueue::~EventQueue()
     release(front_.ev);
     for (const HeapEntry &e : heap_)
         release(e.ev);
+    release(lanes_);
     // chunks_ destruction runs ~SmallFn on any undelivered one-shots.
 }
 
@@ -32,6 +33,12 @@ EventQueue::commit(Event &ev, Tick when)
 {
     ev.when_ = when;
     ev.seq_ = next_seq_++;
+    stats_.heap_events += 1;
+    live_ += 1;
+    if (ev.lane_) {
+        linkLane(ev);
+        return;
+    }
     ev.run_next_ = nullptr;
     Event *&tail = tails_[when & (kTailSlots - 1)];
     if (tail != nullptr && tail->when_ == when) {
@@ -50,8 +57,6 @@ EventQueue::commit(Event &ev, Tick when)
         openRun(HeapEntry{when, ev.seq_, &ev});
     }
     tail = &ev;
-    stats_.heap_events += 1;
-    live_ += 1;
 }
 
 void
@@ -59,7 +64,8 @@ EventQueue::openRun(const HeapEntry &e)
 {
     // Strictly earlier only: a new run at the front run's own tick
     // carries higher seqs, so it must queue behind it in the heap.
-    if (e.when < nextEventTick()) {
+    // Lanes do not count: the front slot only has to precede the heap.
+    if (e.when < nextRunTick()) {
         if (front_.ev != nullptr) {
             heap_.emplace_back();
             siftUp(heap_.size() - 1, front_);
@@ -71,6 +77,39 @@ EventQueue::openRun(const HeapEntry &e)
     }
     heap_.emplace_back();
     siftUp(heap_.size() - 1, e);
+}
+
+void
+EventQueue::linkLane(Event &ev)
+{
+    ev.run_prev_ = nullptr;
+    ev.run_next_ = lanes_;
+    if (lanes_ != nullptr)
+        lanes_->run_prev_ = &ev;
+    lanes_ = &ev;
+    const HeapEntry e{ev.when_, ev.seq_, &ev};
+    if (e.before(lane_))
+        lane_ = e;
+    stats_.lane_events += 1;
+}
+
+void
+EventQueue::unlinkLane(Event &ev)
+{
+    if (ev.run_prev_ != nullptr)
+        ev.run_prev_->run_next_ = ev.run_next_;
+    else
+        lanes_ = ev.run_next_;
+    if (ev.run_next_ != nullptr)
+        ev.run_next_->run_prev_ = ev.run_prev_;
+    if (lane_.ev != &ev)
+        return;
+    lane_ = kNone;
+    for (Event *l = lanes_; l != nullptr; l = l->run_next_) {
+        const HeapEntry e{l->when_, l->seq_, l};
+        if (e.before(lane_))
+            lane_ = e;
+    }
 }
 
 void
@@ -185,7 +224,7 @@ EventQueue::unlink(Event &ev)
         return;
     }
     if (pos == kFrontPos) {
-        front_ = kNoFront;
+        front_ = kNone;
         return;
     }
     const HeapEntry last = heap_.back();
@@ -244,7 +283,10 @@ EventQueue::deschedule(Event &ev)
         return false;
     LEAKY_ASSERT(ev.queue_ == this,
                  "descheduling an event pending on another queue");
-    unlink(ev);
+    if (ev.lane_)
+        unlinkLane(ev);
+    else
+        unlink(ev);
     ev.queue_ = nullptr;
     live_ -= 1;
     return true;
@@ -253,14 +295,20 @@ EventQueue::deschedule(Event &ev)
 bool
 EventQueue::runNext(Tick limit)
 {
-    const bool front = front_.ev != nullptr;
-    if (!front && heap_.empty())
-        return false;
-    const HeapEntry top = front ? front_ : heap_.front();
-    if (top.when > limit)
+    // The earliest run head and the earliest lane are each the minimum
+    // of their own set, so the earlier of the two is the global one.
+    const HeapEntry &run = front_.ev != nullptr ? front_
+                           : heap_.empty()      ? kNone
+                                                : heap_.front();
+    const bool lane = lane_.before(run);
+    const HeapEntry top = lane ? lane_ : run;
+    if (top.ev == nullptr || top.when > limit)
         return false;
     Event &ev = *top.ev;
-    unlink(ev);
+    if (lane)
+        unlinkLane(ev);
+    else
+        unlink(ev);
     now_ = top.when;
     live_ -= 1;
     stats_.events_run += 1;

@@ -35,8 +35,17 @@
  * opened strictly before every other pending run -- the common case
  * of a simulation that schedules its next step, which then fires
  * first. Opening, popping and cancelling the front run take no sift;
- * a run it displaces moves into the heap. See docs/ARCHITECTURE.md
- * ("Run heap: event ordering") for the invariant argument.
+ * a run it displaces moves into the heap.
+ *
+ * A bound event built as a *lane* (Event::Order::kLane) never enters
+ * the heap, the front slot or the tail table: while pending it sits in
+ * a short list of pending lanes, and the queue caches the earliest
+ * lane's key. Scheduling, moving or cancelling a lane sets its key and
+ * list links only. The next event is the earlier, by (tick, seq), of
+ * the earliest run head and the earliest lane; each is the minimum of
+ * its own set, so the fire order is still the exact global one. See
+ * docs/ARCHITECTURE.md ("Run heap: event ordering") for the invariant
+ * argument.
  */
 
 #ifndef LEAKY_SIM_EVENT_QUEUE_HH
@@ -182,6 +191,12 @@ const SmallFn::Ops SmallFn::kHeapOps = {
  * EventQueue::reschedule to move a pending one. It cannot be copied or
  * moved: the queue links pending Events by address.
  *
+ * An Event built with Order::kLane is a *lane* (see the file comment):
+ * same fire order, but moving or cancelling it takes no sift. It suits
+ * the one event of a component that moves on nearly every use (the
+ * memory controller's wake-up). Keep lanes few: cancelling the
+ * earliest one rescans the others.
+ *
  * Destroying a pending Event deschedules it; destroying a queue first
  * leaves its pending Events unscheduled.
  */
@@ -190,8 +205,17 @@ class Event
   public:
     using Fn = void (*)(void *ctx);
 
+    /** How the queue orders the pending Event; fixed at construction. */
+    enum class Order : std::uint8_t {
+        kRun,  ///< In a same-tick run of the run heap.
+        kLane, ///< In the queue's list of pending lanes.
+    };
+
     Event() = default;
-    Event(void *ctx, Fn fn) : ctx_(ctx), fn_(fn) {}
+    Event(void *ctx, Fn fn, Order order = Order::kRun)
+        : ctx_(ctx), fn_(fn), lane_(order == Order::kLane)
+    {
+    }
     Event(const Event &) = delete;
     Event &operator=(const Event &) = delete;
     inline ~Event(); ///< Deschedules itself if still pending.
@@ -217,23 +241,26 @@ class Event
     /** The queue this Event is pending on; null while not scheduled. */
     EventQueue *queue_ = nullptr;
     // The queue record, valid while scheduled: the ordering keys, the
-    // links within its same-tick run and, for a run head, its heap
-    // position (EventQueue::kFrontPos for the front run's head,
-    // EventQueue::kInRun behind a head).
+    // links within its same-tick run (a lane's: within the list of
+    // pending lanes) and, for a run head, its heap position
+    // (EventQueue::kFrontPos for the front run's head,
+    // EventQueue::kInRun behind a head; unused by a lane).
     Tick when_ = 0;
     std::uint64_t seq_ = 0; ///< Global schedule order (tie-break).
     Event *run_prev_ = nullptr;
     Event *run_next_ = nullptr;
     std::uint32_t heap_pos_ = 0;
+    const bool lane_ = false;
 };
 
 /** Build an Event bound to a member function of @p obj, e.g.
- *  `memberEvent<&MemoryController::tick>(this)`. */
+ *  `memberEvent<&MemoryController::tick>(this, Event::Order::kLane)`. */
 template <auto Method, typename T>
 Event
-memberEvent(T *obj)
+memberEvent(T *obj, Event::Order order = Event::Order::kRun)
 {
-    return Event(obj, [](void *ctx) { (static_cast<T *>(ctx)->*Method)(); });
+    return Event(
+        obj, [](void *ctx) { (static_cast<T *>(ctx)->*Method)(); }, order);
 }
 
 /**
@@ -253,6 +280,8 @@ class EventQueue
         std::uint64_t one_shot_spills = 0; ///< Captures too big for SBO.
         std::uint64_t pool_chunks = 0;     ///< One-shot cell chunks.
         std::uint64_t heap_events = 0;     ///< Every schedule.
+        /** Schedules of lane events (also counted in heap_events). */
+        std::uint64_t lane_events = 0;
         std::uint64_t run_appends = 0;     ///< Joined a same-tick run.
         /** Opened a run strictly before every pending one (took the
          *  front slot). */
@@ -365,10 +394,11 @@ class EventQueue
     /**
      * Advance the clock to @p t (>= now()) in place of scheduling a
      * callback there, when that callback would run next anyway: @p t
-     * lies strictly before every pending event and within the limit
-     * of the running runUntil(). Only callbacks that runUntil() (or
-     * run()) invokes can advance; step() and callers outside a run
-     * are always refused. An advance counts in KernelStats::events_run.
+     * lies strictly before every pending event, lanes included, and
+     * within the limit of the running runUntil(). Only callbacks that
+     * runUntil() (or run()) invokes can advance; step() and callers
+     * outside a run are always refused. An advance counts in
+     * KernelStats::events_run.
      * @return true when the clock moved to @p t; the caller then does
      * at once what its callback at @p t would have done.
      *
@@ -395,9 +425,8 @@ class EventQueue
     Tick
     nextEventTick() const
     {
-        if (front_.ev != nullptr)
-            return front_.when;
-        return heap_.empty() ? kTickMax : heap_.front().when;
+        const Tick run = nextRunTick();
+        return lane_.when < run ? lane_.when : run;
     }
 
     const KernelStats &kernelStats() const { return stats_; }
@@ -502,6 +531,21 @@ class EventQueue
      *  pending run, else in the heap. */
     void openRun(const HeapEntry &e);
 
+    /** Tick of the earliest run head (lanes aside), or kTickMax. */
+    Tick
+    nextRunTick() const
+    {
+        if (front_.ev != nullptr)
+            return front_.when;
+        return heap_.empty() ? kTickMax : heap_.front().when;
+    }
+
+    /** Push pending lane @p ev onto the lane list, keeping lane_. */
+    void linkLane(Event &ev);
+    /** Remove pending lane @p ev from the lane list; if it was the
+     *  earliest, rescan the rest for lane_. */
+    void unlinkLane(Event &ev);
+
     /** Move @p e up from @p hole to its place, tracking heap_pos_. */
     void siftUp(std::size_t hole, const HeapEntry &e);
     /** Move @p e down from @p hole to its place, tracking heap_pos_. */
@@ -527,11 +571,18 @@ class EventQueue
     Cell *free_ = nullptr; ///< Free-list head (nullptr: pool full).
     /** Run heads, a binary min-heap by (when, seq). */
     std::vector<HeapEntry> heap_;
+    /** An empty slot: later than every real key (seqs never reach
+     *  its own), so an empty slot never wins a before() compare. */
+    static constexpr HeapEntry kNone{kTickMax, ~std::uint64_t{0}, nullptr};
     /** The front run's head, when one was opened strictly before
      *  every run in heap_ (front_.ev == nullptr: none). Its key is
-     *  below every heap entry's, so it always fires first. */
-    static constexpr HeapEntry kNoFront{kTickMax, 0, nullptr};
-    HeapEntry front_ = kNoFront;
+     *  below every heap entry's, so it always fires first among runs. */
+    HeapEntry front_ = kNone;
+    /** Pending lanes, linked through Event::run_prev_/run_next_ in no
+     *  particular order (nullptr: none). */
+    Event *lanes_ = nullptr;
+    /** The earliest pending lane's key (kNone: no lane pending). */
+    HeapEntry lane_ = kNone;
     /** advanceIfNext() moves the clock only to ticks below this: the
      *  running runUntil()'s limit + 1, or 0 outside a run and after a
      *  stop(). */

@@ -723,6 +723,35 @@ TEST_F(ControllerTest, ServiceTimelinePinned)
     }
 }
 
+TEST_F(ControllerTest, WakeUpsTakeTheLane)
+{
+    // The controller's wake-up moves on every read: an in-place
+    // arrival cancels it and the wake-up's end re-arms it. It is a
+    // queue lane, so none of those moves opens a run in the run heap.
+    // In a paced PRAC read loop (as BM_ControllerPacedReads) every
+    // other schedule then opens a run strictly before all pending
+    // runs and takes the front slot, so nothing is pushed at all.
+    using namespace leaky;
+    constexpr std::uint64_t kReads = 2000;
+    sys::System system(sys::SystemConfig::paper(defense::DefenseKind::kPrac));
+    attack::ProbeConfig cfg;
+    cfg.addrs = {attack::rowAddress(system.mapper(), 0, 0, 0, 0, 1000),
+                 attack::rowAddress(system.mapper(), 0, 0, 0, 0, 2000)};
+    cfg.iterations = kReads;
+    attack::LatencyProbe probe(system, cfg);
+    probe.start([&system] { system.stop(); });
+    system.run(sim::kMs);
+    ASSERT_EQ(probe.samples().size(), kReads);
+
+    const auto &k = system.eventQueue().kernelStats();
+    EXPECT_GE(k.lane_events, kReads);
+    // Every schedule either joins a run, opens the front run, opens a
+    // run in the heap or arms a lane.
+    const std::uint64_t heap_pushes =
+        k.heap_events - k.lane_events - k.run_appends - k.front_runs;
+    EXPECT_EQ(heap_pushes, 0u);
+}
+
 /** Run @p system until an agent's completion stops it. */
 void
 runToDone(leaky::sys::System &system, const bool &done)

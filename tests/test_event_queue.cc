@@ -329,8 +329,8 @@ TEST(EventQueue, PoolGrowsPastInitialCapacity)
 }
 
 struct SelfTicker {
-    explicit SelfTicker(EventQueue &q)
-        : eq(q), ev(memberEvent<&SelfTicker::tick>(this))
+    explicit SelfTicker(EventQueue &q, Event::Order order = Event::Order::kRun)
+        : eq(q), ev(memberEvent<&SelfTicker::tick>(this, order))
     {
     }
 
@@ -580,24 +580,74 @@ class Differential
         return id;
     }
 
+    /** Add @p n reusable bound events, each a lane with probability
+     *  1/2 (@p rng decides). */
+    void
+    addBound(std::size_t n, leaky::sim::Rng &rng)
+    {
+        for (std::size_t i = 0; i < n; ++i)
+            bound_.push_back(std::make_unique<Bound>(
+                this, rng.below(2) == 0 ? Event::Order::kLane
+                                        : Event::Order::kRun));
+    }
+
+    std::size_t boundCount() const { return bound_.size(); }
+    bool boundLane(std::size_t b) const { return bound_[b]->lane; }
+    bool boundPending(std::size_t b) const { return bound_[b]->ev.scheduled(); }
+
+    /** Schedule idle bound event @p b at @p when in both, as a new id;
+     *  a pending one is rescheduled there (a new seq, same id). */
+    void
+    scheduleBound(std::size_t b, Tick when)
+    {
+        Bound &bd = *bound_[b];
+        if (!bd.ev.scheduled()) {
+            bd.id = next_id_++;
+            eq.schedule(bd.ev, when);
+            model_.push_back({when, seq_++, bd.id, kNoEvent, &bd});
+            return;
+        }
+        eq.reschedule(bd.ev, when);
+        Pending &p = model_[indexOf(bd.id)];
+        p.when = when;
+        p.seq = seq_++;
+    }
+
+    /** Model index of pending bound event @p b. */
+    std::size_t boundIndex(std::size_t b) const
+    {
+        return indexOf(bound_[b]->id);
+    }
+
+    /** Schedule a probe at @p when: when it fires, it asks
+     *  advanceIfNext() for the earliest pending tick (which it must
+     *  refuse) and for the tick before it (which it must grant when
+     *  that lies within the run). @return the event's id. */
+    int
+    addProbe(Tick when)
+    {
+        const int id = next_id_++;
+        const auto h = eq.schedule(when, [this, id] {
+            fire(id, false);
+            probe(id);
+        });
+        model_.push_back({when, seq_++, id, h});
+        return id;
+    }
+
     /** Cancel the pending event at model index @p k in both. */
     void
     cancelAt(std::size_t k)
     {
-        EXPECT_TRUE(eq.cancel(model_[k].handle));
+        if (Bound *b = model_[k].bound)
+            EXPECT_TRUE(eq.deschedule(b->ev));
+        else
+            EXPECT_TRUE(eq.cancel(model_[k].handle));
         model_.erase(model_.begin() + static_cast<std::ptrdiff_t>(k));
     }
 
     /** Cancel pending event @p id in both. */
-    void
-    cancelId(int id)
-    {
-        const auto it = std::find_if(
-            model_.begin(), model_.end(),
-            [id](const Pending &p) { return p.id == id; });
-        ASSERT_NE(it, model_.end()) << "event " << id << " not pending";
-        cancelAt(static_cast<std::size_t>(it - model_.begin()));
-    }
+    void cancelId(int id) { cancelAt(indexOf(id)); }
 
     /** Run both up to @p limit (inclusive). When pending event
      *  @p stop_id fires, it calls stop(): the run ends after it, with
@@ -606,6 +656,8 @@ class Differential
     runUntil(Tick limit, int stop_id = -1)
     {
         stop_id_ = stop_id;
+        limit_ = limit;
+        stopped_ = false;
         eq.runUntil(limit);
         stop_id_ = -1;
         std::vector<Pending> due;
@@ -638,6 +690,11 @@ class Differential
     }
 
     std::size_t pending() const { return model_.size(); }
+    bool
+    pendingIsLane(std::size_t k) const
+    {
+        return model_[k].bound != nullptr && model_[k].bound->lane;
+    }
     Tick pendingWhen(std::size_t k) const { return model_[k].when; }
     int pendingId(std::size_t k) const { return model_[k].id; }
 
@@ -660,21 +717,87 @@ class Differential
     EventQueue eq;
     std::vector<int> fired;
     std::vector<int> expected;
+    /** Probes whose earliest pending event was a lane, which they had
+     *  to refuse to advance to. */
+    int lane_refusals = 0;
+    int probe_advances = 0; ///< Probes granted the tick before it.
 
   private:
+    /** A reusable bound event that fires as its latest id. */
+    struct Bound {
+        Bound(Differential *d, Event::Order order)
+            : owner(d), ev(memberEvent<&Bound::fire>(this, order)),
+              lane(order == Event::Order::kLane)
+        {
+        }
+
+        void fire() { owner->fire(id, false); }
+
+        Differential *owner;
+        Event ev;
+        const bool lane;
+        int id = -1;
+    };
+
     struct Pending {
         Tick when;
         std::uint64_t seq; ///< Global schedule order (tie-break).
         int id;
         leaky::sim::EventHandle handle;
+        Bound *bound = nullptr; ///< Set for a bound event.
     };
+
+    /** Model index of pending event @p id; a test bug aborts. */
+    std::size_t
+    indexOf(int id) const
+    {
+        for (std::size_t k = 0; k < model_.size(); ++k) {
+            if (model_[k].id == id)
+                return k;
+        }
+        ADD_FAILURE() << "event " << id << " not pending";
+        std::abort();
+    }
+
+    /** Check advanceIfNext() from inside probe @p id's callback against
+     *  the model: the earliest event still pending bars its own tick,
+     *  and the tick before it is granted within the run's limit. */
+    void
+    probe(int id)
+    {
+        const Pending *next = nullptr;
+        for (const Pending &p : model_) {
+            const auto k = static_cast<std::size_t>(p.id);
+            if (k < done_.size() && done_[k])
+                continue;
+            if (next == nullptr || p.when < next->when ||
+                (p.when == next->when && p.seq < next->seq))
+                next = &p;
+        }
+        if (next == nullptr)
+            return;
+        EXPECT_FALSE(eq.advanceIfNext(next->when)) << "probe " << id;
+        if (next->bound != nullptr && next->bound->lane)
+            lane_refusals += 1;
+        const Tick before = next->when - 1;
+        if (next->when > eq.now()) {
+            const bool granted = !stopped_ && before <= limit_;
+            EXPECT_EQ(eq.advanceIfNext(before), granted) << "probe " << id;
+            probe_advances += granted;
+        }
+    }
 
     void
     fire(int id, bool spawn)
     {
         fired.push_back(id);
-        if (id == stop_id_)
+        if (static_cast<std::size_t>(id) >= done_.size())
+            done_.resize(static_cast<std::size_t>(id) + 1, false);
+        done_[static_cast<std::size_t>(id)] = true;
+        if (id == stop_id_) {
             eq.stop();
+            stopped_ = true;
+        }
         // The child joins the model mid-run; it fires inside the same
         // runUntil() slice, after every pending event of this tick.
         if (spawn)
@@ -682,9 +805,13 @@ class Differential
     }
 
     std::vector<Pending> model_;
+    std::vector<std::unique_ptr<Bound>> bound_;
+    std::vector<bool> done_; ///< By id: fired.
     std::uint64_t seq_ = 0;
     int next_id_ = 0;
     int stop_id_ = -1; ///< Pending event that calls stop() (-1: none).
+    Tick limit_ = 0;       ///< The running runUntil()'s limit.
+    bool stopped_ = false; ///< A callback of this run called stop().
 };
 
 TEST(EventQueueProperty, MatchesReferenceOrder)
@@ -917,6 +1044,159 @@ TEST(EventQueueProperty, StopsAtRandomEventsResumeInReferenceOrder)
         EXPECT_TRUE(d.eq.empty());
     }
     EXPECT_GT(stops, 1000u);
+}
+
+TEST(EventQueueProperty, LanesMatchReferenceOrder)
+{
+    // Bound events, a random half of them lanes, among one-shots and
+    // probes: lanes scheduled at a pending run's tick (after it) and
+    // runs at a pending lane's tick (after it), pending lanes moved
+    // earlier and later, cancelled, pending across stop() and resumed,
+    // and probes that must refuse to advance past an earlier lane.
+    int lane_after_run = 0, run_after_lane = 0, moves = 0, lane_cancels = 0;
+    int lane_refusals = 0, probe_advances = 0;
+    std::uint64_t lane_events = 0;
+    for (const std::uint64_t seed : {16u, 17u, 18u}) {
+        leaky::sim::Rng rng(seed);
+        Differential d;
+        d.addBound(12, rng);
+        for (int step = 0; step < 6000; ++step) {
+            const Tick now = d.eq.now();
+            const std::uint64_t op = rng.below(100);
+            const std::size_t b = rng.below(d.boundCount());
+            if (op < 20 || d.pending() == 0) {
+                const Tick span = rng.below(2) == 0 ? 6 : 300;
+                d.add(now + rng.below(span), rng.below(6) == 0);
+            } else if (op < 27) {
+                d.addProbe(now + rng.below(200));
+            } else if (op < 47) {
+                // Tie a bound event to a pending event's tick; it
+                // draws the newer seq, so it fires after it.
+                const std::size_t k = rng.below(d.pending());
+                if (d.boundPending(b) && d.boundIndex(b) == k)
+                    continue;
+                const Tick at = d.pendingWhen(k);
+                if (d.boundLane(b) && !d.pendingIsLane(k))
+                    lane_after_run += 1;
+                moves += d.boundPending(b);
+                d.scheduleBound(b, at);
+            } else if (op < 57) {
+                // A one-shot at a pending lane's tick, after the lane.
+                for (std::size_t k = 0; k < d.pending(); ++k) {
+                    if (d.pendingIsLane(k)) {
+                        d.add(d.pendingWhen(k));
+                        run_after_lane += 1;
+                        break;
+                    }
+                }
+            } else if (op < 67) {
+                // Move (or arm) a bound event earlier or later.
+                const Tick at = d.boundPending(b)
+                                    ? d.pendingWhen(d.boundIndex(b))
+                                    : now + 100;
+                const Tick lo = at > now + 50 ? at - 50 : now;
+                moves += d.boundPending(b);
+                d.scheduleBound(b, lo + rng.below(100));
+            } else if (op < 75) {
+                if (d.boundPending(b)) {
+                    lane_cancels += d.boundLane(b);
+                    d.cancelAt(d.boundIndex(b));
+                } else {
+                    d.cancelAt(rng.below(d.pending()));
+                }
+            } else if (op < 88) {
+                const std::size_t k = rng.below(d.pending());
+                const Tick when = d.pendingWhen(k);
+                d.runUntil(when + rng.below(64), d.pendingId(k));
+                ASSERT_EQ(d.fired, d.expected) << "seed " << seed
+                                               << " step " << step;
+                ASSERT_EQ(d.eq.now(), when);
+            } else {
+                const std::size_t k = rng.below(d.pending());
+                d.runUntil(d.pendingWhen(k) + rng.below(64));
+                ASSERT_EQ(d.fired, d.expected) << "seed " << seed
+                                               << " step " << step;
+            }
+        }
+        d.runUntil(kTickMax);
+        ASSERT_EQ(d.fired, d.expected) << "seed " << seed;
+        EXPECT_TRUE(d.eq.empty());
+        lane_refusals += d.lane_refusals;
+        probe_advances += d.probe_advances;
+        lane_events += d.eq.kernelStats().lane_events;
+    }
+    EXPECT_GT(lane_after_run, 400);
+    EXPECT_GT(run_after_lane, 200);
+    EXPECT_GT(moves, 200);
+    EXPECT_GT(lane_cancels, 20);
+    EXPECT_GT(lane_refusals, 50);
+    EXPECT_GT(probe_advances, 200);
+    EXPECT_GT(lane_events, 700u);
+}
+
+TEST(EventQueue, AdvanceIfNextRefusesWhenALaneIsEarlier)
+{
+    EventQueue eq;
+    SelfTicker lane(eq, Event::Order::kLane);
+    lane.limit = 1;
+    std::vector<bool> got;
+    eq.schedule(300, [] {});
+    eq.schedule(lane.ev, 150);
+    eq.schedule(100, [&] {
+        got.push_back(eq.advanceIfNext(150)); // The lane's own tick.
+        got.push_back(eq.advanceIfNext(200)); // Past the lane.
+        got.push_back(eq.advanceIfNext(149));
+    });
+    eq.run();
+    EXPECT_EQ(got, (std::vector<bool>{false, false, true}));
+    EXPECT_EQ(lane.ticks, 1);
+    EXPECT_EQ(lane.last_at, 150u);
+}
+
+TEST(EventQueue, DestroyedPendingLanesLeaveNothingDangling)
+{
+    // Heap-allocated, so a link the queue kept to a destroyed lane is
+    // a use-after-free the sanitizer builds report.
+    EventQueue eq;
+    std::vector<std::unique_ptr<SelfTicker>> lanes;
+    for (int i = 0; i < 6; ++i) {
+        lanes.push_back(
+            std::make_unique<SelfTicker>(eq, Event::Order::kLane));
+        lanes.back()->limit = 2;
+        eq.schedule(lanes.back()->ev, 10 + 5 * static_cast<Tick>(i));
+    }
+    int fired = 0;
+    eq.schedule(12, [&fired] { fired += 1; });
+    // The earliest lane, a middle one and the list's newest (head).
+    for (std::size_t i : {0u, 3u, 5u})
+        lanes[i].reset();
+    EXPECT_EQ(eq.size(), 4u);
+    EXPECT_EQ(eq.nextEventTick(), 12u);
+    eq.run();
+    EXPECT_EQ(fired, 1);
+    for (std::size_t i : {1u, 2u, 4u})
+        EXPECT_EQ(lanes[i]->ticks, 2);
+    EXPECT_EQ(lanes[4]->last_at, 40u);
+    EXPECT_TRUE(eq.empty());
+    EXPECT_EQ(eq.kernelStats().lane_events, 6u + 3u);
+}
+
+TEST(EventQueue, DestroyedQueueLeavesItsPendingLanesIdle)
+{
+    auto eq = std::make_unique<EventQueue>();
+    std::vector<std::unique_ptr<SelfTicker>> lanes;
+    for (int i = 0; i < 3; ++i) {
+        lanes.push_back(
+            std::make_unique<SelfTicker>(*eq, Event::Order::kLane));
+        eq->schedule(lanes.back()->ev, 10 * static_cast<Tick>(i + 1));
+    }
+    SelfTicker run(*eq);
+    eq->schedule(run.ev, 15);
+    eq.reset();
+    for (const auto &l : lanes)
+        EXPECT_FALSE(l->ev.scheduled());
+    EXPECT_FALSE(run.ev.scheduled());
+    lanes.clear(); // Their destructors must not reach the dead queue.
 }
 
 TEST(EventQueue, AdvanceIfNextRefusesOutsideARun)

@@ -278,20 +278,25 @@ def main(argv):
 
     root = repo_root()
     failures = []
+
+    def run(check, *check_args):
+        # Each check gets its own list, so its "in sync" line depends
+        # on its own failures only, not on an earlier check's.
+        own = []
+        check(*check_args, own)
+        failures.extend(own)
+
     # Read once: --names may be a pipe (`--names <(leakyhammer list
     # --names)`), which a second open would find empty.
     registered = read_names(args.names, failures) if args.names else None
     if registered is not None:
-        check_catalogue(registered, os.path.join(root, "docs",
-                                                 "FIGURES.md"),
-                        failures)
-        check_goldens(registered,
-                      args.golden_dir or os.path.join(root, "tests",
-                                                      "golden"),
-                      failures)
-    check_lint_rules(root, failures)
-    check_seed_reach(root, failures)
-    check_links(doc_files(root), failures)
+        run(check_catalogue, registered,
+            os.path.join(root, "docs", "FIGURES.md"))
+        run(check_goldens, registered,
+            args.golden_dir or os.path.join(root, "tests", "golden"))
+    run(check_lint_rules, root)
+    run(check_seed_reach, root)
+    run(check_links, doc_files(root))
 
     for failure in failures:
         print("check_docs: %s" % failure, file=sys.stderr)
