@@ -22,11 +22,15 @@ AccessLoop::fire()
     const std::optional<std::uint64_t> addr = agent_.step();
     if (!addr)
         return;
-    port_.issueRead(*addr, 0, [this, issued = port_.now()](Tick done) {
-        const Tick latency = done - mark_;
-        mark_ = done;
-        agent_.onRead(issued, done, latency);
-    });
+    port_.issueRead(*addr, *this, port_.now());
+}
+
+void
+AccessLoop::readDone(std::uint64_t tag, Tick done)
+{
+    const Tick latency = done - mark_;
+    mark_ = done;
+    agent_.onRead(tag, done, latency);
 }
 
 LatencyClassifier

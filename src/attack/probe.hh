@@ -84,10 +84,10 @@ inline constexpr Tick kIterOverhead = 15'000;
  * hands the agent the latency since the previous completion. Whether
  * and when to arm again is always the agent's call: a load-to-use
  * agent arms from onRead(), the paced noise generator from step().
- * The step is one member-bound event, so an access builds no callable
- * for the kernel.
+ * The step is one member-bound event and the loop is its reads' sink
+ * (tag: the issue tick), so an access builds no callable.
  */
-class AccessLoop
+class AccessLoop final : private sys::ReadSink
 {
   public:
     /** The side an attack agent implements. */
@@ -120,6 +120,8 @@ class AccessLoop
 
   private:
     void fire();
+    /** The read issued at tick @p tag returned at @p done. */
+    void readDone(std::uint64_t tag, Tick done) override;
 
     sys::MemoryPort &port_;
     Agent &agent_;

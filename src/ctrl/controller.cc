@@ -24,6 +24,9 @@ MemoryController::MemoryController(sim::EventQueue &eq, const CtrlConfig &cfg,
           this, sim::Event::Order::kLane)),
       abo_timer_(sim::memberEvent<&MemoryController::onAboDeadline>(this))
 {
+    LEAKY_ASSERT(cfg.dram.org.bankgroups <= kMaxTaskBanks,
+                 "%u bank groups: a bank task lists at most %u",
+                 cfg.dram.org.bankgroups, kMaxTaskBanks);
     // Self-clock from t=0 so timers (periodic refresh, FR-RFM grids)
     // run even on an otherwise idle system.
     eq_.schedule(tick_event_, eq_.now());
@@ -106,13 +109,12 @@ MemoryController::raiseAlert(const dram::AlertInfo &info)
         BankTask task;
         task.rfm.kind = Command::kRfmOneBank;
         task.rfm.target = info.bank;
-        cfg_.dram.org.annotate(task.rfm.target);
         task.rfm.latency_override = t.tRFM_backoff;
         task.remaining = cfg_.rfms_per_backoff;
         task.active_after = now + t.tAlert + t.tABOACT;
         task.start = now + t.tAlert;
         task.from_alert = true;
-        bank_tasks_.push_back(task);
+        addBankTask(task);
         scheduleWake(task.active_after);
         return;
     }
@@ -263,11 +265,10 @@ MemoryController::pollDefense(Tick now)
         }
         BankTask task;
         task.rfm = *rfm;
-        cfg_.dram.org.annotate(task.rfm.target);
         task.remaining = 1;
         task.active_after = now;
         task.from_alert = false;
-        bank_tasks_.push_back(task);
+        addBankTask(task);
     }
 }
 
@@ -340,22 +341,22 @@ MemoryController::progressDrain(Tick now)
     return false;
 }
 
-const std::vector<Address> &
-MemoryController::taskBanks(const BankTask &task) const
+void
+MemoryController::addBankTask(BankTask &task)
 {
-    auto &banks = task_banks_scratch_;
-    banks.clear();
+    cfg_.dram.org.annotate(task.rfm.target);
+    auto &banks = task.banks;
     if (task.rfm.kind == Command::kRfmSameBank) {
         for (std::uint32_t bg = 0; bg < cfg_.dram.org.bankgroups; ++bg) {
             Address a = task.rfm.target;
             a.bankgroup = bg;
             cfg_.dram.org.annotate(a);
-            banks.push_back(a);
+            banks.list[banks.count++] = a;
         }
     } else {
-        banks.push_back(task.rfm.target);
+        banks.list[banks.count++] = task.rfm.target;
     }
-    return banks;
+    bank_tasks_.push_back(task);
 }
 
 bool
@@ -367,7 +368,7 @@ MemoryController::progressBankTasks(Tick now)
             continue;
 
         bool any_open = false;
-        for (const Address &b : taskBanks(task)) {
+        for (const Address &b : task.banks) {
             if (chan_.openRow(b) == dram::DramChannel::kNoRow)
                 continue;
             any_open = true;
@@ -592,7 +593,7 @@ MemoryController::computeNextWake(Tick now)
                 continue;
             }
             bool any_open = false;
-            for (const Address &b : taskBanks(task)) {
+            for (const Address &b : task.banks) {
                 if (chan_.openRow(b) != dram::DramChannel::kNoRow) {
                     any_open = true;
                     consider(chan_.earliestIssue(Command::kPre, b));

@@ -15,6 +15,7 @@
 #ifndef LEAKY_CTRL_CONTROLLER_HH
 #define LEAKY_CTRL_CONTROLLER_HH
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -132,6 +133,10 @@ class MemoryController final : public dram::AlertSink
     void raiseAlert(const dram::AlertInfo &info) override;
 
   private:
+    /** Most banks one bank task closes: a same-bank RFM spans every
+     *  bank group, and DDR5 has at most 8. */
+    static constexpr std::uint32_t kMaxTaskBanks = 8;
+
     /** A bank-scoped RFM in flight (PRFM RFMsb / Bank-Level back-off). */
     struct BankTask {
         RfmRequest rfm;
@@ -139,6 +144,14 @@ class MemoryController final : public dram::AlertSink
         Tick active_after = 0;       ///< Bank back-off: tABOACT window end.
         Tick start = 0;              ///< First RFM issue tick (0 = none).
         bool from_alert = false;     ///< Bank-Level PRAC (vs PRFM).
+        /** The banks the RFM needs closed, listed once by
+         *  addBankTask(): the target, or its bank in every bank group. */
+        struct Banks {
+            std::array<Address, kMaxTaskBanks> list;
+            std::uint32_t count = 0;
+            const Address *begin() const { return list.data(); }
+            const Address *end() const { return list.data() + count; }
+        } banks;
     };
 
     /**
@@ -175,7 +188,9 @@ class MemoryController final : public dram::AlertSink
     const SchedDecision &decide(const RequestQueue &q, Tick now);
     void pollDefense(Tick now);
     void maybeStartAbo();
-    const std::vector<Address> &taskBanks(const BankTask &task) const;
+    /** Annotate @p task's target, list the banks it closes and queue
+     *  it. */
+    void addBankTask(BankTask &task);
     bool bankBlocked(const Address &addr, Tick now) const;
     /** Scheduler filter for @p now; empty when no bank task is active. */
     BankFilter bankFilter(Tick now) const;
@@ -249,8 +264,6 @@ class MemoryController final : public dram::AlertSink
     Tick last_tick_at_ = sim::kTickMax;
     std::uint32_t stalled_ticks_ = 0;
 
-    /** Scratch for taskBanks() (avoids per-call allocation). */
-    mutable std::vector<Address> task_banks_scratch_;
     /** Tick the current bankFilter() was built for (thunk context). */
     mutable Tick filter_now_ = 0;
 

@@ -29,7 +29,7 @@ struct Request {
     Type type = Type::kRead;
     std::uint64_t phys_addr = 0;
     Address addr; ///< Decoded coordinates (filled by the system front-end).
-    std::int32_t source = 0; ///< Requestor id (core/agent) for stats.
+    std::int32_t source = 0; ///< Writer's requestor id (reads: 0).
 
     /** Reads only: the requestor's event (not owned; it must stay
      *  unscheduled and alive until it fires), scheduled by the

@@ -90,13 +90,27 @@ void
 TraceCore::issuePrefetch(std::uint64_t line_addr)
 {
     const std::uint64_t addr = line_addr * 64;
-    port_.issueRead(addr, source_, [this, addr](Tick) {
-        CacheHierarchy::Result result;
-        caches_.fill(addr, false, result);
-        for (auto wb : result.writebacks)
-            port_.issueWrite(wb, source_);
-        prefetcher_.onFill(addr / 64);
-    });
+    LEAKY_DCHECK((addr & kPrefetchTag) == 0, "prefetch address overflow");
+    port_.issueRead(addr, *this, addr | kPrefetchTag);
+}
+
+void
+TraceCore::onPrefetchFill(std::uint64_t addr)
+{
+    CacheHierarchy::Result result;
+    caches_.fill(addr, false, result);
+    for (auto wb : result.writebacks)
+        port_.issueWrite(wb, source_);
+    prefetcher_.onFill(addr / 64);
+}
+
+void
+TraceCore::readDone(std::uint64_t tag, Tick)
+{
+    if (tag & kPrefetchTag)
+        onPrefetchFill(tag & ~kPrefetchTag);
+    else
+        onFill(static_cast<std::uint32_t>(tag));
 }
 
 TraceCore::Outstanding &
@@ -138,8 +152,7 @@ TraceCore::onLoadHit(std::uint64_t inst_index)
 void
 TraceCore::issueFill(std::uint32_t mshr)
 {
-    port_.issueRead(mshrs_[mshr].addr, source_,
-                    [this, mshr](Tick) { onFill(mshr); });
+    port_.issueRead(mshrs_[mshr].addr, *this, mshr);
 }
 
 void

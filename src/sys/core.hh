@@ -47,8 +47,9 @@ struct CoreConfig {
  * source the first time the core reaches it and kept, so after
  * `period` records the core loops over what it has already read. A
  * run that stops early never generates the records it did not reach.
+ * The core is the sink of its own fills and prefetches.
  */
-class TraceCore
+class TraceCore final : private ReadSink
 {
   public:
     /** Yields the next trace record on each call. */
@@ -103,15 +104,22 @@ class TraceCore
         std::uint32_t mshr = kNoMshr; ///< Fill it waits on (none: a hit).
     };
     /** A line fill in flight and the number of loads waiting on it;
-     *  an entry with no waiters is free. The fill's closures carry
-     *  only the entry's index, so they fit std::function's inline
-     *  buffer and a read never allocates. */
+     *  an entry with no waiters is free. The fill's read carries the
+     *  entry's index as its tag, and its issue one-shot captures only
+     *  that index, so it fits std::function's inline buffer. */
     struct Mshr {
         std::uint64_t addr = 0; ///< Byte address of the missing load.
         std::uint32_t waiters = 0;
     };
 
+    /** Tag bit of a prefetch read. A read's tag is its MSHR index
+     *  for a fill, and its byte address with this bit set for a
+     *  prefetch (addresses stay far below 2^63). */
+    static constexpr std::uint64_t kPrefetchTag = std::uint64_t{1} << 63;
+
     void dispatch();
+    /** A fill or prefetch read is back: route it by its tag. */
+    void readDone(std::uint64_t tag, Tick done) override;
     /** Send MSHR @p mshr's read to memory. */
     void issueFill(std::uint32_t mshr);
     /** Retire the @p i-th oldest outstanding load and dispatch on. */
@@ -123,6 +131,8 @@ class TraceCore
     void retire(std::uint64_t insts);
     Tick instTicks(std::uint64_t insts) const;
     void issuePrefetch(std::uint64_t line_addr);
+    /** Install the prefetched line at byte address @p addr. */
+    void onPrefetchFill(std::uint64_t addr);
 
     MemoryPort &port_;
     CoreConfig cfg_;

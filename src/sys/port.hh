@@ -23,12 +23,26 @@ namespace leaky::sys {
 
 using sim::Tick;
 
+/**
+ * Where a read's data goes: the requestor itself. A read carries the
+ * sink and a 64-bit tag the requestor chose; when the data is back the
+ * memory system calls readDone() with that tag, so issuing a read
+ * builds no callable. The sink must outlive its reads in flight.
+ */
+class ReadSink
+{
+  public:
+    /** The read issued with @p tag has its data back at @p done. */
+    virtual void readDone(std::uint64_t tag, Tick done) = 0;
+
+  protected:
+    ~ReadSink() = default;
+};
+
 /** Access point into the simulated memory system. */
 class MemoryPort
 {
   public:
-    using ReadCallback = std::function<void(Tick data_ready)>;
-
     virtual ~MemoryPort() = default;
 
     /** Current simulated time. */
@@ -45,11 +59,11 @@ class MemoryPort
     /**
      * Issue a cache-bypassing read (the attacks clflush first, so their
      * loads are always served by DRAM). Retries transparently when the
-     * controller queue is full. @p cb fires when data is back at the
-     * requestor.
+     * controller queue is full. @p sink's readDone(@p tag, done) runs
+     * when data is back at the requestor.
      */
-    virtual void issueRead(std::uint64_t phys_addr, std::int32_t source,
-                           ReadCallback cb) = 0;
+    virtual void issueRead(std::uint64_t phys_addr, ReadSink &sink,
+                           std::uint64_t tag) = 0;
 
     /** Issue a posted write. */
     virtual void issueWrite(std::uint64_t phys_addr,

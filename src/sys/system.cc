@@ -103,7 +103,7 @@ System::schedule(Tick delay, std::function<void()> fn)
 System::InFlight &
 System::issue(ctrl::Request &&req)
 {
-    if (inflight_free_ == kNoSlot) {
+    if (!inflight_free_) {
         InFlight &fresh = inflight_.emplace_back();
         fresh.sys = this;
         fresh.dispatch.bind(&fresh, [](void *ctx) {
@@ -114,11 +114,9 @@ System::issue(ctrl::Request &&req)
             auto *slot = static_cast<InFlight *>(ctx);
             slot->sys->complete(*slot);
         });
-        fresh.self = static_cast<std::uint32_t>(inflight_.size() - 1);
-        fresh.next_free = kNoSlot;
-        inflight_free_ = fresh.self;
+        inflight_free_ = &fresh;
     }
-    InFlight &slot = inflight_[inflight_free_];
+    InFlight &slot = *inflight_free_;
     inflight_free_ = slot.next_free;
     slot.req = std::move(req);
     eq_.scheduleAfter(slot.dispatch, kFrontendLatency);
@@ -129,7 +127,7 @@ void
 System::release(InFlight &slot)
 {
     slot.next_free = inflight_free_;
-    inflight_free_ = slot.self;
+    inflight_free_ = &slot;
 }
 
 void
@@ -152,27 +150,59 @@ System::dispatch(InFlight &slot)
 void
 System::complete(InFlight &slot)
 {
-    // Move the callback out first: it may issue reads that reuse the
-    // slot or grow the slab.
-    ReadCallback cb = std::move(slot.cb);
-    slot.cb = nullptr;
+    // Free the slot first: the sink may issue reads that reuse it or
+    // grow the slab.
+    ReadSink &sink = *slot.sink;
+    const std::uint64_t tag = slot.tag;
     release(slot);
-    cb(eq_.now());
+    sink.readDone(tag, eq_.now());
 }
 
 void
-System::issueRead(std::uint64_t phys_addr, std::int32_t source,
-                  ReadCallback cb)
+System::issueRead(std::uint64_t phys_addr, ReadSink &sink, std::uint64_t tag)
 {
     ctrl::Request req;
     req.type = ctrl::Request::Type::kRead;
     req.phys_addr = phys_addr;
     req.addr = mapper_.decode(phys_addr);
-    req.source = source;
     req.return_latency = kFrontendLatency;
     InFlight &slot = issue(std::move(req));
     slot.req.on_complete = &slot.complete;
-    slot.cb = std::move(cb);
+    slot.sink = &sink;
+    slot.tag = tag;
+}
+
+void
+System::issueRead(std::uint64_t phys_addr, std::int32_t, ReadCallback cb)
+{
+    issueRead(phys_addr, parked_, parked_.park(std::move(cb)));
+}
+
+std::uint64_t
+System::ParkedCallbacks::park(ReadCallback cb)
+{
+    if (free_ == kNone) {
+        free_ = static_cast<std::uint32_t>(entries_.size());
+        entries_.emplace_back();
+    }
+    const std::uint32_t tag = free_;
+    Entry &entry = entries_[tag];
+    free_ = entry.next_free;
+    entry.cb = std::move(cb);
+    return tag;
+}
+
+void
+System::ParkedCallbacks::readDone(std::uint64_t tag, Tick done)
+{
+    // Unpark first: the callback may issue reads that reuse the entry
+    // or grow the table.
+    Entry &entry = entries_[tag];
+    ReadCallback cb = std::move(entry.cb);
+    entry.cb = nullptr;
+    entry.next_free = free_;
+    free_ = static_cast<std::uint32_t>(tag);
+    cb(done);
 }
 
 void

@@ -10,6 +10,7 @@
 #define LEAKY_SYS_SYSTEM_HH
 
 #include <deque>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -92,24 +93,38 @@ class System final : public MemoryPort
     {
         eq_.reschedule(ev, eq_.now() + delay);
     }
-    void issueRead(std::uint64_t phys_addr, std::int32_t source,
-                   ReadCallback cb) override;
+    void issueRead(std::uint64_t phys_addr, ReadSink &sink,
+                   std::uint64_t tag) override;
     void issueWrite(std::uint64_t phys_addr, std::int32_t source) override;
     const dram::MappingFunction &mapper() const override { return mapper_; }
+
+    /** A read's completion as a callable, for the adapter below. */
+    using ReadCallback = std::function<void(Tick data_ready)>;
+
+    /**
+     * The callback form of issueRead(), built on the sink path: @p cb
+     * is parked in a free-listed table whose index is the read's tag,
+     * and the table is the read's sink. The requestor id is dropped,
+     * as on every read (nothing reads Request::source). Kept for
+     * callers outside src/ that issue reads from a lambda (tests,
+     * benches); every src/ requestor is a ReadSink.
+     */
+    void issueRead(std::uint64_t phys_addr, std::int32_t source,
+                   ReadCallback cb);
 
   private:
     /**
      * One request from issue until the System is done with it: the
      * stashed Request (until the controller accepts it), the dispatch
      * event that presents it after the frontend hop and retries it
-     * while the queue is full, and for reads the requestor's callback
-     * plus the completion event the controller schedules when the data
-     * is back. Slots live in a free-listed, System-owned slab (a deque
-     * keeps their addresses stable for the Events bound to them), so
-     * once the slab has grown a read allocates nothing, and besides the
-     * controller's own wake-ups it takes two events: arrival (plus any
-     * retries) and return. A write's slot is released on acceptance, a
-     * read's when its callback runs.
+     * while the queue is full, and for reads the requestor's sink and
+     * tag plus the completion event the controller schedules when the
+     * data is back. Slots live in a free-listed, System-owned slab (a
+     * deque keeps their addresses stable for the Events bound to them),
+     * so once the slab has grown a read allocates nothing, and besides
+     * the controller's own wake-ups it takes two events: arrival (plus
+     * any retries) and return. A write's slot is released on
+     * acceptance, a read's just before its sink is called.
      */
     struct InFlight {
         // What a retry touches comes first, so a retry storm over a
@@ -118,11 +133,10 @@ class System final : public MemoryPort
         System *sys = nullptr;
         ctrl::Request req;
         sim::Event complete; ///< Bound to complete(this slot).
-        ReadCallback cb;
-        std::uint32_t self = 0; ///< Own index (deque: no ptr diff).
-        std::uint32_t next_free = kNoSlot;
+        ReadSink *sink = nullptr;
+        std::uint64_t tag = 0;
+        InFlight *next_free = nullptr;
     };
-    static constexpr std::uint32_t kNoSlot = 0xffffffffu;
 
     /** Claim a slot for @p req and schedule its arrival at the
      *  controller one frontend hop from now. */
@@ -130,10 +144,32 @@ class System final : public MemoryPort
     /** Hand the slot's request to its controller, or retry later on a
      *  full queue. */
     void dispatch(InFlight &slot);
-    /** Data is back: free the slot and run its callback. */
+    /** Data is back: free the slot and call its sink. */
     void complete(InFlight &slot);
     /** Return @p slot to the free list. */
     void release(InFlight &slot);
+
+    /** The callback adapter's sink: parked callbacks, a read's tag
+     *  indexing its entry. Entries are free-listed, so once the table
+     *  has grown a callback read allocates only what its callable
+     *  does. */
+    class ParkedCallbacks final : public ReadSink
+    {
+      public:
+        /** Park @p cb; returns the tag its read carries. */
+        std::uint64_t park(ReadCallback cb);
+        /** Unpark the tag's callback, then run it. */
+        void readDone(std::uint64_t tag, Tick done) override;
+
+      private:
+        static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+        struct Entry {
+            ReadCallback cb;
+            std::uint32_t next_free = kNone;
+        };
+        std::vector<Entry> entries_;
+        std::uint32_t free_ = kNone;
+    };
 
     SystemConfig cfg_;
     sim::EventQueue eq_;
@@ -141,7 +177,8 @@ class System final : public MemoryPort
     std::vector<std::unique_ptr<ctrl::MemoryController>> ctrls_;
     std::vector<defense::DefenseBundle> bundles_;
     std::deque<InFlight> inflight_;
-    std::uint32_t inflight_free_ = kNoSlot;
+    InFlight *inflight_free_ = nullptr;
+    ParkedCallbacks parked_;
 };
 
 } // namespace leaky::sys

@@ -50,8 +50,8 @@ TEST(CovertChannel, PracTransmitsMicroErrorFree)
 // first windows have grown the kernel's slabs, the System's in-flight
 // slots, the controller queues and the defense counters, a pair runs
 // window after window without reaching the heap (each access is the
-// loop's bound step plus a read callback that fits std::function's
-// small buffer; the receiver reserved its per-window results).
+// loop's bound step plus a read whose sink is the loop itself; the
+// receiver reserved its per-window results).
 TEST(CovertChannel, SteadyStateDoesNotAllocate)
 {
     for (const ChannelKind kind : {ChannelKind::kPrac, ChannelKind::kRfm}) {

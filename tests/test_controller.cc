@@ -612,9 +612,13 @@ TEST_F(ControllerTest, PreventiveTimelinePinned)
 
 /**
  * A MemoryPort in front of a System that folds every read's issue tick
- * and completion tick into an FNV-1a digest, in completion order.
+ * and completion tick into an FNV-1a digest, in completion order. It
+ * is every read's sink toward the System: a free-listed record table
+ * keeps the requestor's sink and tag and the issue tick, and the
+ * record's index is the tag the System sees.
  */
-class ServiceRecorder final : public leaky::sys::MemoryPort
+class ServiceRecorder final : public leaky::sys::MemoryPort,
+                              private leaky::sys::ReadSink
 {
   public:
     explicit ServiceRecorder(leaky::sys::System &system) : sys_(system) {}
@@ -631,17 +635,18 @@ class ServiceRecorder final : public leaky::sys::MemoryPort
         sys_.schedule(delay, ev);
     }
     void
-    issueRead(std::uint64_t phys_addr, std::int32_t source,
-              ReadCallback cb) override
+    issueRead(std::uint64_t phys_addr, leaky::sys::ReadSink &sink,
+              std::uint64_t tag) override
     {
-        sys_.issueRead(phys_addr, source,
-                       [this, issued = sys_.now(),
-                        cb = std::move(cb)](Tick done) {
-                           tl_.mix(issued, 8);
-                           tl_.mix(done, 8);
-                           reads_ += 1;
-                           cb(done);
-                       });
+        if (free_ == kNoRecord) {
+            free_ = records_.size();
+            records_.emplace_back();
+        }
+        const std::uint64_t index = free_;
+        Record &record = records_[index];
+        free_ = record.next_free;
+        record = {&sink, tag, sys_.now(), kNoRecord};
+        sys_.issueRead(phys_addr, *this, index);
     }
     void
     issueWrite(std::uint64_t phys_addr, std::int32_t source) override
@@ -658,7 +663,33 @@ class ServiceRecorder final : public leaky::sys::MemoryPort
     std::uint64_t reads() const { return reads_; }
 
   private:
+    static constexpr std::uint64_t kNoRecord = ~std::uint64_t{0};
+    struct Record {
+        leaky::sys::ReadSink *sink = nullptr;
+        std::uint64_t tag = 0;
+        Tick issued = 0;
+        std::uint64_t next_free = kNoRecord;
+    };
+
+    void
+    readDone(std::uint64_t index, Tick done) override
+    {
+        // Free the record before passing the read on: the requestor
+        // may issue its next read from readDone().
+        Record &record = records_[index];
+        leaky::sys::ReadSink &sink = *record.sink;
+        const std::uint64_t tag = record.tag;
+        tl_.mix(record.issued, 8);
+        tl_.mix(done, 8);
+        reads_ += 1;
+        record.next_free = free_;
+        free_ = index;
+        sink.readDone(tag, done);
+    }
+
     leaky::sys::System &sys_;
+    std::vector<Record> records_;
+    std::uint64_t free_ = kNoRecord;
     Timeline tl_;
     std::uint64_t reads_ = 0;
 };

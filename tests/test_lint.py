@@ -184,6 +184,24 @@ class GrammarTable(unittest.TestCase):
         ("access_outside_attack_accepted", "src/sys/core.cc",
          "void f(MemoryPort &p) { p.issueRead(a, source_, cb); }\n",
          []),
+        # ------------------------------------------- typed-read-path
+        ("read_callback_in_core_rejected", "src/sys/core.cc",
+         "void f(System &s, System::ReadCallback cb)"
+         " { s.issueRead(a, 0, std::move(cb)); }\n",
+         ["typed-read-path"]),
+        ("read_callback_alias_rejected", "src/sys/port.hh",
+         "using ReadCallback = std::function<void(Tick)>;\n",
+         ["typed-read-path"]),
+        ("read_sink_accepted", "src/sys/core.cc",
+         "void f(MemoryPort &p) { p.issueRead(a, *this, mshr); }\n",
+         []),
+        ("read_callback_adapter_accepted", "src/sys/system.cc",
+         "void System::issueRead(std::uint64_t a, std::int32_t s,"
+         " ReadCallback cb) {}\n",
+         []),
+        ("read_callback_outside_src_accepted", "tests/foo.cc",
+         "leaky::sys::System::ReadCallback cb = [](Tick) {};\n",
+         []),
         # ------------------------------------- single-system-builder
         ("system_in_runner_rejected", "src/runner/foo.cc",
          "void f(const sys::SystemConfig &c) { sys::System system(c); }\n",

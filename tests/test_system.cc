@@ -4,12 +4,17 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <utility>
+#include <vector>
+
 #include "attack/dram_addr.hh"
 #include "attack/probe.hh"
 #include "defense/factory.hh"
 #include "runner/figures.hh"
 #include "runner/runner.hh"
 #include "sys/system.hh"
+#include "testing_alloc_counter.hh"
 
 namespace {
 
@@ -57,6 +62,170 @@ TEST(System, RowHitReadOnIdleSystemReturnsAtPinnedTick)
     EXPECT_EQ(system.stats(0).row_hits, 1u);
     EXPECT_EQ(miss, 55'328u);
     EXPECT_EQ(hit - issued, 39'328u);
+}
+
+/** A sink that records every (tag, done) it is handed. */
+struct TagRecorder final : leaky::sys::ReadSink {
+    std::vector<std::pair<std::uint64_t, Tick>> done;
+
+    void
+    readDone(std::uint64_t tag, Tick at) override
+    {
+        done.emplace_back(tag, at);
+    }
+};
+
+TEST(System, ReadsInFlightReturnTheirOwnTags)
+{
+    // Three reads in flight from one sink, all to bank 0: one opens
+    // row 10, then one to row 20 (a conflict) and one to row 10 again.
+    // FR-FCFS serves the row hit before the older conflict, so the
+    // last read issued returns second. Each comes back with the tag it
+    // was issued with, in completion order.
+    System system(SystemConfig::paper(DefenseKind::kNone));
+    const auto &mapper = system.mapper();
+    constexpr std::uint64_t kOpen = 7;
+    constexpr std::uint64_t kConflict = 0xc0ffee;
+    constexpr std::uint64_t kHit = std::uint64_t{1} << 63;
+    TagRecorder sink;
+    system.issueRead(leaky::attack::rowAddress(mapper, 0, 0, 0, 0, 10), sink,
+                     kOpen);
+    system.issueRead(leaky::attack::rowAddress(mapper, 0, 0, 0, 0, 20), sink,
+                     kConflict);
+    system.issueRead(leaky::attack::rowAddress(mapper, 0, 0, 0, 0, 10, 1),
+                     sink, kHit);
+    system.run(leaky::sim::kUs);
+    ASSERT_EQ(sink.done.size(), 3u);
+    EXPECT_EQ(sink.done[0].first, kOpen);
+    EXPECT_EQ(sink.done[1].first, kHit);
+    EXPECT_EQ(sink.done[2].first, kConflict);
+    EXPECT_LT(sink.done[0].second, sink.done[1].second);
+    EXPECT_LT(sink.done[1].second, sink.done[2].second);
+    EXPECT_EQ(system.stats(0).row_hits, 1u);
+}
+
+/** A closed loop of reads alternating two rows of one bank, each
+ *  issued from the previous read's readDone(); stops the system after
+ *  @c target reads. Tag = read number. */
+struct ChainedReads final : leaky::sys::ReadSink {
+    System &system;
+    std::uint64_t rows[2];
+    std::uint64_t reads = 0;
+    std::uint64_t target = 0;
+
+    ChainedReads(System &s, std::uint64_t a, std::uint64_t b)
+        : system(s), rows{a, b}
+    {
+    }
+
+    void issue() { system.issueRead(rows[reads % 2], *this, reads); }
+
+    void
+    readDone(std::uint64_t tag, Tick) override
+    {
+        EXPECT_EQ(tag, reads);
+        reads += 1;
+        if (reads == target)
+            system.stop();
+        issue();
+    }
+};
+
+TEST(System, SinkIssuingFromReadDoneAllocatesNothingOnceWarm)
+{
+    // The slot is freed before the sink runs, so the read issued from
+    // readDone() takes the slot its predecessor left: one slot serves
+    // the whole chain and nothing reaches the heap once warm.
+    System system(SystemConfig::paper(DefenseKind::kNone));
+    const auto &mapper = system.mapper();
+    ChainedReads chain(system,
+                       leaky::attack::rowAddress(mapper, 0, 0, 0, 0, 100),
+                       leaky::attack::rowAddress(mapper, 0, 0, 0, 0, 200));
+    chain.target = 200;
+    chain.issue();
+    system.run(100 * leaky::sim::kMs); // Warm-up.
+    ASSERT_EQ(chain.reads, 200u);
+
+    chain.target = 2200;
+    const std::uint64_t before = leaky_test_heap_allocs.load();
+    system.run(100 * leaky::sim::kMs);
+    const std::uint64_t after = leaky_test_heap_allocs.load();
+    ASSERT_EQ(chain.reads, 2200u);
+    EXPECT_EQ(after, before);
+}
+
+/** The @p n-th read of closed loop @p loop: rows alternate in bank
+ *  @p loop of bank group 0. */
+std::uint64_t
+loopRow(const System &system, std::uint64_t loop, std::uint64_t n)
+{
+    return leaky::attack::rowAddress(
+        system.mapper(), 0, 0, 0, static_cast<std::uint32_t>(loop),
+        static_cast<std::uint32_t>(n % 2 ? 100 + loop : 200 + loop));
+}
+
+TEST(System, CallbackAdapterMatchesTypedSink)
+{
+    // The same read sequence -- three closed loops, each alternating
+    // two rows of its own bank of bank group 0, under PRAC -- once
+    // through the ReadCallback adapter and once through a typed sink:
+    // every read sees the same (issue, done) ticks in the same order.
+    using Timeline = std::vector<std::pair<Tick, Tick>>;
+    constexpr std::uint64_t kReadsPerLoop = 300;
+
+    Timeline via_callback;
+    {
+        System system(SystemConfig::paper(DefenseKind::kPrac));
+        std::uint64_t issued[3] = {};
+        std::function<void(std::uint64_t)> issue = [&](std::uint64_t loop) {
+            if (issued[loop] == kReadsPerLoop)
+                return;
+            const Tick at = system.now();
+            system.issueRead(loopRow(system, loop, issued[loop]++), 0,
+                             [&, loop, at](Tick done) {
+                                 via_callback.emplace_back(at, done);
+                                 issue(loop);
+                             });
+        };
+        for (std::uint64_t loop = 0; loop < 3; ++loop)
+            issue(loop);
+        system.run(100 * leaky::sim::kMs);
+    }
+
+    struct Loops final : leaky::sys::ReadSink {
+        System &system;
+        Timeline timeline;
+        std::uint64_t issued[3] = {};
+
+        explicit Loops(System &s) : system(s) {}
+
+        void
+        issue(std::uint64_t loop)
+        {
+            if (issued[loop] == kReadsPerLoop)
+                return;
+            // Tag: the issue tick in the high bits, the loop below.
+            const std::uint64_t tag = system.now() << 2 | loop;
+            system.issueRead(loopRow(system, loop, issued[loop]++), *this,
+                             tag);
+        }
+
+        void
+        readDone(std::uint64_t tag, Tick done) override
+        {
+            timeline.emplace_back(tag >> 2, done);
+            issue(tag & 3);
+        }
+    };
+    System system(SystemConfig::paper(DefenseKind::kPrac));
+    Loops loops(system);
+    for (std::uint64_t loop = 0; loop < 3; ++loop)
+        loops.issue(loop);
+    system.run(100 * leaky::sim::kMs);
+
+    ASSERT_EQ(via_callback.size(), 3 * kReadsPerLoop);
+    EXPECT_EQ(loops.timeline, via_callback);
+    EXPECT_GT(system.stats(0).backoffs, 0u); // PRAC acted mid-sequence.
 }
 
 TEST(System, WritesAreFireAndForget)

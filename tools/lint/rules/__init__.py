@@ -46,6 +46,7 @@ ALL_RULES = (
     channels.ExplicitChannel(),
     covert.SingleCovertLoop(),
     access.SingleAccessLoop(),
+    access.TypedReadPath(),
     builder.SingleSystemBuilder(),
     builder.SingleRunLoop(),
     assertions.NoRawAssert(),
